@@ -23,19 +23,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import experiments
-from .contracts import (
-    ValidationOutcome,
-    apply_policy,
-    check_depth,
-    check_result,
-    violation_record,
-)
+from .contracts import apply_policy, check_result, violation_record
 from .errors import default_semantics
 from .types import LdpError, TaskResult, TaskSubmit
 from .wire import (
@@ -44,31 +37,16 @@ from .wire import (
     decode_any,
     decode_contract,
     decode_message,
+    encode_message,
     format_timestamp,
-    ldp_error_to_wire,
-    message_to_wire,
     parse_timestamp,
-    validate_invariants,
+    to_wire,
 )
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
 EXIT_BAD_ARGS = 2
 EXIT_REJECTED = 3
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed invocation: which command plus its knobs."""
-
-    command: str
-    seed: int = 42
-    tasks: int = 100
-    seeds: tuple[int, ...] = ()
-    iterations: int = 10000
-    out_path: Optional[str] = None
-    input_paths: tuple[str, ...] = ()
-    received_at: Optional[datetime] = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,6 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="decode wire documents and report violations")
     p_validate.add_argument("inputs", nargs="+", metavar="FILE")
+    p_validate.set_defaults(run=_cmd_validate)
 
     p_check = sub.add_parser("check-contract", help="validate a result against a contract")
     p_check.add_argument("contract", metavar="CONTRACT_FILE")
@@ -89,57 +68,38 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="RFC 3339 receipt time (defaults to the current time)",
     )
+    p_check.set_defaults(run=_cmd_check_contract)
 
     p_e3 = sub.add_parser("e3", help="run the three routing conditions")
     p_e3.add_argument("--seed", type=int, default=42)
     p_e3.add_argument("--tasks", type=int, default=100)
     p_e3.add_argument("--out", default="e3.csv")
+    p_e3.set_defaults(run=_cmd_e3)
 
     p_sens = sub.add_parser("sensitivity", help="run the 36-cell sensitivity grid")
     p_sens.add_argument("--seed", type=int, default=42)
     p_sens.add_argument("--seeds", default=None, help="comma-separated seed list")
     p_sens.add_argument("--tasks", type=int, default=100)
     p_sens.add_argument("--out", default="sensitivity.csv")
+    p_sens.set_defaults(run=_cmd_sensitivity)
 
     p_bench = sub.add_parser("bench", help="measure protocol overhead")
     p_bench.add_argument("--iterations", type=int, default=10000)
     p_bench.add_argument("--out", default="bench.csv")
+    p_bench.set_defaults(run=_cmd_bench)
 
-    sub.add_parser("demo-trace", help="replay the contract lifecycle on the canonical example")
+    p_demo = sub.add_parser("demo-trace", help="replay the contract lifecycle on the canonical example")
+    p_demo.set_defaults(run=_cmd_demo_trace)
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> CliConfig:
-    seeds: tuple[int, ...] = ()
-    if getattr(args, "seeds", None):
-        try:
-            seeds = tuple(int(part) for part in args.seeds.split(",") if part.strip())
-        except ValueError:
-            raise SystemExit(EXIT_BAD_ARGS)
-    received_at = None
-    if getattr(args, "received_at", None):
-        received_at = parse_timestamp(args.received_at, "received_at")
-    return CliConfig(
-        command=args.command,
-        seed=getattr(args, "seed", 42),
-        tasks=getattr(args, "tasks", 100),
-        seeds=seeds,
-        iterations=getattr(args, "iterations", 10000),
-        out_path=getattr(args, "out", None),
-        input_paths=tuple(getattr(args, "inputs", ())) or tuple(
-            p for p in (getattr(args, "contract", None), getattr(args, "result", None)) if p
-        ),
-        received_at=received_at,
-    )
 
 
 def _print_wire(obj: dict) -> None:
     print(canonical_bytes(obj).decode("utf-8"))
 
 
-def _cmd_validate(config: CliConfig) -> int:
+def _cmd_validate(args: argparse.Namespace) -> int:
     status = EXIT_OK
-    for path in config.input_paths:
+    for path in args.inputs:
         try:
             data = Path(path).read_bytes()
         except OSError as exc:
@@ -152,21 +112,20 @@ def _cmd_validate(config: CliConfig) -> int:
             print(f"{path}: INVALID {exc}")
             status = EXIT_INVALID_INPUT
             continue
-        violations = validate_invariants(decoded)
-        if violations:
-            for violation in violations:
-                print(f"{path}: VIOLATION {violation}")
-            status = EXIT_INVALID_INPUT
-        else:
-            print(f"{path}: OK {type(decoded).__name__}")
+        print(f"{path}: OK {type(decoded).__name__}")
     return status
 
 
-def _cmd_check_contract(config: CliConfig) -> int:
-    contract_path, result_path = config.input_paths
+def _cmd_check_contract(args: argparse.Namespace) -> int:
+    # A bad --received-at raises DecodeError, a ValueError: main reports
+    # it as bad arguments before any file is read.
+    if args.received_at:
+        received_at = parse_timestamp(args.received_at, "received_at")
+    else:
+        received_at = datetime.now(timezone.utc)
     try:
-        contract = decode_contract(Path(contract_path).read_bytes())
-        message = decode_message(Path(result_path).read_bytes())
+        contract = decode_contract(Path(args.contract).read_bytes())
+        message = decode_message(Path(args.result).read_bytes())
     except OSError as exc:
         print(f"unreadable input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
@@ -177,16 +136,8 @@ def _cmd_check_contract(config: CliConfig) -> int:
         print("invalid input: RESULT_FILE does not hold a task result", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
-    received_at = config.received_at or datetime.now(timezone.utc)
     outcome = check_result(contract, message, received_at)
-    violations = list(outcome.violations)
-    if message.provenance is not None and message.provenance.lineage:
-        depth = check_depth(contract, message.provenance)
-        if depth is not None:
-            violations.append(depth)
-    outcome = ValidationOutcome.from_violations(violations, contract.policy.failure_policy)
-
-    for violation in violations:
+    for violation in outcome.violations:
         record = violation_record(violation, contract.contract_id, message.task_id)
         print(canonical_bytes(record).decode("utf-8"), file=sys.stderr)
 
@@ -196,19 +147,19 @@ def _cmd_check_contract(config: CliConfig) -> int:
             "disposition": outcome.disposition.value,
             "violations": [
                 violation_record(v, contract.contract_id, message.task_id)
-                for v in violations
+                for v in outcome.violations
             ],
         }
     )
     if isinstance(resolved, LdpError):
-        _print_wire(ldp_error_to_wire(resolved))
+        _print_wire(to_wire(resolved))
         return EXIT_REJECTED
     return EXIT_OK
 
 
-def _cmd_e3(config: CliConfig) -> int:
-    run = experiments.run_routing_conditions_detailed(config.seed, config.tasks)
-    out = Path(config.out_path)
+def _cmd_e3(args: argparse.Namespace) -> int:
+    run = experiments.run_routing_conditions_detailed(args.seed, args.tasks)
+    out = Path(args.out)
     experiments.write_condition_csv(str(out), run.reports)
     experiments.write_summary_json(
         str(out.with_suffix(".json")), experiments.routing_summary([run])
@@ -228,18 +179,22 @@ def _cmd_e3(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_sensitivity(config: CliConfig) -> int:
-    seeds = config.seeds or (config.seed,)
-    cells = experiments.run_sensitivity(list(seeds), config.tasks)
-    out = Path(config.out_path)
+def _cmd_sensitivity(args: argparse.Namespace) -> int:
+    try:
+        seeds = [int(part) for part in (args.seeds or "").split(",") if part.strip()]
+    except ValueError:
+        return EXIT_BAD_ARGS
+    seeds = seeds or [args.seed]
+    cells = experiments.run_sensitivity(seeds, args.tasks)
+    out = Path(args.out)
     experiments.write_grid_csv(str(out), cells)
     paradox_cells = [c for c in cells if c.paradox]
     experiments.write_summary_json(
         str(out.with_suffix(".json")),
         {
             "experiment": "sensitivity",
-            "seeds": list(seeds),
-            "tasks_per_condition": config.tasks,
+            "seeds": seeds,
+            "tasks_per_condition": args.tasks,
             "cells": [
                 {column: getattr(cell, column) for column in experiments.GRID_CSV_COLUMNS}
                 for cell in cells
@@ -258,15 +213,15 @@ def _cmd_sensitivity(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(config: CliConfig) -> int:
-    report = experiments.run_overhead(config.iterations)
-    out = Path(config.out_path)
+def _cmd_bench(args: argparse.Namespace) -> int:
+    report = experiments.run_overhead(args.iterations)
+    out = Path(args.out)
     experiments.write_overhead_csv(str(out), report)
     experiments.write_summary_json(
         str(out.with_suffix(".json")),
         {
             "experiment": "overhead",
-            "iterations": config.iterations,
+            "iterations": args.iterations,
             **{
                 column: getattr(report, column)
                 for column in experiments.OVERHEAD_CSV_COLUMNS
@@ -279,7 +234,7 @@ def _cmd_bench(config: CliConfig) -> int:
           f"{report.bytes_with_contract} with contract (+{delta}, +{pct:.0f}%)")
     print(f"validation:    {report.validation_ns_mean / 1000.0:.2f} us/result")
     print(f"serialization: {report.serialization_ns_mean / 1000.0:.2f} us/message")
-    print(f"wrote {config.out_path}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -304,7 +259,7 @@ def demo_trace() -> tuple[list[str], LdpError, TaskResult]:
         f"policy={contract.policy.failure_policy.value}, "
         f"deadline={format_timestamp(contract.deadline)})"
     )
-    steps.append(f"submit wire bytes: {len(canonical_bytes(message_to_wire(submit)))}")
+    steps.append(f"submit wire bytes: {len(encode_message(submit))}")
 
     result = experiments.canonical_result(tokens_used=8200)
     steps.append(
@@ -333,29 +288,12 @@ def demo_trace() -> tuple[list[str], LdpError, TaskResult]:
     return steps, resolved, result
 
 
-def _cmd_demo_trace() -> int:
+def _cmd_demo_trace(args: argparse.Namespace) -> int:
     steps, error, _ = demo_trace()
     for step in steps:
         print(step)
-    _print_wire(ldp_error_to_wire(error))
+    _print_wire(to_wire(error))
     return EXIT_OK
-
-
-def dispatch(config: CliConfig) -> int:
-    """Run one parsed command and return its exit status."""
-    if config.command == "validate":
-        return _cmd_validate(config)
-    if config.command == "check-contract":
-        return _cmd_check_contract(config)
-    if config.command == "e3":
-        return _cmd_e3(config)
-    if config.command == "sensitivity":
-        return _cmd_sensitivity(config)
-    if config.command == "bench":
-        return _cmd_bench(config)
-    if config.command == "demo-trace":
-        return _cmd_demo_trace()
-    return EXIT_BAD_ARGS
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -365,14 +303,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_BAD_ARGS
     try:
-        config = config_from_args(args)
-    except DecodeError as exc:
-        print(f"bad arguments: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_BAD_ARGS
-    try:
-        return dispatch(config)
+        return args.run(args)
     except ValueError as exc:
         # covers out-of-range knobs like --tasks 0 or --iterations 10
         print(f"bad arguments: {exc}", file=sys.stderr)

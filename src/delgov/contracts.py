@@ -85,10 +85,13 @@ def check_result(
     result: TaskResult,
     received_at: datetime,
 ) -> ValidationOutcome:
-    """Check a result against budget and deadline at receipt time.
+    """Check a result against budget, deadline and delegation depth.
 
-    Violations are returned as data, not raised; apply_policy decides what
-    they mean under the contract's failure policy.
+    The deadline is checked at receipt time, and depth through
+    ``check_depth`` whenever the result's provenance has a non-empty
+    lineage. Violations are returned as data, not raised, in that order;
+    apply_policy decides what they mean under the contract's failure
+    policy.
     """
     if received_at.tzinfo is None:
         received_at = received_at.replace(tzinfo=timezone.utc)
@@ -135,6 +138,10 @@ def check_result(
                 limit=contract.deadline.timestamp(),
             )
         )
+    if result.provenance is not None and result.provenance.lineage:
+        depth = check_depth(contract, result.provenance)
+        if depth is not None:
+            violations.append(depth)
     return ValidationOutcome.from_violations(violations, contract.policy.failure_policy)
 
 

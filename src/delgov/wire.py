@@ -25,6 +25,21 @@ processing happens:
 A message without any governance fields (contract, claims, provenance)
 decodes exactly as the base protocol would read it; the governance keys
 simply stay absent.
+
+Every wire type is described once, in the field table ``FIELDS``: one row
+per field with its wire name (always the dataclass attribute name), its
+kind and whether it is required. ``to_wire`` and ``from_wire`` both read
+that table, and every encoder and decoder here goes through them.
+
+Decoding reports the first fault in table order: row by row, a missing
+required key, then a value of the wrong type. A document with one fault is
+reported exactly as the hand-written codec this table replaced reported
+it. With several faults, two cases now name a different one. A contract
+with both a bad ``policy`` and a bad ``deadline`` names ``policy``, where it
+named ``deadline``. A result that lacks ``tokens_used``, ``cost_usd`` or
+``completed_at`` names a fault in any earlier row (``provenance``,
+``task_id``, ``output`` or an earlier usage key), where it named the
+missing key.
 """
 
 from __future__ import annotations
@@ -32,7 +47,8 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
-from typing import Any, Optional, Union
+from operator import attrgetter
+from typing import Any, Callable, Optional, Union
 
 from .errors import default_semantics
 from .types import (
@@ -40,12 +56,14 @@ from .types import (
     ClaimType,
     DelegationContract,
     DomainType,
+    ErrorCategory,
     FailurePolicy,
     LdpError,
     Message,
     PolicyEnvelope,
     Provenance,
     QualityClaim,
+    Severity,
     TaskResult,
     TaskSubmit,
     VerificationStatus,
@@ -111,164 +129,194 @@ def parse_money(raw: Any, path: str) -> Decimal:
     raise MalformedMessage(f"{path}: expected a decimal string or number")
 
 
-def _obj(raw: Any, path: str) -> dict:
-    if not isinstance(raw, dict):
-        raise MalformedMessage(f"{path}: expected an object")
+def _int(raw: Any, path: str, name: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise MalformedMessage(f"{path}.{name}: expected an integer")
     return raw
 
 
-def _str(obj: dict, key: str, path: str) -> str:
-    if key not in obj:
-        raise MalformedMessage(f"{path}: missing required key {key!r}")
-    value = obj[key]
-    if not isinstance(value, str):
-        raise MalformedMessage(f"{path}.{key}: expected a string")
-    return value
+def _number(raw: Any, path: str, name: str) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise MalformedMessage(f"{path}.{name}: expected a number")
+    return float(raw)
 
 
-def _opt_str(obj: dict, key: str, path: str) -> Optional[str]:
-    value = obj.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise MalformedMessage(f"{path}.{key}: expected a string")
-    return value
+def _bool(raw: Any, path: str, name: str) -> bool:
+    if not isinstance(raw, bool):
+        raise MalformedMessage(f"{path}.{name}: expected a boolean")
+    return raw
 
 
-def _int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedMessage(f"{path}: expected an integer")
-    return value
-
-
-def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedMessage(f"{path}: expected a number")
-    return float(value)
-
-
-def _str_list(obj: dict, key: str, path: str) -> tuple[str, ...]:
-    value = obj.get(key)
-    if value is None:
-        return ()
-    if not isinstance(value, list):
-        raise MalformedMessage(f"{path}.{key}: expected a list of strings")
-    out = []
-    for i, item in enumerate(value):
+def _str_list(raw: Any, path: str, name: str) -> tuple[str, ...]:
+    if not isinstance(raw, list):
+        raise MalformedMessage(f"{path}.{name}: expected a list of strings")
+    for i, item in enumerate(raw):
         if not isinstance(item, str):
-            raise MalformedMessage(f"{path}.{key}[{i}]: expected a string")
-        out.append(item)
-    return tuple(out)
-
-
-def _enum(cls: type, raw: Any, path: str) -> Any:
-    if not isinstance(raw, str):
-        raise MalformedMessage(f"{path}: expected a string")
-    try:
-        return cls(raw)
-    except ValueError:
-        raise InvariantViolation(
-            [f"{path}: unknown {cls.__name__} value {raw!r}"]
-        ) from None
+            raise MalformedMessage(f"{path}.{name}[{i}]: expected a string")
+    return tuple(raw)
 
 
 # ---------------------------------------------------------------------------
-# to-wire conversion (dict form; absent and empty optionals are dropped)
+# the field table
 
 
-def budget_to_wire(budget: Budget) -> dict:
+# A kind is how one sort of field crosses the wire: a pair of converters
+# (encode, decode). ``encode(value)`` gives the JSON value of an
+# attribute, or None to leave the key out; ``decode(raw, path, name)``
+# checks the JSON value and converts it back. None in either place means
+# the value crosses unchanged, and a None decoder admits only strings.
+# Kinds are plain tuples because the per-field loops unpack them, and a
+# plain tuple unpacks faster than a NamedTuple.
+_Kind = tuple[Optional[Callable[[Any], Any]], Optional[Callable[[Any, str, str], Any]]]
+
+_STR: _Kind = (None, None)
+_INT: _Kind = (None, _int)
+_NUMBER: _Kind = (None, _number)
+_BOOL: _Kind = (None, _bool)
+_STR_LIST: _Kind = (lambda items: list(items) or None, _str_list)
+_MONEY: _Kind = (format_money, lambda raw, path, name: parse_money(raw, f"{path}.{name}"))
+_TIMESTAMP: _Kind = (
+    format_timestamp,
+    lambda raw, path, name: parse_timestamp(raw, f"{path}.{name}"),
+)
+
+# Root path of a decoded message. Objects nested in a message keep their
+# own root path (``contract``, not ``message.contract``).
+_MESSAGE = "message"
+
+
+def to_wire(value: DomainType) -> dict:
+    """Wire form of any table type, as a dict for ``canonical_bytes``.
+
+    Absent optionals and empty lists are dropped.
+    """
+    fields = FIELDS.get(type(value))
+    if fields is None:
+        raise TypeError(f"not a wire type: {type(value).__name__}")
     out: dict[str, Any] = {}
-    if budget.max_tokens is not None:
-        out["max_tokens"] = budget.max_tokens
-    if budget.max_cost_usd is not None:
-        out["max_cost_usd"] = format_money(budget.max_cost_usd)
+    for name, (encode, _), _ in fields:
+        item = getattr(value, name)
+        if item is not None and encode is not None:
+            item = encode(item)
+        if item is not None:
+            out[name] = item
     return out
 
 
-def policy_to_wire(policy: PolicyEnvelope) -> dict:
-    out: dict[str, Any] = {"failure_policy": policy.failure_policy.value}
-    if policy.budget is not None:
-        out["budget"] = budget_to_wire(policy.budget)
-    if policy.safety_constraints:
-        out["safety_constraints"] = list(policy.safety_constraints)
-    if policy.max_delegation_depth is not None:
-        out["max_delegation_depth"] = policy.max_delegation_depth
-    return out
+def from_wire(cls: type, raw: Any, path: str) -> Any:
+    """Build a table type from its wire form, field by field in table order.
+
+    Each row is checked for presence, then for type; the first fault is
+    raised as :class:`MalformedMessage` (an unknown enum value as
+    :class:`InvariantViolation`) with ``path`` naming where it sits. The
+    invariants of the built value are left to ``validate_invariants``.
+    """
+    if not isinstance(raw, dict):
+        raise MalformedMessage(f"{path}: expected an object")
+    values = {}
+    for name, (_, decode), required in FIELDS[cls]:
+        if required:
+            if name not in raw:
+                raise MalformedMessage(f"{path}: missing required key {name!r}")
+            item = raw[name]
+        else:
+            item = raw.get(name)
+            if item is None:
+                continue
+        if decode is not None:
+            item = decode(item, path, name)
+        elif not isinstance(item, str):
+            raise MalformedMessage(f"{path}.{name}: expected a string")
+        values[name] = item
+    return cls(**values)
 
 
-def contract_to_wire(contract: DelegationContract) -> dict:
-    out: dict[str, Any] = {
-        "contract_id": contract.contract_id,
-        "objective": contract.objective,
-        "policy": policy_to_wire(contract.policy),
-    }
-    if contract.success_criteria:
-        out["success_criteria"] = list(contract.success_criteria)
-    if contract.deadline is not None:
-        out["deadline"] = format_timestamp(contract.deadline)
-    return out
+def _enum(cls: type) -> _Kind:
+    def decode(raw: Any, path: str, name: str) -> Any:
+        if not isinstance(raw, str):
+            raise MalformedMessage(f"{path}.{name}: expected a string")
+        try:
+            return cls(raw)
+        except ValueError:
+            raise InvariantViolation(
+                [f"{path}.{name}: unknown {cls.__name__} value {raw!r}"]
+            ) from None
+
+    return attrgetter("value"), decode
 
 
-def claim_to_wire(claim: QualityClaim) -> dict:
-    out: dict[str, Any] = {
-        "skill": claim.skill,
-        "value": claim.value,
-        "claim_type": claim.claim_type.value,
-    }
-    if claim.issuer is not None:
-        out["issuer"] = claim.issuer
-    if claim.observed_at is not None:
-        out["observed_at"] = format_timestamp(claim.observed_at)
-    return out
+def _object(cls: type) -> _Kind:
+    def decode(raw: Any, path: str, name: str) -> Any:
+        return from_wire(cls, raw, name if path == _MESSAGE else f"{path}.{name}")
+
+    return to_wire, decode
 
 
-def provenance_to_wire(provenance: Provenance) -> dict:
-    out: dict[str, Any] = {
-        "verification_status": provenance.verification_status.value,
-    }
-    if provenance.evidence_refs:
-        out["evidence_refs"] = list(provenance.evidence_refs)
-    if provenance.lineage:
-        out["lineage"] = list(provenance.lineage)
-    return out
+# One row per field: (wire name = attribute name, kind, required). Decoding
+# checks the rows in this order, so the order fixes which fault is reported.
+FIELDS: dict[type, tuple[tuple[str, _Kind, bool], ...]] = {
+    Budget: (
+        ("max_tokens", _INT, False),
+        ("max_cost_usd", _MONEY, False),
+    ),
+    PolicyEnvelope: (
+        ("failure_policy", _enum(FailurePolicy), True),
+        ("budget", _object(Budget), False),
+        ("max_delegation_depth", _INT, False),
+        ("safety_constraints", _STR_LIST, False),
+    ),
+    DelegationContract: (
+        ("contract_id", _STR, True),
+        ("objective", _STR, True),
+        ("policy", _object(PolicyEnvelope), True),
+        ("deadline", _TIMESTAMP, False),
+        ("success_criteria", _STR_LIST, False),
+    ),
+    QualityClaim: (
+        ("skill", _STR, True),
+        ("value", _NUMBER, True),
+        ("claim_type", _enum(ClaimType), True),
+        ("observed_at", _TIMESTAMP, False),
+        ("issuer", _STR, False),
+    ),
+    Provenance: (
+        ("verification_status", _enum(VerificationStatus), True),
+        ("evidence_refs", _STR_LIST, False),
+        ("lineage", _STR_LIST, False),
+    ),
+    LdpError: (
+        ("category", _enum(ErrorCategory), True),
+        ("severity", _enum(Severity), True),
+        ("retryable", _BOOL, True),
+        ("code", _STR, True),
+        ("message", _STR, True),
+        ("partial_output", _STR, False),
+    ),
+    TaskSubmit: (
+        ("contract", _object(DelegationContract), False),
+        ("task_id", _STR, True),
+        ("payload", _STR, True),
+    ),
+    TaskResult: (
+        ("provenance", _object(Provenance), False),
+        ("task_id", _STR, True),
+        ("output", _STR, True),
+        ("tokens_used", _INT, True),
+        ("cost_usd", _MONEY, True),
+        ("completed_at", _TIMESTAMP, True),
+    ),
+}
 
 
-def ldp_error_to_wire(error: LdpError) -> dict:
-    out: dict[str, Any] = {
-        "category": error.category.value,
-        "severity": error.severity.value,
-        "retryable": error.retryable,
-        "code": error.code,
-        "message": error.message,
-    }
-    if error.partial_output is not None:
-        out["partial_output"] = error.partial_output
-    return out
+# The typed-failure encoder under its earlier name.
+ldp_error_to_wire = to_wire
 
-
-def message_to_wire(msg: Message) -> dict:
-    if isinstance(msg, TaskSubmit):
-        out: dict[str, Any] = {"task_id": msg.task_id, "payload": msg.payload}
-        if msg.contract is not None:
-            out["contract"] = contract_to_wire(msg.contract)
-        return out
-    if isinstance(msg, TaskResult):
-        out = {
-            "task_id": msg.task_id,
-            "output": msg.output,
-            "tokens_used": msg.tokens_used,
-            "cost_usd": format_money(msg.cost_usd),
-            "completed_at": format_timestamp(msg.completed_at),
-        }
-        if msg.provenance is not None:
-            out["provenance"] = provenance_to_wire(msg.provenance)
-        return out
-    raise TypeError(f"not a protocol message: {type(msg).__name__}")
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def canonical_bytes(obj: Any) -> bytes:
     """Canonical JSON encoding: sorted keys, compact separators, UTF-8."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return _CANONICAL.encode(obj).encode("utf-8")
 
 
 def encode_message(msg: Message) -> bytes:
@@ -277,127 +325,20 @@ def encode_message(msg: Message) -> bytes:
     Valid in-memory values always encode; callers own the precondition
     that ``msg`` satisfies its invariants (see ``validate_invariants``).
     """
-    return canonical_bytes(message_to_wire(msg))
+    if not isinstance(msg, (TaskSubmit, TaskResult)):
+        raise TypeError(f"not a protocol message: {type(msg).__name__}")
+    return canonical_bytes(to_wire(msg))
 
 
 # ---------------------------------------------------------------------------
-# from-wire conversion
+# decoding documents
 
 
-def budget_from_wire(raw: Any, path: str = "budget") -> Budget:
-    obj = _obj(raw, path)
-    max_tokens = obj.get("max_tokens")
-    if max_tokens is not None:
-        max_tokens = _int(max_tokens, f"{path}.max_tokens")
-    max_cost = obj.get("max_cost_usd")
-    if max_cost is not None:
-        max_cost = parse_money(max_cost, f"{path}.max_cost_usd")
-    return Budget(max_tokens=max_tokens, max_cost_usd=max_cost)
-
-
-def policy_from_wire(raw: Any, path: str = "policy") -> PolicyEnvelope:
-    obj = _obj(raw, path)
-    if "failure_policy" not in obj:
-        raise MalformedMessage(f"{path}: missing required key 'failure_policy'")
-    failure_policy = _enum(FailurePolicy, obj["failure_policy"], f"{path}.failure_policy")
-    budget = obj.get("budget")
-    if budget is not None:
-        budget = budget_from_wire(budget, f"{path}.budget")
-    depth = obj.get("max_delegation_depth")
-    if depth is not None:
-        depth = _int(depth, f"{path}.max_delegation_depth")
-    return PolicyEnvelope(
-        failure_policy=failure_policy,
-        budget=budget,
-        safety_constraints=_str_list(obj, "safety_constraints", path),
-        max_delegation_depth=depth,
-    )
-
-
-def contract_from_wire(raw: Any, path: str = "contract") -> DelegationContract:
-    obj = _obj(raw, path)
-    contract_id = _str(obj, "contract_id", path)
-    objective = _str(obj, "objective", path)
-    if "policy" not in obj:
-        raise MalformedMessage(f"{path}: missing required key 'policy'")
-    deadline = obj.get("deadline")
-    if deadline is not None:
-        deadline = parse_timestamp(deadline, f"{path}.deadline")
-    return DelegationContract(
-        contract_id=contract_id,
-        objective=objective,
-        policy=policy_from_wire(obj["policy"], f"{path}.policy"),
-        success_criteria=_str_list(obj, "success_criteria", path),
-        deadline=deadline,
-    )
-
-
-def claim_from_wire(raw: Any, path: str = "claim") -> QualityClaim:
-    obj = _obj(raw, path)
-    skill = _str(obj, "skill", path)
-    if "value" not in obj:
-        raise MalformedMessage(f"{path}: missing required key 'value'")
-    value = _number(obj["value"], f"{path}.value")
-    if "claim_type" not in obj:
-        raise MalformedMessage(f"{path}: missing required key 'claim_type'")
-    claim_type = _enum(ClaimType, obj["claim_type"], f"{path}.claim_type")
-    observed_at = obj.get("observed_at")
-    if observed_at is not None:
-        observed_at = parse_timestamp(observed_at, f"{path}.observed_at")
-    claim = QualityClaim(
-        skill=skill,
-        value=value,
-        claim_type=claim_type,
-        issuer=_opt_str(obj, "issuer", path),
-        observed_at=observed_at,
-    )
-    violations = validate_invariants(claim)
+def _checked(value: DomainType) -> Any:
+    violations = validate_invariants(value)
     if violations:
         raise InvariantViolation(violations)
-    return claim
-
-
-def provenance_from_wire(raw: Any, path: str = "provenance") -> Provenance:
-    obj = _obj(raw, path)
-    if "verification_status" not in obj:
-        raise MalformedMessage(f"{path}: missing required key 'verification_status'")
-    status = _enum(VerificationStatus, obj["verification_status"], f"{path}.verification_status")
-    return Provenance(
-        verification_status=status,
-        evidence_refs=_str_list(obj, "evidence_refs", path),
-        lineage=_str_list(obj, "lineage", path),
-    )
-
-
-def _submit_from_wire(obj: dict) -> TaskSubmit:
-    contract = obj.get("contract")
-    if contract is not None:
-        contract = contract_from_wire(contract, "contract")
-    return TaskSubmit(
-        task_id=_str(obj, "task_id", "message"),
-        payload=_str(obj, "payload", "message"),
-        contract=contract,
-    )
-
-
-def _result_from_wire(obj: dict) -> TaskResult:
-    if "tokens_used" not in obj:
-        raise MalformedMessage("message: missing required key 'tokens_used'")
-    if "cost_usd" not in obj:
-        raise MalformedMessage("message: missing required key 'cost_usd'")
-    if "completed_at" not in obj:
-        raise MalformedMessage("message: missing required key 'completed_at'")
-    provenance = obj.get("provenance")
-    if provenance is not None:
-        provenance = provenance_from_wire(provenance, "provenance")
-    return TaskResult(
-        task_id=_str(obj, "task_id", "message"),
-        output=_str(obj, "output", "message"),
-        tokens_used=_int(obj["tokens_used"], "message.tokens_used"),
-        cost_usd=parse_money(obj["cost_usd"], "message.cost_usd"),
-        completed_at=parse_timestamp(obj["completed_at"], "message.completed_at"),
-        provenance=provenance,
-    )
+    return value
 
 
 def _load_object(data: Union[bytes, str]) -> dict:
@@ -415,6 +356,18 @@ def _load_object(data: Union[bytes, str]) -> dict:
     return parsed
 
 
+def _message_from_object(obj: dict) -> Message:
+    has_payload = obj.get("payload") is not None
+    has_output = obj.get("output") is not None
+    if has_payload and has_output:
+        raise MalformedMessage("message: both 'payload' and 'output' present; shape is ambiguous")
+    if has_payload:
+        return _checked(from_wire(TaskSubmit, obj, _MESSAGE))
+    if has_output:
+        return _checked(from_wire(TaskResult, obj, _MESSAGE))
+    raise MalformedMessage("message: neither 'payload' nor 'output' present")
+
+
 def decode_message(data: Union[bytes, str]) -> Message:
     """Decode wire bytes into a TaskSubmit or TaskResult.
 
@@ -422,45 +375,30 @@ def decode_message(data: Union[bytes, str]) -> Message:
     ``payload`` marks a submission, ``output`` a result. Unknown keys are
     discarded; all invariants are checked before the value is returned.
     """
-    obj = _load_object(data)
-    has_payload = obj.get("payload") is not None
-    has_output = obj.get("output") is not None
-    if has_payload and has_output:
-        raise MalformedMessage("message: both 'payload' and 'output' present; shape is ambiguous")
-    if has_payload:
-        msg: Message = _submit_from_wire(obj)
-    elif has_output:
-        msg = _result_from_wire(obj)
-    else:
-        raise MalformedMessage("message: neither 'payload' nor 'output' present")
-    violations = validate_invariants(msg)
-    if violations:
-        raise InvariantViolation(violations)
-    return msg
+    return _message_from_object(_load_object(data))
 
 
 def decode_contract(data: Union[bytes, str]) -> DelegationContract:
     """Decode a standalone contract document and check its invariants."""
-    contract = contract_from_wire(_load_object(data), "contract")
-    violations = validate_invariants(contract)
-    if violations:
-        raise InvariantViolation(violations)
-    return contract
+    return _checked(from_wire(DelegationContract, _load_object(data), "contract"))
 
 
 def decode_any(data: Union[bytes, str]) -> DomainType:
-    """Decode any known wire object (message, contract, or quality claim).
+    """Decode any known wire object: message, contract, claim or error.
 
     Used by file-level validation, where the caller does not know in
-    advance which protocol object a document holds.
+    advance which protocol object a document holds. An error document is
+    one with both ``category`` and ``code``.
     """
     obj = _load_object(data)
     if obj.get("payload") is not None or obj.get("output") is not None:
-        return decode_message(data)
+        return _message_from_object(obj)
     if "contract_id" in obj:
-        return decode_contract(data)
+        return _checked(from_wire(DelegationContract, obj, "contract"))
     if "claim_type" in obj and "skill" in obj:
-        return claim_from_wire(obj, "claim")
+        return _checked(from_wire(QualityClaim, obj, "claim"))
+    if "category" in obj and "code" in obj:
+        return _checked(from_wire(LdpError, obj, "error"))
     raise MalformedMessage("document: does not match any known wire object")
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 from decimal import Decimal
+from pathlib import Path
 
 from delgov import experiments
 from delgov.cli import demo_trace, main
@@ -15,9 +16,10 @@ from delgov.types import (
     PolicyEnvelope,
     TaskResult,
 )
-from delgov.wire import canonical_bytes, contract_to_wire, message_to_wire
+from delgov.wire import canonical_bytes, to_wire
 
 UTC = timezone.utc
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def write_contract(path, failure_policy=FailurePolicy.FAIL_CLOSED):
@@ -30,7 +32,7 @@ def write_contract(path, failure_policy=FailurePolicy.FAIL_CLOSED):
         ),
         deadline=datetime(2026, 3, 15, 18, 0, 0, tzinfo=UTC),
     )
-    path.write_bytes(canonical_bytes(contract_to_wire(contract)))
+    path.write_bytes(canonical_bytes(to_wire(contract)))
 
 
 def write_result(path, tokens=8200):
@@ -41,7 +43,7 @@ def write_result(path, tokens=8200):
         cost_usd=Decimal("0.01"),
         completed_at=datetime(2026, 3, 15, 17, 0, 0, tzinfo=UTC),
     )
-    path.write_bytes(canonical_bytes(message_to_wire(result)))
+    path.write_bytes(canonical_bytes(to_wire(result)))
 
 
 def test_validate_legacy_message_exits_zero(tmp_path, capsys):
@@ -69,7 +71,13 @@ def test_validate_invariant_breaker_exits_one(tmp_path, capsys):
 def test_bad_arguments_exit_two(tmp_path, capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+    capsys.readouterr()
     assert main(["sensitivity", "--seeds", "1,x", "--out", str(tmp_path / "g.csv")]) == 2
+    assert capsys.readouterr().err == ""
+    assert main(["check-contract", "c.json", "r.json", "--received-at", "yesterday"]) == 2
+    assert capsys.readouterr().err == (
+        "bad arguments: received_at: invalid RFC 3339 timestamp 'yesterday'\n"
+    )
     assert main(["e3", "--tasks", "0", "--out", str(tmp_path / "e.csv")]) == 2
     assert main(["bench", "--iterations", "10", "--out", str(tmp_path / "b.csv")]) == 2
     capsys.readouterr()
@@ -138,6 +146,54 @@ def test_check_contract_fail_open_logs_and_accepts(tmp_path, capsys):
     assert code == 0
     assert '"disposition":"accepted_with_log"' in captured.out
     assert "budget_tokens" in captured.err
+
+
+def test_check_contract_over_depth_output_is_unchanged(tmp_path, capsys):
+    # Golden output recorded when the CLI still added the depth check itself.
+    golden = json.loads((DATA / "check_contract_over_depth.json").read_text())
+    contract_path, result_path = tmp_path / "c.json", tmp_path / "r.json"
+    contract_path.write_text(json.dumps(golden["contract"]))
+    result_path.write_text(json.dumps(golden["result"]))
+    code = main(
+        [
+            "check-contract",
+            str(contract_path),
+            str(result_path),
+            "--received-at",
+            golden["received_at"],
+        ]
+    )
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        golden["exit"],
+        golden["stdout"],
+        golden["stderr"],
+    )
+
+
+def test_emitted_error_objects_validate(tmp_path, capsys):
+    contract_path, result_path = tmp_path / "c.json", tmp_path / "r.json"
+    write_contract(contract_path)
+    write_result(result_path, tokens=8200)
+    received_at = "2026-03-15T17:05:00Z"
+    main(["check-contract", str(contract_path), str(result_path), "--received-at", received_at])
+    main(["demo-trace"])
+    errors = [line for line in capsys.readouterr().out.splitlines() if '"category"' in line]
+    assert len(errors) == 2
+    for i, line in enumerate(errors):
+        doc = tmp_path / f"error{i}.json"
+        doc.write_text(line)
+        assert main(["validate", str(doc)]) == 0
+        assert capsys.readouterr().out == f"{doc}: OK LdpError\n"
+
+
+def test_validate_rejects_error_breaking_category_semantics(tmp_path, capsys):
+    doc = tmp_path / "error.json"
+    error = {"category": "policy", "severity": "warning", "retryable": True}
+    doc.write_text(json.dumps(dict(error, code="X", message="m")))
+    assert main(["validate", str(doc)]) == 1
+    out = capsys.readouterr().out
+    assert "LdpError.retryable" in out and "LdpError.severity" in out
 
 
 def test_e3_writes_csv_and_summary(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
@@ -256,3 +257,30 @@ def test_outcome_invariant_round():
     assert rebuilt.disposition is Disposition.ACCEPTED_WITH_LOG
     rebuilt = ValidationOutcome.from_violations((), FailurePolicy.FAIL_CLOSED)
     assert rebuilt.disposition is Disposition.ACCEPTED
+
+
+def test_check_result_enforces_depth_after_budget_and_deadline():
+    provenance = Provenance(
+        verification_status=VerificationStatus.UNVERIFIED, lineage=("a", "b", "c")
+    )
+    outcome = check_result(
+        contract(max_depth=1),
+        replace(result(tokens=8200), provenance=provenance),
+        DEADLINE + timedelta(seconds=1),
+    )
+    assert [v.rule for v in outcome.violations] == [
+        ViolationRule.BUDGET_TOKENS,
+        ViolationRule.DEADLINE,
+        ViolationRule.DELEGATION_DEPTH,
+    ]
+    assert outcome.violations[-1] == check_depth(contract(max_depth=1), provenance)
+    assert outcome.disposition is Disposition.REJECTED
+
+
+@pytest.mark.parametrize("provenance", [None, Provenance(VerificationStatus.UNVERIFIED)])
+def test_check_result_skips_depth_without_lineage(provenance):
+    outcome = check_result(
+        contract(max_depth=0), replace(result(), provenance=provenance), BEFORE
+    )
+    assert outcome.violations == ()
+    assert outcome.disposition is Disposition.ACCEPTED

@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delgov.errors import default_semantics
 from delgov.types import (
     Budget,
     ClaimType,
@@ -26,14 +28,16 @@ from delgov.types import (
     VerificationStatus,
 )
 from delgov.wire import (
+    FIELDS,
     InvariantViolation,
     MalformedMessage,
-    claim_from_wire,
+    canonical_bytes,
     decode_any,
     decode_contract,
     decode_message,
     encode_message,
-    message_to_wire,
+    from_wire,
+    to_wire,
     validate_invariants,
 )
 
@@ -73,7 +77,7 @@ def sample_result(**overrides) -> TaskResult:
 
 
 def test_submit_without_contract_has_only_two_keys():
-    wire = message_to_wire(TaskSubmit(task_id="t-1", payload="hello"))
+    wire = to_wire(TaskSubmit(task_id="t-1", payload="hello"))
     assert set(wire) == {"task_id", "payload"}
 
 
@@ -224,7 +228,7 @@ def test_unknown_enum_value_is_an_invariant_violation():
 
 def test_quality_value_out_of_range_is_rejected():
     with pytest.raises(InvariantViolation):
-        claim_from_wire({"skill": "code", "value": 1.3, "claim_type": "self_claimed"})
+        decode_any(json.dumps({"skill": "code", "value": 1.3, "claim_type": "self_claimed"}))
 
 
 def test_negative_tokens_rejected_at_decode():
@@ -254,6 +258,25 @@ def test_result_with_empty_lineage_provenance_rejected():
     )
     with pytest.raises(InvariantViolation):
         decode_message(raw)
+
+
+def test_single_fault_outcomes_match_the_pinned_table():
+    # Each mutant of tests/data/wire_errors.json holds one fault; the table
+    # pins the exception class and message every decoder gave it.
+    cases = json.loads((Path(__file__).parent / "data" / "wire_errors.json").read_text())
+    decoders = {f.__name__: f for f in (decode_message, decode_contract, decode_any)}
+    mismatches = []
+    for case in cases:
+        text = json.dumps(case["input"])
+        for decoder, expected in case["outcomes"].items():
+            try:
+                got = ["ok", type(decoders[decoder](text)).__name__]
+            except Exception as exc:
+                got = [type(exc).__name__, str(exc)]
+            if got != expected:
+                mismatches.append((decoder, text, expected, got))
+    assert len(cases) > 400
+    assert mismatches == []
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +400,36 @@ _result = st.builds(
     provenance=st.one_of(st.none(), _provenance),
 )
 _message = st.one_of(_submit, _result)
+_claim = st.builds(
+    QualityClaim,
+    skill=_text,
+    value=st.floats(min_value=0.0, max_value=1.0),
+    claim_type=st.sampled_from(ClaimType),
+    issuer=st.one_of(st.none(), _id_text),
+    observed_at=st.one_of(st.none(), _instant),
+).filter(lambda c: c.claim_type is not ClaimType.ISSUER_ATTESTED or c.issuer)
+
+
+def _error(category, code, message, partial_output):
+    semantics = default_semantics(category)
+    return LdpError(
+        category, semantics.severity, semantics.retryable, code, message, partial_output
+    )
+
+
+_ldp_error = st.builds(
+    _error, st.sampled_from(ErrorCategory), _id_text, _text, st.one_of(st.none(), _text)
+)
+_TABLE_VALUES = {
+    Budget: _budget,
+    PolicyEnvelope: _policy,
+    DelegationContract: _contract,
+    QualityClaim: _claim,
+    Provenance: _provenance,
+    LdpError: _ldp_error,
+    TaskSubmit: _submit,
+    TaskResult: _result,
+}
 
 _SCHEMA_KEYS = {
     "task_id", "payload", "output", "tokens_used", "cost_usd", "completed_at",
@@ -400,6 +453,19 @@ _json_value = st.recursive(
 @given(_message)
 def test_roundtrip_identity(msg):
     assert decode_message(encode_message(msg)) == msg
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(FIELDS, key=lambda cls: cls.__name__)).flatmap(
+    lambda cls: _TABLE_VALUES[cls]
+))
+def test_table_roundtrip_for_every_type(value):
+    wire_form = to_wire(value)
+    assert from_wire(type(value), wire_form, "value") == value
+    text = canonical_bytes(wire_form)
+    assert from_wire(type(value), json.loads(text), "value") == value
+    if not isinstance(value, (Budget, PolicyEnvelope, Provenance)):
+        assert decode_any(text) == value
 
 
 @settings(max_examples=150, deadline=None)
