@@ -33,6 +33,7 @@ from .routing import (
     RoutingPolicy,
     Strategy,
     eligible_claim,
+    rank,
     select,
 )
 from .simulate import (
@@ -136,6 +137,7 @@ __all__ = [
     "gaussian",
     "make_contract_violation",
     "mann_whitney_u",
+    "rank",
     "select",
     "trust_level",
     "validate_invariants",

@@ -23,6 +23,11 @@ instead reuses one noise stream across the three conditions of a cell
 the attested-dominance property hold pointwise instead of merely in
 expectation. No cross-condition statistics are computed on the grid, so
 nothing needs the independence.
+
+Routing cost: over the static pool of one condition, by_claims routing is
+a pure function of the pool and the policy, so ``run_condition`` selects
+once per condition and gives every task that delegate. Blind routing
+still draws once per task from its selection stream.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from random import Random
 from typing import Callable, Sequence
 
 from .contracts import apply_policy, check_result
-from .routing import DelegateRecord, RoutingPolicy, select
+from .routing import DelegateRecord, RoutingPolicy, Strategy, select
 from .simulate import (
     DelegateProfile,
     PoolConfig,
@@ -197,16 +202,21 @@ def run_condition(
     tasks: int,
     noise_sigma: float,
 ) -> ConditionRun:
-    """Route and execute ``tasks`` tasks under one condition."""
+    """Route and execute ``tasks`` tasks under one condition.
+
+    Blind routing draws a delegate per task from ``select_rng``. by_claims
+    routing never reads the rng, so it is resolved once, before the first
+    task, and that delegate serves every task.
+    """
     policy = condition_policy(condition)
     by_id = {p.delegate_id: p for p in pool}
-    samples: list[float] = []
-    selections: list[str] = []
-    for _ in range(tasks):
-        delegate_id = select(records, policy, select_rng)
-        outcome = execute_task(by_id[delegate_id], noise_rng, noise_sigma)
-        samples.append(outcome.q_output)
-        selections.append(delegate_id)
+    if policy.strategy is Strategy.BLIND:
+        selections = [select(records, policy, select_rng) for _ in range(tasks)]
+    elif tasks > 0:
+        selections = [select(records, policy, select_rng)] * tasks
+    else:
+        selections = []
+    samples = [execute_task(by_id[d], noise_rng, noise_sigma).q_output for d in selections]
     return ConditionRun(condition=condition, samples=tuple(samples), selections=tuple(selections))
 
 

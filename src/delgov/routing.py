@@ -7,6 +7,15 @@ Two strategies:
   filtering claims by skill, minimum claim type on the trust scale, and
   freshness. Delegates without an eligible claim are excluded entirely.
 
+Routing is two steps. ``rank`` is the one ranking routine: it reads each
+delegate's eligible claim (``eligible_claim``) and lists the
+``(value, delegate_id)`` pairs the router chooses among. ``select`` then
+draws: blind routing draws uniformly from its rng, while by_claims takes
+the highest value over ``rank``, ties going to the smallest id. The
+by_claims draw never touches the rng, so for a fixed pool, policy and
+reference time it always picks the same delegate, and a caller routing
+many tasks over one static pool may select once and reuse the answer.
+
 Filtering is a hard minimum trust level rather than a numeric weighting
 scheme; a router that requires issuer_attested or better never reads
 self-reported numbers at all, which is what makes it immune to claim
@@ -21,7 +30,7 @@ from enum import Enum
 from random import Random
 from typing import Optional, Sequence
 
-from .types import ClaimType, QualityClaim, trust_level
+from .types import ClaimType, QualityClaim
 
 
 class Strategy(str, Enum):
@@ -107,12 +116,14 @@ def eligible_claim(
     if policy.skill is None or policy.min_claim_type is None:
         raise ValueError("by_claims policy requires both skill and min_claim_type")
 
-    min_level = trust_level(policy.min_claim_type)
+    min_level = policy.min_claim_type.level
     best: Optional[QualityClaim] = None
+    best_level = -1
     for claim in record.claims:
         if claim.skill != policy.skill:
             continue
-        if trust_level(claim.claim_type) < min_level:
+        level = claim.claim_type.level
+        if level < min_level:
             continue
         if policy.max_staleness is not None:
             if claim.observed_at is None:
@@ -121,9 +132,28 @@ def eligible_claim(
                 raise ValueError("freshness filtering requires a reference time")
             if now - claim.observed_at > policy.max_staleness:
                 continue
-        if best is None or trust_level(claim.claim_type) > trust_level(best.claim_type):
-            best = claim
+        if level > best_level:
+            best, best_level = claim, level
     return best
+
+
+def rank(
+    pool: Sequence[DelegateRecord],
+    policy: RoutingPolicy,
+    now: Optional[datetime] = None,
+) -> list[tuple[float, str]]:
+    """``(claim value, delegate_id)`` for every delegate the policy admits.
+
+    One pair per delegate whose ``eligible_claim`` is not None, in pool
+    order and unsorted; the value is that claim's. ``policy`` must be a
+    by_claims policy.
+    """
+    ranked = []
+    for record in pool:
+        claim = eligible_claim(record, policy, now)
+        if claim is not None:
+            ranked.append((claim.value, record.delegate_id))
+    return ranked
 
 
 def select(
@@ -134,20 +164,18 @@ def select(
 ) -> str:
     """Pick one delegate id from a non-empty pool.
 
-    Blind draws uniformly from ``rng``. by_claims is a pure function of the
-    pool and policy: the rng is never touched, and ties on claim value go
-    to the lexicographically smallest delegate id so runs reproduce.
+    Blind draws uniformly from ``rng``. by_claims picks the highest value
+    over ``rank(pool, policy, now)`` and is a pure function of the pool,
+    policy and reference time: the rng is never touched, and ties on claim
+    value go to the lexicographically smallest delegate id so runs
+    reproduce.
     """
     if not pool:
         raise ValueError("select requires a non-empty pool")
     if policy.strategy is Strategy.BLIND:
         return pool[rng.randrange(len(pool))].delegate_id
 
-    ranked: list[tuple[float, str]] = []
-    for record in pool:
-        claim = eligible_claim(record, policy, now)
-        if claim is not None:
-            ranked.append((claim.value, record.delegate_id))
+    ranked = rank(pool, policy, now)
     if not ranked:
         raise NoEligibleDelegate(
             f"no delegate has an eligible {policy.skill!r} claim at "

@@ -26,7 +26,12 @@ class FailurePolicy(str, Enum):
 
 
 class ClaimType(str, Enum):
-    """Provenance level of a quality score, on an increasing trust scale."""
+    """Provenance level of a quality score, on an increasing trust scale.
+
+    Members are declared in trust order, and each carries its rank on the
+    scale as ``level``: 0 for ``self_claimed`` up to 3 for
+    ``externally_benchmarked``.
+    """
 
     SELF_CLAIMED = "self_claimed"
     RUNTIME_OBSERVED = "runtime_observed"
@@ -34,17 +39,14 @@ class ClaimType(str, Enum):
     EXTERNALLY_BENCHMARKED = "externally_benchmarked"
 
 
-_TRUST_ORDER = {
-    ClaimType.SELF_CLAIMED: 0,
-    ClaimType.RUNTIME_OBSERVED: 1,
-    ClaimType.ISSUER_ATTESTED: 2,
-    ClaimType.EXTERNALLY_BENCHMARKED: 3,
-}
+for _level, _member in enumerate(ClaimType):
+    _member.level = _level
+del _level, _member
 
 
 def trust_level(claim_type: ClaimType) -> int:
     """Rank of a claim type on the trust scale; higher means stronger evidence."""
-    return _TRUST_ORDER[claim_type]
+    return ClaimType(claim_type).level
 
 
 class ErrorCategory(str, Enum):

@@ -22,6 +22,13 @@ processing happens:
 - :class:`InvariantViolation` for well-shaped input whose values break a
   semantic rule (range, enum membership, cross-field requirements).
 
+Hostile input is malformed too, never a crash: JSON nested past the
+parser's recursion limit, an integer literal past the interpreter's digit
+limit, a non-finite money value (``NaN``, ``sNaN``, ``Infinity``) and a
+timestamp whose UTC form falls outside the years 1 to 9999 each raise
+:class:`MalformedMessage`. A key that appears twice in one object is not
+rejected: the last occurrence wins, as in :func:`json.loads`.
+
 A message without any governance fields (contract, claims, provenance)
 decodes exactly as the base protocol would read it; the governance keys
 simply stay absent.
@@ -91,12 +98,11 @@ class InvariantViolation(DecodeError):
 
 
 def format_timestamp(value: datetime) -> str:
-    """RFC 3339 UTC text; fractional seconds only when present."""
-    value = value.astimezone(timezone.utc)
-    text = value.strftime("%Y-%m-%dT%H:%M:%S")
-    if value.microsecond:
-        text += f".{value.microsecond:06d}"
-    return text + "Z"
+    """RFC 3339 UTC text; fractional seconds only when present.
+
+    The year always has four digits, so years before 1000 decode again.
+    """
+    return value.astimezone(timezone.utc).replace(tzinfo=None).isoformat() + "Z"
 
 
 def parse_timestamp(raw: Any, path: str) -> datetime:
@@ -109,7 +115,10 @@ def parse_timestamp(raw: Any, path: str) -> datetime:
         raise MalformedMessage(f"{path}: invalid RFC 3339 timestamp {raw!r}") from None
     if parsed.tzinfo is None:
         raise MalformedMessage(f"{path}: timestamp {raw!r} lacks a UTC offset")
-    return parsed.astimezone(timezone.utc)
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError:
+        raise MalformedMessage(f"{path}: timestamp {raw!r} is out of range in UTC") from None
 
 
 def format_money(value: Decimal) -> str:
@@ -121,12 +130,17 @@ def parse_money(raw: Any, path: str) -> Decimal:
         raise MalformedMessage(f"{path}: expected a decimal string or number")
     if isinstance(raw, (str, int)):
         try:
-            return Decimal(raw)
+            value = Decimal(raw)
         except InvalidOperation:
             raise MalformedMessage(f"{path}: invalid decimal {raw!r}") from None
-    if isinstance(raw, float):
-        return Decimal(repr(raw))
-    raise MalformedMessage(f"{path}: expected a decimal string or number")
+    elif isinstance(raw, float):
+        value = Decimal(repr(raw))
+    else:
+        raise MalformedMessage(f"{path}: expected a decimal string or number")
+    # NaN, sNaN and the infinities parse, but no amount compares with them
+    if not value.is_finite():
+        raise MalformedMessage(f"{path}: non-finite decimal {raw!r}")
+    return value
 
 
 def _int(raw: Any, path: str, name: str) -> int:
@@ -351,6 +365,11 @@ def _load_object(data: Union[bytes, str]) -> dict:
         parsed = json.loads(data)
     except json.JSONDecodeError as exc:
         raise MalformedMessage(f"message: invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise MalformedMessage("message: invalid JSON (nested too deeply)") from None
+    except ValueError:
+        # an integer literal past the interpreter's digit limit
+        raise MalformedMessage("message: invalid JSON (integer too long)") from None
     if not isinstance(parsed, dict):
         raise MalformedMessage("message: top-level value must be an object")
     return parsed

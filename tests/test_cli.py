@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime, timezone
 from decimal import Decimal
 from pathlib import Path
@@ -66,6 +69,42 @@ def test_validate_invariant_breaker_exits_one(tmp_path, capsys):
         json.dumps({"skill": "s", "value": 1.3, "claim_type": "self_claimed"}).encode()
     )
     assert main(["validate", str(doc)]) == 1
+
+
+_RESULT_DOC = {
+    "task_id": "t",
+    "output": "o",
+    "tokens_used": 1,
+    "cost_usd": "0.01",
+    "completed_at": "2026-01-01T00:00:00Z",
+}
+HOSTILE = {
+    "deep_array.json": '{"ext":' + "[" * 100000 + "]" * 100000 + "}",
+    "deep_object.json": '{"ext":' + '{"a":' * 100000 + "1" + "}" * 100001,
+    "long_int.json": '{"ext":' + "7" * 5000 + "}",
+    "nan_money.json": json.dumps(dict(_RESULT_DOC, cost_usd="NaN")),
+    "snan_money.json": json.dumps(dict(_RESULT_DOC, cost_usd="sNaN")),
+    "year_one.json": json.dumps(dict(_RESULT_DOC, completed_at="0001-01-01T00:00:00+01:00")),
+}
+
+
+def test_validate_hostile_documents_exit_one_without_traceback(tmp_path):
+    paths = []
+    for name, text in HOSTILE.items():
+        paths.append(str(tmp_path / name))
+        Path(paths[-1]).write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "delgov.cli", "validate", *paths],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(paths)
+    assert all(line.startswith(f"{path}: INVALID ") for line, path in zip(lines, paths))
 
 
 def test_bad_arguments_exit_two(tmp_path, capsys):

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import statistics
+from random import Random
 
 import pytest
 
 from delgov import experiments
-from delgov.simulate import dishonest_count
+from delgov.routing import NoEligibleDelegate, select
+from delgov.simulate import build_pool_with_metadata, dishonest_count, execute_task
 
 
 def test_seed42_routing_exactness():
@@ -157,3 +159,39 @@ def test_summary_document_reports_both_effect_pairings(tmp_path):
     experiments.write_summary_json(str(path), summary)
     experiments.write_summary_json(str(tmp_path / "again.json"), summary)
     assert path.read_bytes() == (tmp_path / "again.json").read_bytes()
+
+
+def _routing_pool(seed):
+    pool, _ = build_pool_with_metadata(experiments.ROUTING_POOL, Random(f"{seed}:e3:pool"))
+    return pool
+
+
+@pytest.mark.parametrize("condition", ["self_claimed", "attested"])
+def test_by_claims_condition_matches_a_per_task_select_loop(condition):
+    pool = _routing_pool(11)
+    records = experiments.records_for_pool(pool, with_attested_claims=condition == "attested")
+    select_rng = Random("select")
+    state = select_rng.getstate()
+    run = experiments.run_condition(pool, records, condition, select_rng, Random("noise"), 40, 0.05)
+    assert select_rng.getstate() == state
+
+    policy = experiments.condition_policy(condition)
+    by_id = {p.delegate_id: p for p in pool}
+    loop_rng, noise_rng = Random("select"), Random("noise")
+    selections, samples = [], []
+    for _ in range(40):
+        delegate_id = select(records, policy, loop_rng)
+        selections.append(delegate_id)
+        samples.append(execute_task(by_id[delegate_id], noise_rng, 0.05).q_output)
+    assert run.selections == tuple(selections)
+    assert run.samples == tuple(samples)
+
+
+def test_by_claims_condition_without_an_eligible_claim_raises():
+    pool = _routing_pool(11)
+    self_only = experiments.records_for_pool(pool, with_attested_claims=False)
+    with pytest.raises(NoEligibleDelegate):
+        experiments.run_condition(pool, self_only, "attested", Random(0), Random(1), 5, 0.05)
+    # no task, no routing: nothing is raised
+    run = experiments.run_condition(pool, self_only, "attested", Random(0), Random(1), 0, 0.05)
+    assert run.samples == () and run.selections == ()

@@ -14,9 +14,10 @@ from delgov.routing import (
     NoEligibleDelegate,
     RoutingPolicy,
     eligible_claim,
+    rank,
     select,
 )
-from delgov.types import ClaimType, QualityClaim
+from delgov.types import ClaimType, QualityClaim, trust_level
 
 UTC = timezone.utc
 NOW = datetime(2026, 6, 1, 12, 0, 0, tzinfo=UTC)
@@ -186,3 +187,79 @@ def test_argmax_dominance(values_by_id):
         assert winner == strict[0]
     else:
         assert winner == min(strict)
+
+
+def test_claim_types_carry_their_trust_level():
+    assert [member.level for member in ClaimType] == [0, 1, 2, 3]
+    assert all(trust_level(member) == member.level for member in ClaimType)
+    assert trust_level("issuer_attested") == ClaimType.ISSUER_ATTESTED.level
+
+
+def _independent_claim(record, pol, now):
+    """eligible_claim restated from its docstring, for the property below."""
+    survivors = [
+        c
+        for c in record.claims
+        if c.skill == pol.skill
+        and trust_level(c.claim_type) >= trust_level(pol.min_claim_type)
+        and (
+            pol.max_staleness is None
+            or (c.observed_at is not None and now - c.observed_at <= pol.max_staleness)
+        )
+    ]
+    # one claim per (skill, type), so the highest level is unique
+    return max(survivors, key=lambda c: trust_level(c.claim_type), default=None)
+
+
+_SKILLS = ("code", "reasoning", "search")
+_observed = st.one_of(st.none(), st.integers(0, 30).map(lambda d: NOW - timedelta(days=d)))
+
+
+@st.composite
+def _record(draw, delegate_id):
+    keys = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_SKILLS), st.sampled_from(list(ClaimType))),
+            max_size=5,
+            unique=True,
+        )
+    )
+    claims = tuple(
+        claim(draw(st.sampled_from((0.2, 0.5, 0.8, 0.95))), claim_type, skill, "iss", draw(_observed))
+        for skill, claim_type in keys
+    )
+    return DelegateRecord(delegate_id, claims)
+
+
+_pools = st.lists(
+    st.text(alphabet="abcd", min_size=1, max_size=3), min_size=1, max_size=20, unique=True
+).flatmap(lambda ids: st.tuples(*(_record("d-" + i) for i in ids)).map(list))
+_policies = st.builds(
+    policy,
+    st.sampled_from(list(ClaimType)),
+    st.sampled_from(_SKILLS),
+    st.one_of(st.none(), st.integers(0, 30).map(lambda d: timedelta(days=d))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pools, _policies)
+def test_rank_is_the_eligible_claim_filter_and_select_its_argmax(pool, pol):
+    expected = []
+    for record in pool:
+        chosen = _independent_claim(record, pol, NOW)
+        assert eligible_claim(record, pol, NOW) == chosen
+        if chosen is not None:
+            expected.append((chosen.value, record.delegate_id))
+    ranked = rank(pool, pol, NOW)
+    assert ranked == expected
+
+    rng = Random(99)
+    state = rng.getstate()
+    if not ranked:
+        with pytest.raises(NoEligibleDelegate):
+            select(pool, pol, rng, NOW)
+    else:
+        best = max(value for value, _ in ranked)
+        assert select(pool, pol, rng, NOW) == min(d for v, d in ranked if v == best)
+    assert rng.getstate() == state

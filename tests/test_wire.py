@@ -210,6 +210,89 @@ def test_malformed_inputs(raw):
         decode_message(raw)
 
 
+_RESULT = {
+    "task_id": "t",
+    "output": "o",
+    "tokens_used": 1,
+    "cost_usd": "0.01",
+    "completed_at": "2026-01-01T00:00:00Z",
+}
+_CLAIM = {"skill": "s", "value": 0.5, "claim_type": "self_claimed"}
+_CONTRACT = {"contract_id": "c", "objective": "o", "policy": {"failure_policy": "fail_open"}}
+
+
+def _with_budget_cost(cost):
+    policy = dict(_CONTRACT["policy"], budget={"max_cost_usd": cost})
+    return json.dumps(dict(_CONTRACT, policy=policy))
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        pytest.param(
+            '{"ext":' + "[" * 100000 + "]" * 100000 + "}",
+            "message: invalid JSON (nested too deeply)",
+            id="deep-array",
+        ),
+        pytest.param(
+            '{"ext":' + '{"a":' * 100000 + "1" + "}" * 100001,
+            "message: invalid JSON (nested too deeply)",
+            id="deep-object",
+        ),
+        pytest.param(
+            '{"ext":' + "7" * 5000 + "}",
+            "message: invalid JSON (integer too long)",
+            id="long-integer",
+        ),
+        pytest.param(
+            json.dumps(dict(_RESULT, cost_usd="NaN")),
+            "message.cost_usd: non-finite decimal 'NaN'",
+            id="nan-money",
+        ),
+        pytest.param(
+            json.dumps(dict(_RESULT, cost_usd="sNaN")),
+            "message.cost_usd: non-finite decimal 'sNaN'",
+            id="snan-money",
+        ),
+        pytest.param(
+            json.dumps(dict(_RESULT, cost_usd="-Infinity")),
+            "message.cost_usd: non-finite decimal '-Infinity'",
+            id="infinite-money-string",
+        ),
+        pytest.param(
+            json.dumps(dict(_RESULT, cost_usd=float("inf"))),
+            "message.cost_usd: non-finite decimal inf",
+            id="infinite-money-number",
+        ),
+        pytest.param(
+            _with_budget_cost("sNaN"),
+            "contract.policy.budget.max_cost_usd: non-finite decimal 'sNaN'",
+            id="snan-budget",
+        ),
+        pytest.param(
+            json.dumps(dict(_RESULT, completed_at="0001-01-01T00:00:00+01:00")),
+            "message.completed_at: timestamp '0001-01-01T00:00:00+01:00' is out of range in UTC",
+            id="timestamp-before-year-one",
+        ),
+        pytest.param(
+            json.dumps(dict(_CLAIM, observed_at="9999-12-31T23:00:00-05:00")),
+            "claim.observed_at: timestamp '9999-12-31T23:00:00-05:00' is out of range in UTC",
+            id="timestamp-after-year-9999",
+        ),
+    ],
+)
+def test_hostile_input_is_malformed_not_a_crash(raw, message):
+    with pytest.raises(MalformedMessage) as info:
+        decode_any(raw)
+    assert str(info.value) == message
+
+
+def test_years_before_1000_encode_with_four_digits_and_roundtrip():
+    msg = sample_result(completed_at=datetime(1, 1, 1, tzinfo=UTC))
+    assert json.loads(encode_message(msg))["completed_at"] == "0001-01-01T00:00:00Z"
+    assert decode_message(encode_message(msg)) == msg
+
+
 def test_unknown_enum_value_is_an_invariant_violation():
     raw = json.dumps(
         {
