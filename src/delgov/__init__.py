@@ -41,9 +41,7 @@ from .simulate import (
     DelegateProfile,
     PoolConfig,
     PoolMetadata,
-    TaskOutcome,
     best_delegate,
-    build_pool,
     build_pool_with_metadata,
     execute_task,
     gaussian,
@@ -113,7 +111,6 @@ __all__ = [
     "RoutingPolicy",
     "Severity",
     "Strategy",
-    "TaskOutcome",
     "TaskResult",
     "TaskSubmit",
     "ValidationOutcome",
@@ -122,7 +119,6 @@ __all__ = [
     "ViolationRule",
     "apply_policy",
     "best_delegate",
-    "build_pool",
     "build_pool_with_metadata",
     "check_depth",
     "check_result",

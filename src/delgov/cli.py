@@ -21,8 +21,8 @@ arguments; ``bench`` output depends on the host clock by nature.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -77,8 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_e3.set_defaults(run=_cmd_e3)
 
     p_sens = sub.add_parser("sensitivity", help="run the 36-cell sensitivity grid")
-    p_sens.add_argument("--seed", type=int, default=42)
-    p_sens.add_argument("--seeds", default=None, help="comma-separated seed list")
+    p_sens.add_argument(
+        "--seeds", type=_seed_list, default=[42], help="comma-separated seed list"
+    )
     p_sens.add_argument("--tasks", type=int, default=100)
     p_sens.add_argument("--out", default="sensitivity.csv")
     p_sens.set_defaults(run=_cmd_sensitivity)
@@ -91,6 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo-trace", help="replay the contract lifecycle on the canonical example")
     p_demo.set_defaults(run=_cmd_demo_trace)
     return parser
+
+
+def _seed_list(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        message = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _print_wire(obj: dict) -> None:
@@ -137,20 +146,14 @@ def _cmd_check_contract(args: argparse.Namespace) -> int:
         return EXIT_INVALID_INPUT
 
     outcome = check_result(contract, message, received_at)
-    for violation in outcome.violations:
-        record = violation_record(violation, contract.contract_id, message.task_id)
+    records = [
+        violation_record(v, contract.contract_id, message.task_id) for v in outcome.violations
+    ]
+    for record in records:
         print(canonical_bytes(record).decode("utf-8"), file=sys.stderr)
 
     resolved = apply_policy(outcome, message)
-    _print_wire(
-        {
-            "disposition": outcome.disposition.value,
-            "violations": [
-                violation_record(v, contract.contract_id, message.task_id)
-                for v in outcome.violations
-            ],
-        }
-    )
+    _print_wire({"disposition": outcome.disposition.value, "violations": records})
     if isinstance(resolved, LdpError):
         _print_wire(to_wire(resolved))
         return EXIT_REJECTED
@@ -160,13 +163,13 @@ def _cmd_check_contract(args: argparse.Namespace) -> int:
 def _cmd_e3(args: argparse.Namespace) -> int:
     run = experiments.run_routing_conditions_detailed(args.seed, args.tasks)
     out = Path(args.out)
-    experiments.write_condition_csv(str(out), run.reports)
+    experiments.write_csv(str(out), run.reports)
     experiments.write_summary_json(
         str(out.with_suffix(".json")), experiments.routing_summary([run])
     )
     with open(out.with_suffix(".pool.jsonl"), "wb") as fh:
         for profile in run.pool:
-            fh.write(canonical_bytes(experiments.profile_record(profile)) + b"\n")
+            fh.write(canonical_bytes(asdict(profile)) + b"\n")
     print(f"{'condition':<14}{'quality':>18}{'accuracy%':>11}{'inflated%':>11}{'d':>9}{'p':>12}")
     for report in run.reports:
         quality = f"{report.quality_mean:.3f} +/- {report.quality_std:.3f}"
@@ -180,25 +183,17 @@ def _cmd_e3(args: argparse.Namespace) -> int:
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    try:
-        seeds = [int(part) for part in (args.seeds or "").split(",") if part.strip()]
-    except ValueError:
-        return EXIT_BAD_ARGS
-    seeds = seeds or [args.seed]
-    cells = experiments.run_sensitivity(seeds, args.tasks)
+    cells = experiments.run_sensitivity(args.seeds, args.tasks)
     out = Path(args.out)
-    experiments.write_grid_csv(str(out), cells)
+    experiments.write_csv(str(out), cells)
     paradox_cells = [c for c in cells if c.paradox]
     experiments.write_summary_json(
         str(out.with_suffix(".json")),
         {
             "experiment": "sensitivity",
-            "seeds": seeds,
+            "seeds": args.seeds,
             "tasks_per_condition": args.tasks,
-            "cells": [
-                {column: getattr(cell, column) for column in experiments.GRID_CSV_COLUMNS}
-                for cell in cells
-            ],
+            "cells": [asdict(cell) for cell in cells],
             "paradox_count": len(paradox_cells),
         },
     )
@@ -216,17 +211,10 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     report = experiments.run_overhead(args.iterations)
     out = Path(args.out)
-    experiments.write_overhead_csv(str(out), report)
+    experiments.write_csv(str(out), [report])
     experiments.write_summary_json(
         str(out.with_suffix(".json")),
-        {
-            "experiment": "overhead",
-            "iterations": args.iterations,
-            **{
-                column: getattr(report, column)
-                for column in experiments.OVERHEAD_CSV_COLUMNS
-            },
-        },
+        {"experiment": "overhead", "iterations": args.iterations, **asdict(report)},
     )
     delta = report.bytes_with_contract - report.bytes_without_contract
     pct = 100.0 * delta / report.bytes_without_contract

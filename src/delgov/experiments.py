@@ -14,6 +14,12 @@ Three experiments, all seeded and reproducible:
 - Overhead: canonical message byte sizes with and without a contract, and
   mean wall time for contract validation and message serialization.
 
+The routing conditions and the grid run each pool through one runner. It
+builds the records each condition routes over (self_claimed gets records
+without attested claims, see ``records_for_pool``) and runs the three
+conditions in ``CONDITIONS`` order; the two experiments differ only in
+the seeds of their streams.
+
 Randomness discipline: every stream is an independent ``random.Random``
 seeded with a readable string, so runs are reproducible byte for byte. In
 the routing-condition experiment each condition owns independent selection
@@ -23,6 +29,10 @@ instead reuses one noise stream across the three conditions of a cell
 the attested-dominance property hold pointwise instead of merely in
 expectation. No cross-condition statistics are computed on the grid, so
 nothing needs the independence.
+
+Reports are frozen dataclasses, and each is described once: ``write_csv``
+takes its columns from the dataclass fields, in declaration order, and the
+JSON summaries use ``dataclasses.asdict``.
 
 Routing cost: over the static pool of one condition, by_claims routing is
 a pure function of the pool and the policy, so ``run_condition`` selects
@@ -34,7 +44,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from decimal import Decimal
 from random import Random
@@ -49,7 +59,6 @@ from .simulate import (
     best_delegate,
     build_pool_with_metadata,
     execute_task,
-    profile_record,
 )
 from .stats import cohens_d, descriptive, mann_whitney_u
 from .types import (
@@ -216,8 +225,36 @@ def run_condition(
         selections = [select(records, policy, select_rng)] * tasks
     else:
         selections = []
-    samples = [execute_task(by_id[d], noise_rng, noise_sigma).q_output for d in selections]
+    samples = [execute_task(by_id[d], noise_rng, noise_sigma) for d in selections]
     return ConditionRun(condition=condition, samples=tuple(samples), selections=tuple(selections))
+
+
+def _run_conditions(
+    pool: Sequence[DelegateProfile],
+    stream_seeds: Callable[[str], tuple[str, str]],
+    tasks: int,
+    noise_sigma: float,
+) -> tuple[ConditionRun, ...]:
+    """Run every condition over one pool, in ``CONDITIONS`` order.
+
+    ``stream_seeds(condition)`` names the seeds of that condition's
+    selection and noise streams. The self_claimed condition routes over
+    records without attested claims (see ``records_for_pool``); the others
+    route over the full records.
+    """
+    full = records_for_pool(pool)
+    self_only = records_for_pool(pool, with_attested_claims=False)
+    return tuple(
+        run_condition(
+            pool,
+            self_only if condition == "self_claimed" else full,
+            condition,
+            *map(Random, stream_seeds(condition)),
+            tasks,
+            noise_sigma,
+        )
+        for condition in CONDITIONS
+    )
 
 
 def _condition_report(
@@ -260,26 +297,16 @@ def run_routing_conditions_detailed(seed: int, tasks_per_condition: int) -> Rout
     if tasks_per_condition < 1:
         raise ValueError("tasks_per_condition must be >= 1")
     pool, metadata = build_pool_with_metadata(ROUTING_POOL, Random(f"{seed}:e3:pool"))
-    full_records = records_for_pool(pool)
-    self_only_records = records_for_pool(pool, with_attested_claims=False)
+    runs = _run_conditions(
+        pool,
+        lambda c: (f"{seed}:e3:{c}:select", f"{seed}:e3:{c}:noise"),
+        tasks_per_condition,
+        ROUTING_POOL.noise_sigma,
+    )
     best_id = best_delegate(pool)
     dishonest = frozenset(metadata.dishonest_ids)
-
-    runs = tuple(
-        run_condition(
-            pool,
-            self_only_records if condition == "self_claimed" else full_records,
-            condition,
-            select_rng=Random(f"{seed}:e3:{condition}:select"),
-            noise_rng=Random(f"{seed}:e3:{condition}:noise"),
-            tasks=tasks_per_condition,
-            noise_sigma=ROUTING_POOL.noise_sigma,
-        )
-        for condition in CONDITIONS
-    )
-    blind_samples = runs[0].samples
     reports = tuple(
-        _condition_report(run, blind_samples, best_id, dishonest) for run in runs
+        _condition_report(run, runs[0].samples, best_id, dishonest) for run in runs
     )
     return RoutingRun(
         seed=seed,
@@ -288,21 +315,6 @@ def run_routing_conditions_detailed(seed: int, tasks_per_condition: int) -> Rout
         metadata=metadata,
         runs=runs,
         reports=reports,
-    )
-
-
-def run_e3(seed: int, tasks_per_condition: int) -> list[ConditionReport]:
-    """Per-condition summary of the routing experiment for one seed."""
-    return list(run_routing_conditions_detailed(seed, tasks_per_condition).reports)
-
-
-def _grid_cell_config(fraction: float, inflation: tuple[float, float], size: int) -> PoolConfig:
-    return PoolConfig(
-        pool_size=size,
-        dishonest_fraction=fraction,
-        inflation_range=inflation,
-        q_true_range=ROUTING_POOL.q_true_range,
-        noise_sigma=ROUTING_POOL.noise_sigma,
     )
 
 
@@ -319,25 +331,25 @@ def run_sensitivity(
     for fraction in GRID_FRACTIONS:
         for level, inflation in GRID_INFLATION:
             for size in GRID_POOL_SIZES:
-                config = _grid_cell_config(fraction, inflation, size)
+                config = replace(
+                    ROUTING_POOL,
+                    pool_size=size,
+                    dishonest_fraction=fraction,
+                    inflation_range=inflation,
+                )
                 key = f"grid:{fraction!r}:{level}:{size}"
                 totals = {condition: 0.0 for condition in CONDITIONS}
                 for seed in seeds:
                     pool, _ = build_pool_with_metadata(config, Random(f"{seed}:{key}:pool"))
-                    full_records = records_for_pool(pool)
-                    self_only = records_for_pool(pool, with_attested_claims=False)
-                    for condition in CONDITIONS:
-                        # identical noise stream per condition: common random numbers
-                        run = run_condition(
-                            pool,
-                            self_only if condition == "self_claimed" else full_records,
-                            condition,
-                            select_rng=Random(f"{seed}:{key}:select:{condition}"),
-                            noise_rng=Random(f"{seed}:{key}:noise"),
-                            tasks=tasks_per_condition,
-                            noise_sigma=config.noise_sigma,
-                        )
-                        totals[condition] += math.fsum(run.samples) / len(run.samples)
+                    # one noise stream for every condition: common random numbers
+                    runs = _run_conditions(
+                        pool,
+                        lambda c: (f"{seed}:{key}:select:{c}", f"{seed}:{key}:noise"),
+                        tasks_per_condition,
+                        config.noise_sigma,
+                    )
+                    for run in runs:
+                        totals[run.condition] += math.fsum(run.samples) / len(run.samples)
                 means = {c: totals[c] / len(seeds) for c in CONDITIONS}
                 cells.append(
                     GridCellReport(
@@ -461,35 +473,6 @@ def run_overhead(iterations: int) -> OverheadReport:
 # ---------------------------------------------------------------------------
 # report output
 
-CONDITION_CSV_COLUMNS = (
-    "condition",
-    "quality_mean",
-    "quality_std",
-    "accuracy_pct",
-    "inflation_selected_pct",
-    "d_vs_blind",
-    "p_vs_blind",
-    "std_defined",
-)
-
-GRID_CSV_COLUMNS = (
-    "dishonest_fraction",
-    "inflation_level",
-    "pool_size",
-    "blind_mean",
-    "self_claimed_mean",
-    "attested_mean",
-    "paradox",
-)
-
-OVERHEAD_CSV_COLUMNS = (
-    "bytes_without_contract",
-    "bytes_with_contract",
-    "validation_ns_mean",
-    "serialization_ns_mean",
-)
-
-
 def _cell(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -498,33 +481,18 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _write_csv(path: str, columns: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+def write_csv(path: str, rows: Sequence[object]) -> None:
+    """One CSV line per report dataclass, under a header of its field names.
+
+    Columns follow the dataclass field order; ``rows`` must be non-empty
+    and of one type.
+    """
+    columns = [f.name for f in fields(rows[0])]
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+        lines.append(",".join(_cell(getattr(row, column)) for column in columns))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def write_condition_csv(path: str, reports: Sequence[ConditionReport]) -> None:
-    rows = [
-        [getattr(report, column) for column in CONDITION_CSV_COLUMNS]
-        for report in reports
-    ]
-    _write_csv(path, CONDITION_CSV_COLUMNS, rows)
-
-
-def write_grid_csv(path: str, cells: Sequence[GridCellReport]) -> None:
-    rows = [[getattr(cell, column) for column in GRID_CSV_COLUMNS] for cell in cells]
-    _write_csv(path, GRID_CSV_COLUMNS, rows)
-
-
-def write_overhead_csv(path: str, report: OverheadReport) -> None:
-    _write_csv(
-        path,
-        OVERHEAD_CSV_COLUMNS,
-        [[getattr(report, column) for column in OVERHEAD_CSV_COLUMNS]],
-    )
 
 
 def write_summary_json(path: str, payload: dict) -> None:
@@ -541,37 +509,18 @@ def routing_summary(runs: Sequence[RoutingRun]) -> dict:
     magnitude: against blind the denominator is dominated by the spread of
     pool quality, against self_claimed it is just execution noise.
     """
-    d_att_self: list[float] = []
-    p_att_self: list[float] = []
-    for run in runs:
-        by_condition = {r.condition: r for r in run.runs}
-        d_att_self.append(
-            cohens_d(by_condition["attested"].samples, by_condition["self_claimed"].samples)
-        )
-        p_att_self.append(
-            mann_whitney_u(
-                by_condition["attested"].samples, by_condition["self_claimed"].samples
-            )[1]
-        )
+    # run.runs follows CONDITIONS: blind, self_claimed, attested
+    pairs = [(run.runs[2].samples, run.runs[1].samples) for run in runs]
     first = runs[0]
     return {
         "experiment": "routing_conditions",
         "seeds": [run.seed for run in runs],
         "tasks_per_condition": first.tasks_per_condition,
-        "pool": [profile_record(p) for p in first.pool],
-        "pool_metadata": {
-            "dishonest_ids": list(first.metadata.dishonest_ids),
-            "designated_top_id": first.metadata.designated_top_id,
-            "dominance_guaranteed": first.metadata.dominance_guaranteed,
-        },
+        "pool": [asdict(p) for p in first.pool],
+        "pool_metadata": asdict(first.metadata),
         "reports": [
-            {
-                "seed": run.seed,
-                **{column: getattr(report, column) for column in CONDITION_CSV_COLUMNS},
-            }
-            for run in runs
-            for report in run.reports
+            {"seed": run.seed, **asdict(report)} for run in runs for report in run.reports
         ],
-        "d_attested_vs_self_claimed": d_att_self,
-        "p_attested_vs_self_claimed": p_att_self,
+        "d_attested_vs_self_claimed": [cohens_d(a, s) for a, s in pairs],
+        "p_attested_vs_self_claimed": [mann_whitney_u(a, s)[1] for a, s in pairs],
     }

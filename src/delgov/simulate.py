@@ -18,10 +18,11 @@ Pool construction is fully deterministic given (config, seed):
 - Honest delegates report within 0.015 of their true quality (uniform
   jitter), comfortably inside the 0.02 honesty band.
 
-Task execution adds zero-mean gaussian noise to the delegate's true
-quality and clamps to [0, 1]. Gaussians come from a local Box-Muller
-transform over ``random.Random`` uniforms so seeded runs reproduce across
-platforms and interpreter versions.
+Task execution (``execute_task``) returns the output quality as a plain
+float: the delegate's true quality plus zero-mean gaussian noise, clamped
+to [0, 1]. Gaussians come from a local Box-Muller transform over
+``random.Random`` uniforms so seeded runs reproduce across platforms and
+interpreter versions.
 """
 
 from __future__ import annotations
@@ -56,14 +57,6 @@ class PoolConfig:
     inflation_range: tuple[float, float]
     q_true_range: tuple[float, float] = (0.45, 0.95)
     noise_sigma: float = 0.05
-
-
-@dataclass(frozen=True)
-class TaskOutcome:
-    """Quality of one simulated task execution."""
-
-    delegate_id: str
-    q_output: float
 
 
 @dataclass(frozen=True)
@@ -118,7 +111,11 @@ def build_pool_with_metadata(
     config: PoolConfig,
     rng: Random,
 ) -> tuple[list[DelegateProfile], PoolMetadata]:
-    """Construct the pool and report its audit metadata."""
+    """Construct a delegate pool and its audit metadata.
+
+    See the module docstring for the rules. Callers that need only the
+    pool take element ``[0]``.
+    """
     _validate_config(config)
     n = config.pool_size
     lo, hi = config.q_true_range
@@ -161,25 +158,17 @@ def build_pool_with_metadata(
     return profiles, metadata
 
 
-def build_pool(config: PoolConfig, rng: Random) -> list[DelegateProfile]:
-    """Construct a delegate pool; see the module docstring for the rules."""
-    profiles, _ = build_pool_with_metadata(config, rng)
-    return profiles
-
-
 def execute_task(
     profile: DelegateProfile,
     rng: Random,
     noise_sigma: float,
-) -> TaskOutcome:
-    """Simulate one task: true quality plus gaussian noise, clamped to [0, 1].
+) -> float:
+    """Output quality of one task: true quality plus gaussian noise, clamped to [0, 1].
 
     Draws exactly one gaussian from ``rng`` even when sigma is zero, so the
     stream position does not depend on the noise setting.
     """
-    noise = gaussian(rng, 0.0, noise_sigma)
-    q_output = min(max(profile.q_true + noise, 0.0), 1.0)
-    return TaskOutcome(delegate_id=profile.delegate_id, q_output=q_output)
+    return min(max(profile.q_true + gaussian(rng, 0.0, noise_sigma), 0.0), 1.0)
 
 
 def best_delegate(pool: Sequence[DelegateProfile]) -> str:
@@ -188,13 +177,3 @@ def best_delegate(pool: Sequence[DelegateProfile]) -> str:
         raise ValueError("best_delegate requires a non-empty pool")
     best_q = max(p.q_true for p in pool)
     return min(p.delegate_id for p in pool if p.q_true == best_q)
-
-
-def profile_record(profile: DelegateProfile) -> dict:
-    """Wire-format audit record for one delegate, used in pool dumps."""
-    return {
-        "delegate_id": profile.delegate_id,
-        "q_true": profile.q_true,
-        "q_claimed": profile.q_claimed,
-        "honest": profile.honest,
-    }

@@ -1,10 +1,11 @@
 """Value types for the governed delegation protocol.
 
 All types are frozen dataclasses. Construction normalizes representations
-(timestamps to UTC, money to exact ``Decimal``, sequences to tuples) but
-does not enforce semantic rules. Semantic checks live in
-``delgov.wire.validate_invariants`` so that suspect input can be inspected
-and reported instead of being lost to a constructor exception.
+(timestamps to UTC, money to exact ``Decimal``, sequences to tuples, claim
+types to ``ClaimType`` members) but does not enforce semantic rules.
+Semantic checks live in ``delgov.wire.validate_invariants`` so that
+suspect input can be inspected and reported instead of being lost to a
+constructor exception.
 """
 
 from __future__ import annotations
@@ -145,6 +146,8 @@ class QualityClaim:
     observed_at: Optional[datetime] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.claim_type, ClaimType):
+            object.__setattr__(self, "claim_type", ClaimType(self.claim_type))
         object.__setattr__(self, "observed_at", _utc(self.observed_at))
 
 

@@ -4,7 +4,10 @@ Format rules:
 
 - UTF-8 JSON text. Object keys are emitted in sorted order with compact
   separators, so equal values always encode to identical bytes and byte
-  counts are reproducible across runs.
+  counts are reproducible across runs. Keys sort by Unicode code point
+  (Python's ``sort_keys``), not by UTF-16 code unit as RFC 8785 (JCS)
+  requires, so a key outside the Basic Multilingual Plane can sort
+  differently than in JCS; the canonical form is delgov's own, not JCS.
 - Absent optional fields are omitted entirely, never emitted as null.
   An empty list is equivalent to an absent one.
 - Timestamps are RFC 3339 UTC strings, e.g. ``"2026-03-15T18:00:00Z"``.
@@ -424,6 +427,10 @@ def decode_any(data: Union[bytes, str]) -> DomainType:
 # ---------------------------------------------------------------------------
 # invariant validation
 
+# Token counts above 2**53 have no exact float, and contract violations
+# report their figures as floats.
+_MAX_TOKEN_COUNT = 2**53
+
 
 def validate_invariants(msg: DomainType) -> list[str]:
     """List every broken invariant of a domain value (empty means valid).
@@ -442,6 +449,8 @@ def _validate(value: DomainType, out: list[str]) -> None:
             out.append("Budget: at least one of max_tokens or max_cost_usd must be present")
         if value.max_tokens is not None and value.max_tokens <= 0:
             out.append(f"Budget.max_tokens: must be strictly positive (got {value.max_tokens})")
+        elif value.max_tokens is not None and value.max_tokens > _MAX_TOKEN_COUNT:
+            out.append(f"Budget.max_tokens: must be at most 2**53 (got {value.max_tokens})")
         if value.max_cost_usd is not None and value.max_cost_usd <= 0:
             out.append(f"Budget.max_cost_usd: must be strictly positive (got {value.max_cost_usd})")
     elif isinstance(value, PolicyEnvelope):
@@ -483,6 +492,8 @@ def _validate(value: DomainType, out: list[str]) -> None:
     elif isinstance(value, TaskResult):
         if value.tokens_used < 0:
             out.append(f"TaskResult.tokens_used: must be >= 0 (got {value.tokens_used})")
+        elif value.tokens_used > _MAX_TOKEN_COUNT:
+            out.append(f"TaskResult.tokens_used: must be at most 2**53 (got {value.tokens_used})")
         if value.cost_usd < 0:
             out.append(f"TaskResult.cost_usd: must be >= 0 (got {value.cost_usd})")
         if value.provenance is not None:

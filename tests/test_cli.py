@@ -10,7 +10,8 @@ from datetime import datetime, timezone
 from decimal import Decimal
 from pathlib import Path
 
-from delgov import experiments
+import pytest
+
 from delgov.cli import demo_trace, main
 from delgov.types import (
     Budget,
@@ -107,12 +108,44 @@ def test_validate_hostile_documents_exit_one_without_traceback(tmp_path):
     assert all(line.startswith(f"{path}: INVALID ") for line, path in zip(lines, paths))
 
 
+@pytest.mark.parametrize(
+    ("max_tokens", "tokens_used"),
+    [(10, 10**400), (10**400, 10**400 + 1)],
+    ids=["huge-tokens-used", "huge-max-tokens"],
+)
+def test_check_contract_on_huge_token_counts_exits_one_without_traceback(
+    tmp_path, max_tokens, tokens_used
+):
+    contract_path, result_path = tmp_path / "c.json", tmp_path / "r.json"
+    write_contract(contract_path)
+    contract = json.loads(contract_path.read_text())
+    contract["policy"]["budget"]["max_tokens"] = max_tokens
+    contract_path.write_text(json.dumps(contract))
+    result_path.write_text(json.dumps(dict(_RESULT_DOC, tokens_used=tokens_used)))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = ["check-contract", str(contract_path), str(result_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "delgov.cli", *argv, "--received-at", "2026-01-01T00:00:00Z"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("invalid input: ")
+    assert "must be at most 2**53" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_bad_arguments_exit_two(tmp_path, capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
     capsys.readouterr()
     assert main(["sensitivity", "--seeds", "1,x", "--out", str(tmp_path / "g.csv")]) == 2
-    assert capsys.readouterr().err == ""
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "delgov sensitivity: error: argument --seeds: "
+        "expected comma-separated integers, got '1,x'"
+    )
     assert main(["check-contract", "c.json", "r.json", "--received-at", "yesterday"]) == 2
     assert capsys.readouterr().err == (
         "bad arguments: received_at: invalid RFC 3339 timestamp 'yesterday'\n"
@@ -126,6 +159,14 @@ def test_bench_summary_document(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--iterations", "1000", "--out", str(out)]) == 0
     summary = json.loads((tmp_path / "bench.json").read_text())
+    assert sorted(summary) == [
+        "bytes_with_contract",
+        "bytes_without_contract",
+        "experiment",
+        "iterations",
+        "serialization_ns_mean",
+        "validation_ns_mean",
+    ]
     assert summary["experiment"] == "overhead"
     assert summary["bytes_with_contract"] > summary["bytes_without_contract"]
     capsys.readouterr()
@@ -239,7 +280,10 @@ def test_e3_writes_csv_and_summary(tmp_path, capsys):
     out = tmp_path / "e3.csv"
     assert main(["e3", "--seed", "42", "--tasks", "50", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == ",".join(experiments.CONDITION_CSV_COLUMNS)
+    assert lines[0] == (
+        "condition,quality_mean,quality_std,accuracy_pct,"
+        "inflation_selected_pct,d_vs_blind,p_vs_blind,std_defined"
+    )
     assert len(lines) == 4
     summary = json.loads((tmp_path / "e3.json").read_text())
     assert summary["experiment"] == "routing_conditions"
@@ -261,7 +305,10 @@ def test_sensitivity_writes_36_rows(tmp_path, capsys):
     code = main(["sensitivity", "--seeds", "1,2", "--tasks", "20", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == ",".join(experiments.GRID_CSV_COLUMNS)
+    assert lines[0] == (
+        "dishonest_fraction,inflation_level,pool_size,"
+        "blind_mean,self_claimed_mean,attested_mean,paradox"
+    )
     assert len(lines) == 37
     summary = json.loads((tmp_path / "grid.json").read_text())
     assert len(summary["cells"]) == 36
@@ -271,7 +318,9 @@ def test_bench_writes_report(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--iterations", "1000", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == ",".join(experiments.OVERHEAD_CSV_COLUMNS)
+    assert lines[0] == (
+        "bytes_without_contract,bytes_with_contract,validation_ns_mean,serialization_ns_mean"
+    )
     assert len(lines) == 2
     assert "validation" in capsys.readouterr().out
 

@@ -14,7 +14,7 @@ from delgov.simulate import build_pool_with_metadata, dishonest_count, execute_t
 
 
 def test_seed42_routing_exactness():
-    reports = experiments.run_e3(42, 100)
+    reports = experiments.run_routing_conditions_detailed(42, 100).reports
     assert [r.condition for r in reports] == ["blind", "self_claimed", "attested"]
     by = {r.condition: r for r in reports}
     assert by["self_claimed"].accuracy_pct == 0.0
@@ -48,12 +48,12 @@ def test_conservation_of_routing_mass():
 
 
 def test_runs_are_reproducible(tmp_path):
-    first = experiments.run_e3(11, 100)
-    second = experiments.run_e3(11, 100)
+    first = experiments.run_routing_conditions_detailed(11, 100).reports
+    second = experiments.run_routing_conditions_detailed(11, 100).reports
     assert first == second
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    experiments.write_condition_csv(str(path_a), first)
-    experiments.write_condition_csv(str(path_b), second)
+    experiments.write_csv(str(path_a), first)
+    experiments.write_csv(str(path_b), second)
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
@@ -65,7 +65,7 @@ def test_condition_streams_are_independent_of_each_other():
 
 
 def test_single_task_reports_flagged_std():
-    reports = experiments.run_e3(9, 1)
+    reports = experiments.run_routing_conditions_detailed(9, 1).reports
     for report in reports:
         assert report.quality_std == 0.0
         assert report.std_defined is False
@@ -75,7 +75,8 @@ def test_single_task_reports_flagged_std():
 
 def test_blind_mean_spread_across_ten_seeds():
     means = [
-        experiments.run_e3(seed, 100)[0].quality_mean for seed in range(1, 11)
+        experiments.run_routing_conditions_detailed(seed, 100).reports[0].quality_mean
+        for seed in range(1, 11)
     ]
     assert statistics.stdev(means) <= 0.04
 
@@ -109,8 +110,8 @@ def test_grid_is_reproducible(tmp_path):
     cells_b = experiments.run_sensitivity([5, 6], 20)
     assert cells_a == cells_b
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    experiments.write_grid_csv(str(path_a), cells_a)
-    experiments.write_grid_csv(str(path_b), cells_b)
+    experiments.write_csv(str(path_a), cells_a)
+    experiments.write_csv(str(path_b), cells_b)
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
@@ -121,9 +122,12 @@ def test_paradox_flag_is_consistent_with_stored_means():
 
 def test_csv_columns_and_values(tmp_path):
     path = tmp_path / "e3.csv"
-    experiments.write_condition_csv(str(path), experiments.run_e3(1, 10))
+    experiments.write_csv(str(path), experiments.run_routing_conditions_detailed(1, 10).reports)
     lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(experiments.CONDITION_CSV_COLUMNS)
+    assert lines[0] == (
+        "condition,quality_mean,quality_std,accuracy_pct,"
+        "inflation_selected_pct,d_vs_blind,p_vs_blind,std_defined"
+    )
     assert len(lines) == 4
     assert lines[1].startswith("blind,")
 
@@ -182,7 +186,7 @@ def test_by_claims_condition_matches_a_per_task_select_loop(condition):
     for _ in range(40):
         delegate_id = select(records, policy, loop_rng)
         selections.append(delegate_id)
-        samples.append(execute_task(by_id[delegate_id], noise_rng, 0.05).q_output)
+        samples.append(execute_task(by_id[delegate_id], noise_rng, 0.05))
     assert run.selections == tuple(selections)
     assert run.samples == tuple(samples)
 

@@ -38,6 +38,19 @@ def policy(min_claim_type=ClaimType.SELF_CLAIMED, skill="reasoning", max_stalene
     return RoutingPolicy.by_claims(skill, min_claim_type, max_staleness)
 
 
+def test_plain_string_claim_type_is_normalized_and_routes():
+    claim_a = QualityClaim("reasoning", 0.9, "self_claimed")
+    assert claim_a.claim_type is ClaimType.SELF_CLAIMED
+    pool = [
+        DelegateRecord("d-a", (claim_a,)),
+        DelegateRecord("d-b", (QualityClaim("reasoning", 0.7, "issuer_attested", issuer="x"),)),
+    ]
+    assert select(pool, policy(), Random(0), NOW) == "d-a"
+    assert select(pool, policy(ClaimType.ISSUER_ATTESTED), Random(0), NOW) == "d-b"
+    with pytest.raises(ValueError, match="duplicate claim"):
+        DelegateRecord("d-c", (claim_a, QualityClaim("reasoning", 0.2, "self_claimed")))
+
+
 def test_self_claim_filtered_out_by_attested_minimum():
     record = DelegateRecord("d-a", (claim(0.95, ClaimType.SELF_CLAIMED),))
     assert eligible_claim(record, policy(ClaimType.ISSUER_ATTESTED), NOW) is None

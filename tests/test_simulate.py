@@ -11,7 +11,6 @@ from delgov.simulate import (
     BadConfig,
     PoolConfig,
     best_delegate,
-    build_pool,
     build_pool_with_metadata,
     dishonest_count,
     execute_task,
@@ -62,7 +61,7 @@ def test_canonical_pool_structure():
 
 
 def test_true_qualities_are_evenly_spaced():
-    pool = build_pool(CANONICAL, Random(1))
+    pool = build_pool_with_metadata(CANONICAL, Random(1))[0]
     expected = [0.45 + i * 0.5 / 9 for i in range(10)]
     assert pool[0].q_true == pytest.approx(0.45)
     assert pool[-1].q_true == pytest.approx(0.95)
@@ -72,7 +71,7 @@ def test_true_qualities_are_evenly_spaced():
 
 def test_honest_claims_stay_inside_the_honesty_band():
     for seed in range(20):
-        for profile in build_pool(CANONICAL, Random(seed)):
+        for profile in build_pool_with_metadata(CANONICAL, Random(seed))[0]:
             if profile.honest:
                 assert abs(profile.q_claimed - profile.q_true) < 0.02
             else:
@@ -82,7 +81,7 @@ def test_honest_claims_stay_inside_the_honesty_band():
 
 def test_designated_middle_inflator_holds_the_top_claim():
     for seed in range(50):
-        pool = build_pool(CANONICAL, Random(seed))
+        pool = build_pool_with_metadata(CANONICAL, Random(seed))[0]
         top = max(pool, key=lambda p: (p.q_claimed, p.delegate_id >= "d2"))
         best_claim = max(p.q_claimed for p in pool)
         holders = sorted(p.delegate_id for p in pool if p.q_claimed == best_claim)
@@ -90,12 +89,12 @@ def test_designated_middle_inflator_holds_the_top_claim():
 
 
 def test_pool_determinism():
-    assert build_pool(CANONICAL, Random(99)) == build_pool(CANONICAL, Random(99))
+    assert build_pool_with_metadata(CANONICAL, Random(99))[0] == build_pool_with_metadata(CANONICAL, Random(99))[0]
 
 
 def test_all_honest_when_fraction_zero():
     config = PoolConfig(10, 0.0, (0.35, 0.45))
-    pool = build_pool(config, Random(3))
+    pool = build_pool_with_metadata(config, Random(3))[0]
     assert all(p.honest for p in pool)
     assert all(abs(p.q_claimed - p.q_true) < 0.02 for p in pool)
 
@@ -130,33 +129,31 @@ def test_rounded_to_zero_dishonest_gives_an_honest_pool():
 )
 def test_bad_configs_are_rejected(config):
     with pytest.raises(BadConfig):
-        build_pool(config, Random(0))
+        build_pool_with_metadata(config, Random(0))[0]
 
 
 def test_zero_sigma_returns_true_quality_exactly():
-    pool = build_pool(CANONICAL, Random(8))
-    outcome = execute_task(pool[4], Random(1), noise_sigma=0.0)
-    assert outcome.q_output == pool[4].q_true
-    assert outcome.delegate_id == pool[4].delegate_id
+    pool = build_pool_with_metadata(CANONICAL, Random(8))[0]
+    assert execute_task(pool[4], Random(1), noise_sigma=0.0) == pool[4].q_true
 
 
 def test_clamped_mean_matches_the_analytic_oracle():
     # frozen oracle: E[min(1, N(0.95, 0.05))] = 0.945834...
     assert CLAMPED_MEAN_95 == pytest.approx(0.9458342, abs=1e-6)
-    pool = build_pool(CANONICAL, Random(10))
+    pool = build_pool_with_metadata(CANONICAL, Random(10))[0]
     top = next(p for p in pool if p.delegate_id == "d9")
     rng = Random(77)
-    outcomes = [execute_task(top, rng, 0.05).q_output for _ in range(10000)]
+    outcomes = [execute_task(top, rng, 0.05) for _ in range(10000)]
     mean = sum(outcomes) / len(outcomes)
     assert abs(mean - CLAMPED_MEAN_95) < 0.0015  # 3 sigma of the MC estimate
     assert 0.935 <= mean <= 0.955
 
 
 def test_noise_scale_in_the_unclamped_region():
-    pool = build_pool(CANONICAL, Random(11))
+    pool = build_pool_with_metadata(CANONICAL, Random(11))[0]
     mid = next(p for p in pool if abs(p.q_true - 0.5611) < 0.001)
     rng = Random(5)
-    outcomes = [execute_task(mid, rng, 0.05).q_output for _ in range(10000)]
+    outcomes = [execute_task(mid, rng, 0.05) for _ in range(10000)]
     mean = sum(outcomes) / len(outcomes)
     std = math.sqrt(sum((x - mean) ** 2 for x in outcomes) / (len(outcomes) - 1))
     assert abs(std - 0.05) < 0.002
@@ -189,7 +186,7 @@ def test_gaussian_draw_sequence_is_reproducible():
 
 
 def test_best_delegate_argmax_and_ties():
-    pool = build_pool(CANONICAL, Random(2))
+    pool = build_pool_with_metadata(CANONICAL, Random(2))[0]
     assert best_delegate(pool) == "d9"
     from delgov.simulate import DelegateProfile
 

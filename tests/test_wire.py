@@ -29,6 +29,7 @@ from delgov.types import (
 )
 from delgov.wire import (
     FIELDS,
+    DecodeError,
     InvariantViolation,
     MalformedMessage,
     canonical_bytes,
@@ -328,6 +329,21 @@ def test_negative_tokens_rejected_at_decode():
         decode_message(raw)
 
 
+def test_token_counts_past_2_53_are_invariant_violations():
+    # contract violations report token figures as floats, exact up to 2**53
+    assert validate_invariants(Budget(max_tokens=2**53)) == []
+    assert validate_invariants(Budget(max_tokens=2**53 + 1)) == [
+        f"Budget.max_tokens: must be at most 2**53 (got {2**53 + 1})"
+    ]
+    result = TaskResult("t", "o", 10**400, Decimal("0.01"), datetime(2026, 1, 1, tzinfo=UTC))
+    assert validate_invariants(result) == [
+        f"TaskResult.tokens_used: must be at most 2**53 (got {10**400})"
+    ]
+    raw = json.dumps(to_wire(result))
+    with pytest.raises(InvariantViolation, match="tokens_used: must be at most 2"):
+        decode_message(raw)
+
+
 def test_result_with_empty_lineage_provenance_rejected():
     raw = json.dumps(
         {
@@ -577,3 +593,79 @@ def test_forward_tolerance_unknown_key_injection(msg, extras, data):
         target.update(extras)
     obj.update(extras)
     assert decode_message(json.dumps(obj)) == msg
+
+
+def _decodes_to_a_valid_value_or_raises_decode_error(raw):
+    try:
+        value = decode_any(raw)
+    except DecodeError:
+        return
+    assert validate_invariants(value) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200))
+def test_decode_any_is_total_over_arbitrary_bytes(raw):
+    _decodes_to_a_valid_value_or_raises_decode_error(raw)
+
+
+# Values that land near the schema: its keys, its enum values, timestamps,
+# money strings and the numbers that break float or datetime conversion.
+_WIRE_KEYS = sorted(
+    _SCHEMA_KEYS | {"category", "severity", "retryable", "code", "message", "partial_output"}
+)
+_ENUM_VALUES = [
+    member.value
+    for enum in (ClaimType, FailurePolicy, ErrorCategory, Severity, VerificationStatus)
+    for member in enum
+]
+_schema_scalar = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**53, 2**53 + 1, 10**400, -(10**20)]),
+    st.floats(),
+    _text,
+    st.sampled_from(_ENUM_VALUES),
+    st.sampled_from(
+        [
+            "2026-01-01T00:00:00Z",
+            "0001-01-01T00:00:00+01:00",
+            "9999-12-31T23:59:59-05:00",
+            "0.01",
+            "-1",
+            "1e400",
+            "NaN",
+            "sNaN",
+            "Infinity",
+        ]
+    ),
+)
+_schema_json = st.recursive(
+    _schema_scalar,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.one_of(st.sampled_from(_WIRE_KEYS), _text), inner, max_size=8),
+    ),
+    max_leaves=20,
+)
+# a valid document of any table type with up to two of its keys overwritten
+_patched_document = st.builds(
+    lambda doc, patch: {**doc, **patch},
+    st.one_of(*_TABLE_VALUES.values()).map(to_wire),
+    st.dictionaries(st.sampled_from(_WIRE_KEYS), _schema_json, max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_schema_json, _patched_document))
+def test_decode_any_is_total_over_arbitrary_json_values(value):
+    _decodes_to_a_valid_value_or_raises_decode_error(json.dumps(value))
+
+
+def test_canonical_keys_sort_by_code_point_not_utf16():
+    # U+FF61 sorts before U+1F600 by code point; in UTF-16 (RFC 8785) the
+    # surrogate pair of U+1F600 (D83D DE00) sorts first.
+    assert canonical_bytes({"\U0001F600": 1, "\uFF61": 2}) == (
+        '{"\uFF61":2,"\U0001F600":1}'.encode("utf-8")
+    )
