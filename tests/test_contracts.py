@@ -284,3 +284,68 @@ def test_check_result_skips_depth_without_lineage(provenance):
     )
     assert outcome.violations == ()
     assert outcome.disposition is Disposition.ACCEPTED
+
+
+_offsets = st.sampled_from(
+    [None, UTC, timezone(timedelta(hours=5)), timezone(-timedelta(hours=7, minutes=30))]
+)
+_moment = st.datetimes(
+    min_value=datetime(2026, 3, 15, 12, 0), max_value=datetime(2026, 3, 16, 12, 0)
+)
+_any_receipt = st.builds(lambda d, tz: d if tz is None else d.replace(tzinfo=tz), _moment, _offsets)
+_any_contract = st.builds(
+    contract,
+    failure_policy=st.sampled_from(FailurePolicy),
+    max_tokens=st.none() | st.integers(1, 20000),
+    max_cost=st.none() | st.integers(1, 1000).map(lambda c: Decimal(c) / 100),
+    deadline=st.none() | _moment.map(lambda d: d.replace(tzinfo=UTC)),
+    max_depth=st.none() | st.integers(0, 5),
+)
+_any_provenance = st.none() | st.lists(st.sampled_from("abcdef"), max_size=6).map(
+    lambda lineage: Provenance(VerificationStatus.UNVERIFIED, lineage=tuple(lineage))
+)
+_any_result = st.builds(
+    lambda tokens, cents, provenance: replace(
+        result(tokens=tokens, cost=Decimal(cents) / 100), provenance=provenance
+    ),
+    st.integers(0, 30000),
+    st.integers(0, 2000),
+    _any_provenance,
+)
+
+
+def _expected_outcome(ctr, out, received):
+    """check_result restated from its docstring: rules in order, then disposition."""
+    if received.tzinfo is None:
+        received = received.replace(tzinfo=UTC)
+    budget = ctr.policy.budget or Budget()
+    expected = []
+    if budget.max_tokens is not None and out.tokens_used > budget.max_tokens:
+        expected.append((ViolationRule.BUDGET_TOKENS, out.tokens_used, budget.max_tokens))
+    if budget.max_cost_usd is not None and out.cost_usd > budget.max_cost_usd:
+        expected.append((ViolationRule.BUDGET_COST, out.cost_usd, budget.max_cost_usd))
+    if ctr.deadline is not None and received > ctr.deadline:
+        expected.append((ViolationRule.DEADLINE, received.timestamp(), ctr.deadline.timestamp()))
+    lineage = out.provenance.lineage if out.provenance is not None else ()
+    limit = ctr.policy.max_delegation_depth
+    if lineage and limit is not None and len(lineage) - 1 > limit:
+        expected.append((ViolationRule.DELEGATION_DEPTH, len(lineage) - 1, limit))
+    if not expected:
+        disposition = Disposition.ACCEPTED
+    elif ctr.policy.failure_policy is FailurePolicy.FAIL_CLOSED:
+        disposition = Disposition.REJECTED
+    else:
+        disposition = Disposition.ACCEPTED_WITH_LOG
+    figures = [(rule, float(observed), float(limit)) for rule, observed, limit in expected]
+    return figures, disposition
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_contract, _any_result, _any_receipt)
+def test_check_result_matches_its_restatement(ctr, out, received):
+    outcome = check_result(ctr, out, received)
+    figures, disposition = _expected_outcome(ctr, out, received)
+    assert [(v.rule, v.observed, v.limit) for v in outcome.violations] == figures
+    assert all(type(v.observed) is float and type(v.limit) is float for v in outcome.violations)
+    assert isinstance(outcome.violations, tuple)
+    assert outcome.disposition is disposition
