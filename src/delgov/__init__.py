@@ -15,7 +15,6 @@ from .contracts import (
     Violation,
     ViolationRule,
     apply_policy,
-    check_depth,
     check_result,
     violation_record,
 )
@@ -47,10 +46,8 @@ from .simulate import (
     gaussian,
 )
 from .stats import (
-    ComparisonStats,
     InsufficientData,
     cohens_d,
-    compare,
     descriptive,
     mann_whitney_u,
 )
@@ -68,7 +65,6 @@ from .types import (
     TaskResult,
     TaskSubmit,
     VerificationStatus,
-    trust_level,
 )
 from .wire import (
     DecodeError,
@@ -87,7 +83,6 @@ __all__ = [
     "Budget",
     "CONTRACT_VIOLATED",
     "ClaimType",
-    "ComparisonStats",
     "DecodeError",
     "DefaultSemantics",
     "DelegateProfile",
@@ -120,10 +115,8 @@ __all__ = [
     "apply_policy",
     "best_delegate",
     "build_pool_with_metadata",
-    "check_depth",
     "check_result",
     "cohens_d",
-    "compare",
     "decode_message",
     "default_semantics",
     "descriptive",
@@ -135,7 +128,6 @@ __all__ = [
     "mann_whitney_u",
     "rank",
     "select",
-    "trust_level",
     "validate_invariants",
     "violation_record",
 ]

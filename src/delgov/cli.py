@@ -162,11 +162,12 @@ def _cmd_check_contract(args: argparse.Namespace) -> int:
 
 def _cmd_e3(args: argparse.Namespace) -> int:
     run = experiments.run_routing_conditions_detailed(args.seed, args.tasks)
+    # the summary needs more samples than the run does: build it before
+    # writing anything, so a bad --tasks leaves no partial output
+    summary = experiments.routing_summary([run])
     out = Path(args.out)
     experiments.write_csv(str(out), run.reports)
-    experiments.write_summary_json(
-        str(out.with_suffix(".json")), experiments.routing_summary([run])
-    )
+    experiments.write_summary_json(str(out.with_suffix(".json")), summary)
     with open(out.with_suffix(".pool.jsonl"), "wb") as fh:
         for profile in run.pool:
             fh.write(canonical_bytes(asdict(profile)) + b"\n")

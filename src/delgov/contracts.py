@@ -1,28 +1,42 @@
 """Client-side contract validation and failure-policy branching.
 
 The delegator checks a returned result against its contract at receipt
-time: token budget, cost budget, deadline, and (via the lineage chain)
-delegation depth. Violations are plain data until the failure policy is
-applied; ``fail_closed`` turns them into a single CONTRACT_VIOLATED error
-that preserves the delegate's output, ``fail_open`` accepts the result and
-keeps the violations as a log.
+time with ``check_result``, the one function that decides which limits a
+result breaks. The rules run in this order, each only when its limit is
+set:
 
-Limits are inclusive: usage equal to the limit passes. The deadline check
-uses the delegator's own receipt clock, never the result's self-reported
-completion time, because delegates can misreport. Token and cost figures
-are likewise taken from the result as reported; enforcement here is
-best-effort bookkeeping, not an adversarial guarantee.
+- token budget: ``tokens_used`` above ``max_tokens``
+- cost budget: ``cost_usd`` above ``max_cost_usd``
+- deadline: the receipt time after ``deadline``
+- delegation depth: more hops than ``max_delegation_depth``, where a
+  lineage of n entries is n - 1 hops beyond the original delegator. Depth
+  is checked only when the result's provenance has a non-empty lineage.
+
+Limits are inclusive: usage equal to the limit passes. Each breach is a
+``Violation`` whose observed value and limit are floats. The disposition
+follows from the violations and the failure policy: none gives
+``accepted``; otherwise ``fail_closed`` gives ``rejected`` and
+``fail_open`` gives ``accepted_with_log``. ``apply_policy`` then turns a
+rejection into a single CONTRACT_VIOLATED error that preserves the
+delegate's output, and anything else into ``Accepted`` with the
+violations as its log.
+
+The deadline check uses the delegator's own receipt clock (a naive time
+counts as UTC), never the result's self-reported completion time, because
+delegates can misreport. Token and cost figures are likewise taken from
+the result as reported; enforcement here is best-effort bookkeeping, not
+an adversarial guarantee.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Union
 
 from .errors import make_contract_violation
-from .types import DelegationContract, FailurePolicy, LdpError, Provenance, TaskResult
+from .types import DelegationContract, FailurePolicy, LdpError, TaskResult, _utc
 from .wire import format_timestamp
 
 
@@ -56,21 +70,6 @@ class ValidationOutcome:
     violations: tuple[Violation, ...]
     disposition: Disposition
 
-    @classmethod
-    def from_violations(
-        cls,
-        violations: Sequence[Violation],
-        failure_policy: FailurePolicy,
-    ) -> "ValidationOutcome":
-        violations = tuple(violations)
-        if not violations:
-            disposition = Disposition.ACCEPTED
-        elif failure_policy is FailurePolicy.FAIL_CLOSED:
-            disposition = Disposition.REJECTED
-        else:
-            disposition = Disposition.ACCEPTED_WITH_LOG
-        return cls(violations=violations, disposition=disposition)
-
 
 @dataclass(frozen=True)
 class Accepted:
@@ -87,62 +86,60 @@ def check_result(
 ) -> ValidationOutcome:
     """Check a result against budget, deadline and delegation depth.
 
-    The deadline is checked at receipt time, and depth through
-    ``check_depth`` whenever the result's provenance has a non-empty
-    lineage. Violations are returned as data, not raised, in that order;
-    apply_policy decides what they mean under the contract's failure
-    policy.
+    Violations are returned as data, not raised, in the rule order of the
+    module docstring, together with the disposition the contract's
+    failure policy gives them; apply_policy resolves that outcome.
     """
-    if received_at.tzinfo is None:
-        received_at = received_at.replace(tzinfo=timezone.utc)
-    else:
-        received_at = received_at.astimezone(timezone.utc)
+    received_at = _utc(received_at)
+    policy = contract.policy
+    budget = policy.budget
+    # (rule, detail, observed, limit), the figures still exact
+    found = []
+    if budget is not None:
+        if budget.max_tokens is not None and result.tokens_used > budget.max_tokens:
+            found.append((
+                ViolationRule.BUDGET_TOKENS,
+                f"tokens_used {result.tokens_used} exceeds max_tokens {budget.max_tokens}",
+                result.tokens_used,
+                budget.max_tokens,
+            ))
+        if budget.max_cost_usd is not None and result.cost_usd > budget.max_cost_usd:
+            found.append((
+                ViolationRule.BUDGET_COST,
+                f"cost_usd {result.cost_usd} exceeds max_cost_usd {budget.max_cost_usd}",
+                result.cost_usd,
+                budget.max_cost_usd,
+            ))
+    deadline = contract.deadline
+    if deadline is not None and received_at > deadline:
+        found.append((
+            ViolationRule.DEADLINE,
+            f"result received at {format_timestamp(received_at)} after "
+            f"deadline {format_timestamp(deadline)}",
+            received_at.timestamp(),
+            deadline.timestamp(),
+        ))
+    depth_limit = policy.max_delegation_depth
+    provenance = result.provenance
+    if depth_limit is not None and provenance is not None and provenance.lineage:
+        hops = len(provenance.lineage) - 1
+        if hops > depth_limit:
+            found.append((
+                ViolationRule.DELEGATION_DEPTH,
+                f"lineage spans {hops} delegation hops, limit {depth_limit}",
+                hops,
+                depth_limit,
+            ))
 
-    violations: list[Violation] = []
-    budget = contract.policy.budget
-    if budget is not None and budget.max_tokens is not None:
-        if result.tokens_used > budget.max_tokens:
-            violations.append(
-                Violation(
-                    rule=ViolationRule.BUDGET_TOKENS,
-                    detail=(
-                        f"tokens_used {result.tokens_used} exceeds "
-                        f"max_tokens {budget.max_tokens}"
-                    ),
-                    observed=float(result.tokens_used),
-                    limit=float(budget.max_tokens),
-                )
-            )
-    if budget is not None and budget.max_cost_usd is not None:
-        if result.cost_usd > budget.max_cost_usd:
-            violations.append(
-                Violation(
-                    rule=ViolationRule.BUDGET_COST,
-                    detail=(
-                        f"cost_usd {result.cost_usd} exceeds "
-                        f"max_cost_usd {budget.max_cost_usd}"
-                    ),
-                    observed=float(result.cost_usd),
-                    limit=float(budget.max_cost_usd),
-                )
-            )
-    if contract.deadline is not None and received_at > contract.deadline:
-        violations.append(
-            Violation(
-                rule=ViolationRule.DEADLINE,
-                detail=(
-                    f"result received at {format_timestamp(received_at)} after "
-                    f"deadline {format_timestamp(contract.deadline)}"
-                ),
-                observed=received_at.timestamp(),
-                limit=contract.deadline.timestamp(),
-            )
-        )
-    if result.provenance is not None and result.provenance.lineage:
-        depth = check_depth(contract, result.provenance)
-        if depth is not None:
-            violations.append(depth)
-    return ValidationOutcome.from_violations(violations, contract.policy.failure_policy)
+    if not found:
+        return ValidationOutcome((), Disposition.ACCEPTED)
+    violations = tuple(
+        Violation(rule, detail, float(observed), float(limit))
+        for rule, detail, observed, limit in found
+    )
+    if policy.failure_policy is FailurePolicy.FAIL_CLOSED:
+        return ValidationOutcome(violations, Disposition.REJECTED)
+    return ValidationOutcome(violations, Disposition.ACCEPTED_WITH_LOG)
 
 
 def apply_policy(
@@ -162,31 +159,6 @@ def apply_policy(
             partial_output=result.output,
         )
     return Accepted(result=result, log=outcome.violations)
-
-
-def check_depth(
-    contract: DelegationContract,
-    provenance: Provenance,
-) -> Optional[Violation]:
-    """Check the lineage chain against max_delegation_depth.
-
-    Depth counts hops beyond the original delegator, so a lineage of
-    [delegator, worker] is one hop. No limit configured means no check.
-    """
-    if not provenance.lineage:
-        raise ValueError("check_depth requires a non-empty lineage")
-    limit = contract.policy.max_delegation_depth
-    if limit is None:
-        return None
-    hops = len(provenance.lineage) - 1
-    if hops <= limit:
-        return None
-    return Violation(
-        rule=ViolationRule.DELEGATION_DEPTH,
-        detail=f"lineage spans {hops} delegation hops, limit {limit}",
-        observed=float(hops),
-        limit=float(limit),
-    )
 
 
 def violation_record(

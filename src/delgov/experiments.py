@@ -497,8 +497,9 @@ def write_csv(path: str, rows: Sequence[object]) -> None:
 
 def write_summary_json(path: str, payload: dict) -> None:
     """Wire-format summary document (canonical JSON plus trailing newline)."""
+    data = canonical_bytes(payload) + b"\n"
     with open(path, "wb") as fh:
-        fh.write(canonical_bytes(payload) + b"\n")
+        fh.write(data)
 
 
 def routing_summary(runs: Sequence[RoutingRun]) -> dict:

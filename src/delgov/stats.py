@@ -16,25 +16,11 @@ brute-force oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 
 class InsufficientData(ValueError):
     """Fewer samples than the statistic requires."""
-
-
-@dataclass(frozen=True)
-class ComparisonStats:
-    """Two-sample summary: moments, effect size, and rank test."""
-
-    mean_a: float
-    mean_b: float
-    std_a: float
-    std_b: float
-    cohens_d: float
-    u_statistic: float
-    p_value: float
 
 
 def descriptive(samples: Sequence[float]) -> tuple[float, float]:
@@ -119,19 +105,3 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> tuple[float, float
     z = (diff - correction) / math.sqrt(variance)
     p = min(1.0, 2.0 * _normal_sf(abs(z)))
     return u_a, p
-
-
-def compare(a: Sequence[float], b: Sequence[float]) -> ComparisonStats:
-    """Full two-sample comparison of a versus b."""
-    mean_a, std_a = descriptive(a)
-    mean_b, std_b = descriptive(b)
-    u, p = mann_whitney_u(a, b)
-    return ComparisonStats(
-        mean_a=mean_a,
-        mean_b=mean_b,
-        std_a=std_a,
-        std_b=std_b,
-        cohens_d=cohens_d(a, b),
-        u_statistic=u,
-        p_value=p,
-    )

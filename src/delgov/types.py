@@ -45,11 +45,6 @@ for _level, _member in enumerate(ClaimType):
 del _level, _member
 
 
-def trust_level(claim_type: ClaimType) -> int:
-    """Rank of a claim type on the trust scale; higher means stronger evidence."""
-    return ClaimType(claim_type).level
-
-
 class ErrorCategory(str, Enum):
     RUNTIME = "runtime"
     TRANSPORT = "transport"

@@ -124,10 +124,6 @@ def parse_timestamp(raw: Any, path: str) -> datetime:
         raise MalformedMessage(f"{path}: timestamp {raw!r} is out of range in UTC") from None
 
 
-def format_money(value: Decimal) -> str:
-    return str(value)
-
-
 def parse_money(raw: Any, path: str) -> Decimal:
     if isinstance(raw, bool):
         raise MalformedMessage(f"{path}: expected a decimal string or number")
@@ -191,7 +187,7 @@ _INT: _Kind = (None, _int)
 _NUMBER: _Kind = (None, _number)
 _BOOL: _Kind = (None, _bool)
 _STR_LIST: _Kind = (lambda items: list(items) or None, _str_list)
-_MONEY: _Kind = (format_money, lambda raw, path, name: parse_money(raw, f"{path}.{name}"))
+_MONEY: _Kind = (str, lambda raw, path, name: parse_money(raw, f"{path}.{name}"))
 _TIMESTAMP: _Kind = (
     format_timestamp,
     lambda raw, path, name: parse_timestamp(raw, f"{path}.{name}"),
@@ -328,11 +324,16 @@ FIELDS: dict[type, tuple[tuple[str, _Kind, bool], ...]] = {
 # The typed-failure encoder under its earlier name.
 ldp_error_to_wire = to_wire
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+)
 
 
 def canonical_bytes(obj: Any) -> bytes:
-    """Canonical JSON encoding: sorted keys, compact separators, UTF-8."""
+    """Canonical JSON encoding: sorted keys, compact separators, UTF-8.
+
+    A NaN or infinite float raises ValueError: neither is JSON.
+    """
     return _CANONICAL.encode(obj).encode("utf-8")
 
 
@@ -427,8 +428,9 @@ def decode_any(data: Union[bytes, str]) -> DomainType:
 # ---------------------------------------------------------------------------
 # invariant validation
 
-# Token counts above 2**53 have no exact float, and contract violations
-# report their figures as floats.
+# Contract violations report their figures as floats. Token counts above
+# 2**53 have no exact float, and a large enough amount of money becomes an
+# infinite one, so both are bounded here.
 _MAX_TOKEN_COUNT = 2**53
 
 
@@ -453,6 +455,8 @@ def _validate(value: DomainType, out: list[str]) -> None:
             out.append(f"Budget.max_tokens: must be at most 2**53 (got {value.max_tokens})")
         if value.max_cost_usd is not None and value.max_cost_usd <= 0:
             out.append(f"Budget.max_cost_usd: must be strictly positive (got {value.max_cost_usd})")
+        elif value.max_cost_usd is not None and value.max_cost_usd > _MAX_TOKEN_COUNT:
+            out.append(f"Budget.max_cost_usd: must be at most 2**53 (got {value.max_cost_usd})")
     elif isinstance(value, PolicyEnvelope):
         if value.max_delegation_depth is not None and value.max_delegation_depth < 0:
             out.append(
@@ -496,6 +500,8 @@ def _validate(value: DomainType, out: list[str]) -> None:
             out.append(f"TaskResult.tokens_used: must be at most 2**53 (got {value.tokens_used})")
         if value.cost_usd < 0:
             out.append(f"TaskResult.cost_usd: must be >= 0 (got {value.cost_usd})")
+        elif value.cost_usd > _MAX_TOKEN_COUNT:
+            out.append(f"TaskResult.cost_usd: must be at most 2**53 (got {value.cost_usd})")
         if value.provenance is not None:
             if not value.provenance.lineage:
                 out.append("Provenance.lineage: must have at least one entry when attached to a result")

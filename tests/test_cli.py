@@ -50,6 +50,14 @@ def write_result(path, tokens=8200):
     path.write_bytes(canonical_bytes(to_wire(result)))
 
 
+def run_cli(*argv) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, so a traceback would show on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "delgov.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
 def test_validate_legacy_message_exits_zero(tmp_path, capsys):
     doc = tmp_path / "legacy.json"
     doc.write_bytes(b'{"task_id": "t-1", "payload": "do the thing"}')
@@ -94,13 +102,7 @@ def test_validate_hostile_documents_exit_one_without_traceback(tmp_path):
     for name, text in HOSTILE.items():
         paths.append(str(tmp_path / name))
         Path(paths[-1]).write_text(text)
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "delgov.cli", "validate", *paths],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_cli("validate", *paths)
     assert proc.returncode == 1
     assert proc.stderr == ""
     lines = proc.stdout.splitlines()
@@ -122,19 +124,45 @@ def test_check_contract_on_huge_token_counts_exits_one_without_traceback(
     contract["policy"]["budget"]["max_tokens"] = max_tokens
     contract_path.write_text(json.dumps(contract))
     result_path.write_text(json.dumps(dict(_RESULT_DOC, tokens_used=tokens_used)))
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    argv = ["check-contract", str(contract_path), str(result_path)]
-    proc = subprocess.run(
-        [sys.executable, "-m", "delgov.cli", *argv, "--received-at", "2026-01-01T00:00:00Z"],
-        capture_output=True,
-        text=True,
-        env=env,
+    proc = run_cli(
+        "check-contract", str(contract_path), str(result_path),
+        "--received-at", "2026-01-01T00:00:00Z",
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("invalid input: ")
     assert "must be at most 2**53" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_check_contract_on_huge_cost_exits_one_without_output(tmp_path):
+    # float(Decimal("1e400")) is inf, which used to reach stdout as Infinity
+    contract_path, result_path = tmp_path / "c.json", tmp_path / "r.json"
+    write_contract(contract_path, failure_policy=FailurePolicy.FAIL_OPEN)
+    assert json.loads(contract_path.read_text())["policy"]["budget"]["max_cost_usd"] == "0.05"
+    result_path.write_text(json.dumps(dict(_RESULT_DOC, cost_usd="1e400")))
+    proc = run_cli(
+        "check-contract", str(contract_path), str(result_path),
+        "--received-at", "2026-01-01T00:00:00Z",
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "invalid input: TaskResult.cost_usd: must be at most 2**53 (got 1E+400)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    ("tasks", "statistic"),
+    [("1", "cohens_d needs at least 2"), ("2", "mann_whitney_u needs at least 3")],
+    ids=["one-task", "two-tasks"],
+)
+def test_e3_too_few_tasks_for_the_summary_writes_nothing(tmp_path, capsys, tasks, statistic):
+    out = tmp_path / "e3" / "e3.csv"
+    out.parent.mkdir()
+    assert main(["e3", "--tasks", tasks, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"bad arguments: {statistic} samples per side\n"
+    assert list(out.parent.iterdir()) == []
 
 
 def test_bad_arguments_exit_two(tmp_path, capsys):

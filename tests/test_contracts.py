@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from delgov.contracts import (
     Accepted,
     Disposition,
-    ValidationOutcome,
+    Violation,
     ViolationRule,
     apply_policy,
-    check_depth,
     check_result,
     violation_record,
 )
@@ -155,48 +154,44 @@ DEPTH_TABLE = {
 }
 
 
-@pytest.mark.parametrize("limit", sorted(DEPTH_TABLE))
-@pytest.mark.parametrize("length", range(1, 7))
-def test_depth_counting_oracle(limit, length):
-    lineage = tuple(f"a{i}" for i in range(length))
+def with_lineage(*lineage) -> TaskResult:
+    """The in-budget result, delivered through the given lineage."""
     provenance = Provenance(
         verification_status=VerificationStatus.UNVERIFIED, lineage=lineage
     )
-    violation = check_depth(contract(max_depth=limit), provenance)
+    return replace(result(), provenance=provenance)
+
+
+def depth_violations(max_depth, out):
+    outcome = check_result(contract(max_depth=max_depth), out, BEFORE)
+    return outcome.violations
+
+
+@pytest.mark.parametrize("limit", sorted(DEPTH_TABLE))
+@pytest.mark.parametrize("length", range(1, 7))
+def test_depth_counting_oracle(limit, length):
+    violations = depth_violations(limit, with_lineage(*(f"a{i}" for i in range(length))))
     expected = DEPTH_TABLE[limit][length - 1]
-    assert (violation is not None) == expected
-    if violation is not None:
+    assert bool(violations) == expected
+    if violations:
+        (violation,) = violations
+        assert violation.rule is ViolationRule.DELEGATION_DEPTH
         assert violation.observed == float(length - 1)
         assert violation.limit == float(limit)
 
 
 def test_depth_boundary_two_hops_at_limit_two():
-    provenance = Provenance(
-        verification_status=VerificationStatus.UNVERIFIED, lineage=("a", "b", "c")
-    )
-    assert check_depth(contract(max_depth=2), provenance) is None
+    assert depth_violations(2, with_lineage("a", "b", "c")) == ()
 
 
 def test_depth_three_hops_over_limit_two():
-    provenance = Provenance(
-        verification_status=VerificationStatus.UNVERIFIED, lineage=("a", "b", "c", "d")
-    )
-    violation = check_depth(contract(max_depth=2), provenance)
-    assert violation is not None
+    (violation,) = depth_violations(2, with_lineage("a", "b", "c", "d"))
     assert violation.observed == 3.0 and violation.limit == 2.0
+    assert violation.detail == "lineage spans 3 delegation hops, limit 2"
 
 
 def test_absent_limit_means_no_depth_check():
-    provenance = Provenance(
-        verification_status=VerificationStatus.UNVERIFIED, lineage=tuple("abcdefgh")
-    )
-    assert check_depth(contract(max_depth=None), provenance) is None
-
-
-def test_empty_lineage_violates_the_precondition():
-    provenance = Provenance(verification_status=VerificationStatus.UNVERIFIED)
-    with pytest.raises(ValueError):
-        check_depth(contract(max_depth=2), provenance)
+    assert depth_violations(None, with_lineage(*"abcdefgh")) == ()
 
 
 def test_violation_record_shape():
@@ -252,11 +247,12 @@ def test_adding_constraints_never_shrinks_the_violation_set(tokens, cents, recei
 
 
 def test_outcome_invariant_round():
-    violations = check_result(contract(), result(tokens=9000), BEFORE).violations
-    rebuilt = ValidationOutcome.from_violations(violations, FailurePolicy.FAIL_OPEN)
-    assert rebuilt.disposition is Disposition.ACCEPTED_WITH_LOG
-    rebuilt = ValidationOutcome.from_violations((), FailurePolicy.FAIL_CLOSED)
-    assert rebuilt.disposition is Disposition.ACCEPTED
+    over = result(tokens=9000)
+    outcome = check_result(contract(failure_policy=FailurePolicy.FAIL_OPEN), over, BEFORE)
+    assert outcome.disposition is Disposition.ACCEPTED_WITH_LOG
+    assert outcome.violations == check_result(contract(), over, BEFORE).violations
+    outcome = check_result(contract(), result(), BEFORE)
+    assert outcome.violations == () and outcome.disposition is Disposition.ACCEPTED
 
 
 def test_check_result_enforces_depth_after_budget_and_deadline():
@@ -273,7 +269,9 @@ def test_check_result_enforces_depth_after_budget_and_deadline():
         ViolationRule.DEADLINE,
         ViolationRule.DELEGATION_DEPTH,
     ]
-    assert outcome.violations[-1] == check_depth(contract(max_depth=1), provenance)
+    assert outcome.violations[-1] == Violation(
+        ViolationRule.DELEGATION_DEPTH, "lineage spans 2 delegation hops, limit 1", 2.0, 1.0
+    )
     assert outcome.disposition is Disposition.REJECTED
 
 

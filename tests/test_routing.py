@@ -17,7 +17,7 @@ from delgov.routing import (
     rank,
     select,
 )
-from delgov.types import ClaimType, QualityClaim, trust_level
+from delgov.types import ClaimType, QualityClaim
 
 UTC = timezone.utc
 NOW = datetime(2026, 6, 1, 12, 0, 0, tzinfo=UTC)
@@ -204,8 +204,7 @@ def test_argmax_dominance(values_by_id):
 
 def test_claim_types_carry_their_trust_level():
     assert [member.level for member in ClaimType] == [0, 1, 2, 3]
-    assert all(trust_level(member) == member.level for member in ClaimType)
-    assert trust_level("issuer_attested") == ClaimType.ISSUER_ATTESTED.level
+    assert ClaimType("issuer_attested").level == 2
 
 
 def _independent_claim(record, pol, now):
@@ -214,14 +213,14 @@ def _independent_claim(record, pol, now):
         c
         for c in record.claims
         if c.skill == pol.skill
-        and trust_level(c.claim_type) >= trust_level(pol.min_claim_type)
+        and c.claim_type.level >= pol.min_claim_type.level
         and (
             pol.max_staleness is None
             or (c.observed_at is not None and now - c.observed_at <= pol.max_staleness)
         )
     ]
     # one claim per (skill, type), so the highest level is unique
-    return max(survivors, key=lambda c: trust_level(c.claim_type), default=None)
+    return max(survivors, key=lambda c: c.claim_type.level, default=None)
 
 
 _SKILLS = ("code", "reasoning", "search")

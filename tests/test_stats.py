@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from delgov.stats import (
     InsufficientData,
     cohens_d,
-    compare,
     descriptive,
     mann_whitney_u,
 )
@@ -189,12 +188,3 @@ def test_shift_monotonicity(a, b, shift):
         d_after = cohens_d([x + shift for x in a], b)
         if math.isfinite(d_before) and math.isfinite(d_after):
             assert d_after > d_before - 1e-9
-
-
-def test_compare_bundles_everything():
-    stats = compare([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-    assert stats.mean_a == 2.0 and stats.mean_b == 5.0
-    assert stats.std_a == 1.0 and stats.std_b == 1.0
-    assert stats.cohens_d == -3.0
-    assert stats.u_statistic == 0.0
-    assert 0.0 <= stats.p_value <= 1.0

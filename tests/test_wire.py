@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from datetime import datetime, timezone
 from decimal import Decimal
 from pathlib import Path
@@ -342,6 +343,28 @@ def test_token_counts_past_2_53_are_invariant_violations():
     raw = json.dumps(to_wire(result))
     with pytest.raises(InvariantViolation, match="tokens_used: must be at most 2"):
         decode_message(raw)
+
+
+def test_money_past_2_53_is_an_invariant_violation():
+    # float(Decimal("1e400")) is inf, which no violation record may carry
+    assert validate_invariants(Budget(max_cost_usd=2**53)) == []
+    assert validate_invariants(Budget(max_cost_usd="9007199254740992.01")) == [
+        "Budget.max_cost_usd: must be at most 2**53 (got 9007199254740992.01)"
+    ]
+    result = TaskResult("t", "o", 1, Decimal("1e400"), datetime(2026, 1, 1, tzinfo=UTC))
+    assert validate_invariants(result) == [
+        "TaskResult.cost_usd: must be at most 2**53 (got 1E+400)"
+    ]
+    with pytest.raises(InvariantViolation, match=r"cost_usd: must be at most 2\*\*53"):
+        decode_message(json.dumps(to_wire(result)))
+    with pytest.raises(InvariantViolation, match=r"max_cost_usd: must be at most 2\*\*53"):
+        decode_contract(_with_budget_cost("1e400"))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_canonical_bytes_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        canonical_bytes({"observed": value})
 
 
 def test_result_with_empty_lineage_provenance_rejected():
