@@ -37,7 +37,7 @@ from typing import Union
 
 from .errors import make_contract_violation
 from .types import DelegationContract, FailurePolicy, LdpError, TaskResult, _utc
-from .wire import format_timestamp
+from .wire import InvariantViolation, format_timestamp, validate_invariants
 
 
 class ViolationRule(str, Enum):
@@ -89,27 +89,38 @@ def check_result(
     Violations are returned as data, not raised, in the rule order of the
     module docstring, together with the disposition the contract's
     failure policy gives them; apply_policy resolves that outcome.
+
+    Precondition: ``contract`` and ``result`` satisfy
+    ``validate_invariants``, as every decoded value does. It is checked
+    only off the accepted path: once a limit is found broken, or when an
+    amount cannot be compared (``NaN``), a broken invariant raises
+    ``InvariantViolation``. A result that breaks an invariant but no limit,
+    such as a negative ``tokens_used``, is accepted.
     """
     received_at = _utc(received_at)
     policy = contract.policy
     budget = policy.budget
     # (rule, detail, observed, limit), the figures still exact
     found = []
-    if budget is not None:
-        if budget.max_tokens is not None and result.tokens_used > budget.max_tokens:
-            found.append((
-                ViolationRule.BUDGET_TOKENS,
-                f"tokens_used {result.tokens_used} exceeds max_tokens {budget.max_tokens}",
-                result.tokens_used,
-                budget.max_tokens,
-            ))
-        if budget.max_cost_usd is not None and result.cost_usd > budget.max_cost_usd:
-            found.append((
-                ViolationRule.BUDGET_COST,
-                f"cost_usd {result.cost_usd} exceeds max_cost_usd {budget.max_cost_usd}",
-                result.cost_usd,
-                budget.max_cost_usd,
-            ))
+    try:
+        if budget is not None:
+            if budget.max_tokens is not None and result.tokens_used > budget.max_tokens:
+                found.append((
+                    ViolationRule.BUDGET_TOKENS,
+                    f"tokens_used {result.tokens_used} exceeds max_tokens {budget.max_tokens}",
+                    result.tokens_used,
+                    budget.max_tokens,
+                ))
+            if budget.max_cost_usd is not None and result.cost_usd > budget.max_cost_usd:
+                found.append((
+                    ViolationRule.BUDGET_COST,
+                    f"cost_usd {result.cost_usd} exceeds max_cost_usd {budget.max_cost_usd}",
+                    result.cost_usd,
+                    budget.max_cost_usd,
+                ))
+    except ArithmeticError:
+        _require_invariants(contract, result)
+        raise
     deadline = contract.deadline
     if deadline is not None and received_at > deadline:
         found.append((
@@ -133,6 +144,7 @@ def check_result(
 
     if not found:
         return ValidationOutcome((), Disposition.ACCEPTED)
+    _require_invariants(contract, result)
     violations = tuple(
         Violation(rule, detail, float(observed), float(limit))
         for rule, detail, observed, limit in found
@@ -140,6 +152,12 @@ def check_result(
     if policy.failure_policy is FailurePolicy.FAIL_CLOSED:
         return ValidationOutcome(violations, Disposition.REJECTED)
     return ValidationOutcome(violations, Disposition.ACCEPTED_WITH_LOG)
+
+
+def _require_invariants(contract: DelegationContract, result: TaskResult) -> None:
+    broken = validate_invariants(contract) + validate_invariants(result)
+    if broken:
+        raise InvariantViolation(broken)
 
 
 def apply_policy(

@@ -36,29 +36,25 @@ A message without any governance fields (contract, claims, provenance)
 decodes exactly as the base protocol would read it; the governance keys
 simply stay absent.
 
-Every wire type is described once, in the field table ``FIELDS``: one row
-per field with its wire name (always the dataclass attribute name), its
-kind and whether it is required. ``to_wire`` and ``from_wire`` both read
-that table, and every encoder and decoder here goes through them.
-
-Decoding reports the first fault in table order: row by row, a missing
-required key, then a value of the wrong type. A document with one fault is
-reported exactly as the hand-written codec this table replaced reported
-it. With several faults, two cases now name a different one. A contract
-with both a bad ``policy`` and a bad ``deadline`` names ``policy``, where it
-named ``deadline``. A result that lacks ``tokens_used``, ``cost_usd`` or
-``completed_at`` names a fault in any earlier row (``provenance``,
-``task_id``, ``output`` or an earlier usage key), where it named the
-missing key.
+Every wire type is described once, by its dataclass in ``delgov.types``.
+The field table ``FIELDS`` is derived from the dataclasses at import: one
+row per field, in declaration order, holding the wire name (the attribute
+name), the kind its annotation gives (``Optional[X]`` as ``X``) and whether
+it is required (has no default). Every encoder and decoder here goes through
+``to_wire`` and ``from_wire``, which read that table. Decoding checks the
+fields in declaration order, each for presence and then for type, and
+reports the first fault.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
+from enum import Enum
 from operator import attrgetter
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import default_semantics
 from .types import (
@@ -66,17 +62,13 @@ from .types import (
     ClaimType,
     DelegationContract,
     DomainType,
-    ErrorCategory,
-    FailurePolicy,
     LdpError,
     Message,
     PolicyEnvelope,
     Provenance,
     QualityClaim,
-    Severity,
     TaskResult,
     TaskSubmit,
-    VerificationStatus,
 )
 
 
@@ -265,60 +257,41 @@ def _object(cls: type) -> _Kind:
     return to_wire, decode
 
 
-# One row per field: (wire name = attribute name, kind, required). Decoding
-# checks the rows in this order, so the order fixes which fault is reported.
-FIELDS: dict[type, tuple[tuple[str, _Kind, bool], ...]] = {
-    Budget: (
-        ("max_tokens", _INT, False),
-        ("max_cost_usd", _MONEY, False),
-    ),
-    PolicyEnvelope: (
-        ("failure_policy", _enum(FailurePolicy), True),
-        ("budget", _object(Budget), False),
-        ("max_delegation_depth", _INT, False),
-        ("safety_constraints", _STR_LIST, False),
-    ),
-    DelegationContract: (
-        ("contract_id", _STR, True),
-        ("objective", _STR, True),
-        ("policy", _object(PolicyEnvelope), True),
-        ("deadline", _TIMESTAMP, False),
-        ("success_criteria", _STR_LIST, False),
-    ),
-    QualityClaim: (
-        ("skill", _STR, True),
-        ("value", _NUMBER, True),
-        ("claim_type", _enum(ClaimType), True),
-        ("observed_at", _TIMESTAMP, False),
-        ("issuer", _STR, False),
-    ),
-    Provenance: (
-        ("verification_status", _enum(VerificationStatus), True),
-        ("evidence_refs", _STR_LIST, False),
-        ("lineage", _STR_LIST, False),
-    ),
-    LdpError: (
-        ("category", _enum(ErrorCategory), True),
-        ("severity", _enum(Severity), True),
-        ("retryable", _BOOL, True),
-        ("code", _STR, True),
-        ("message", _STR, True),
-        ("partial_output", _STR, False),
-    ),
-    TaskSubmit: (
-        ("contract", _object(DelegationContract), False),
-        ("task_id", _STR, True),
-        ("payload", _STR, True),
-    ),
-    TaskResult: (
-        ("provenance", _object(Provenance), False),
-        ("task_id", _STR, True),
-        ("output", _STR, True),
-        ("tokens_used", _INT, True),
-        ("cost_usd", _MONEY, True),
-        ("completed_at", _TIMESTAMP, True),
-    ),
+_WIRE_TYPES = get_args(DomainType)
+# The kinds of plain annotations; enums and wire types get theirs in _rows.
+_KINDS = {
+    str: _STR,
+    int: _INT,
+    float: _NUMBER,
+    bool: _BOOL,
+    tuple[str, ...]: _STR_LIST,
+    Decimal: _MONEY,
+    datetime: _TIMESTAMP,
 }
+
+
+def _rows(cls: type) -> tuple[tuple[str, _Kind, bool], ...]:
+    """One row per dataclass field, in declaration order: (name, kind, required)."""
+    hints = get_type_hints(cls)
+    rows = []
+    for f in dataclasses.fields(cls):
+        hint, args = hints[f.name], get_args(hints[f.name])
+        if get_origin(hint) is Union and len(args) == 2 and args[1] is type(None):
+            hint = args[0]  # Optional[X] crosses the wire as X, or not at all
+        if hint in _WIRE_TYPES:
+            kind = _object(hint)
+        elif isinstance(hint, type) and issubclass(hint, Enum):
+            kind = _enum(hint)
+        elif hint in _KINDS:
+            kind = _KINDS[hint]
+        else:
+            raise TypeError(f"{cls.__name__}.{f.name}: no wire kind for {hint!r}")
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        rows.append((f.name, kind, required))
+    return tuple(rows)
+
+
+FIELDS: dict[type, tuple[tuple[str, _Kind, bool], ...]] = {cls: _rows(cls) for cls in _WIRE_TYPES}
 
 
 # The typed-failure encoder under its earlier name.
@@ -453,10 +426,13 @@ def _validate(value: DomainType, out: list[str]) -> None:
             out.append(f"Budget.max_tokens: must be strictly positive (got {value.max_tokens})")
         elif value.max_tokens is not None and value.max_tokens > _MAX_TOKEN_COUNT:
             out.append(f"Budget.max_tokens: must be at most 2**53 (got {value.max_tokens})")
-        if value.max_cost_usd is not None and value.max_cost_usd <= 0:
-            out.append(f"Budget.max_cost_usd: must be strictly positive (got {value.max_cost_usd})")
-        elif value.max_cost_usd is not None and value.max_cost_usd > _MAX_TOKEN_COUNT:
-            out.append(f"Budget.max_cost_usd: must be at most 2**53 (got {value.max_cost_usd})")
+        cost = value.max_cost_usd
+        if cost is not None and not cost.is_finite():
+            out.append(f"Budget.max_cost_usd: must be finite (got {cost})")
+        elif cost is not None and cost <= 0:
+            out.append(f"Budget.max_cost_usd: must be strictly positive (got {cost})")
+        elif cost is not None and cost > _MAX_TOKEN_COUNT:
+            out.append(f"Budget.max_cost_usd: must be at most 2**53 (got {cost})")
     elif isinstance(value, PolicyEnvelope):
         if value.max_delegation_depth is not None and value.max_delegation_depth < 0:
             out.append(
@@ -498,7 +474,9 @@ def _validate(value: DomainType, out: list[str]) -> None:
             out.append(f"TaskResult.tokens_used: must be >= 0 (got {value.tokens_used})")
         elif value.tokens_used > _MAX_TOKEN_COUNT:
             out.append(f"TaskResult.tokens_used: must be at most 2**53 (got {value.tokens_used})")
-        if value.cost_usd < 0:
+        if not value.cost_usd.is_finite():
+            out.append(f"TaskResult.cost_usd: must be finite (got {value.cost_usd})")
+        elif value.cost_usd < 0:
             out.append(f"TaskResult.cost_usd: must be >= 0 (got {value.cost_usd})")
         elif value.cost_usd > _MAX_TOKEN_COUNT:
             out.append(f"TaskResult.cost_usd: must be at most 2**53 (got {value.cost_usd})")

@@ -1,4 +1,6 @@
-"""Write the decoder outcome table replayed by ``tests/test_wire_errors.py``.
+"""Write the decoder outcome table that ``tests/test_wire.py`` replays.
+
+The replay is ``test_single_fault_outcomes_match_the_pinned_table``.
 
 Four valid documents (a submit whose contract sets every optional field, a
 result with provenance, an issuer-attested claim and a standalone

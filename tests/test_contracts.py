@@ -30,6 +30,7 @@ from delgov.types import (
     TaskResult,
     VerificationStatus,
 )
+from delgov.wire import InvariantViolation, validate_invariants
 
 UTC = timezone.utc
 DEADLINE = datetime(2026, 3, 15, 18, 0, 0, tzinfo=UTC)
@@ -284,6 +285,27 @@ def test_check_result_skips_depth_without_lineage(provenance):
     assert outcome.disposition is Disposition.ACCEPTED
 
 
+@pytest.mark.parametrize(
+    "tokens, cost, message",
+    [
+        (10**400, Decimal("0.01"), f"TaskResult.tokens_used: must be at most 2**53 (got {10**400})"),
+        (1000, Decimal("NaN"), "TaskResult.cost_usd: must be finite (got NaN)"),
+        (1000, Decimal("sNaN"), "TaskResult.cost_usd: must be finite (got sNaN)"),
+        (1000, Decimal("1e400"), "TaskResult.cost_usd: must be at most 2**53 (got 1E+400)"),
+    ],
+    ids=["huge-tokens", "nan-cost", "snan-cost", "huge-cost"],
+)
+def test_check_result_raises_invariant_violation_on_out_of_range_results(tokens, cost, message):
+    with pytest.raises(InvariantViolation) as info:
+        check_result(contract(), result(tokens=tokens, cost=cost), BEFORE)
+    assert info.value.violations == [message]
+
+
+def test_negative_tokens_break_no_limit_and_are_left_to_the_precondition():
+    outcome = check_result(contract(), result(tokens=-5), BEFORE)
+    assert outcome.violations == () and outcome.disposition is Disposition.ACCEPTED
+
+
 _offsets = st.sampled_from(
     [None, UTC, timezone(timedelta(hours=5)), timezone(-timedelta(hours=7, minutes=30))]
 )
@@ -302,12 +324,15 @@ _any_contract = st.builds(
 _any_provenance = st.none() | st.lists(st.sampled_from("abcdef"), max_size=6).map(
     lambda lineage: Provenance(VerificationStatus.UNVERIFIED, lineage=tuple(lineage))
 )
+# Valid figures, plus in-memory ones that break validate_invariants.
+_any_tokens = st.integers(0, 30000) | st.sampled_from([-5, 2**53 + 1, 10**400])
+_any_cost = st.integers(0, 2000).map(lambda c: Decimal(c) / 100) | st.sampled_from(
+    [Decimal(v) for v in ("-0.01", "9007199254740993", "1e400", "NaN", "sNaN", "Infinity")]
+)
 _any_result = st.builds(
-    lambda tokens, cents, provenance: replace(
-        result(tokens=tokens, cost=Decimal(cents) / 100), provenance=provenance
-    ),
-    st.integers(0, 30000),
-    st.integers(0, 2000),
+    lambda tokens, cost, provenance: replace(result(tokens=tokens, cost=cost), provenance=provenance),
+    _any_tokens,
+    _any_cost,
     _any_provenance,
 )
 
@@ -338,11 +363,19 @@ def _expected_outcome(ctr, out, received):
     return figures, disposition
 
 
-@settings(max_examples=300, deadline=None)
+# only about a quarter of the results are fully valid, hence the example count
+@settings(max_examples=600, deadline=None)
 @given(_any_contract, _any_result, _any_receipt)
 def test_check_result_matches_its_restatement(ctr, out, received):
-    outcome = check_result(ctr, out, received)
+    broken = validate_invariants(ctr) + validate_invariants(out)
+    try:
+        outcome = check_result(ctr, out, received)
+    except InvariantViolation as exc:
+        # the precondition is checked only off the accepted path
+        assert broken and exc.violations == broken
+        return
     figures, disposition = _expected_outcome(ctr, out, received)
+    assert not (broken and figures)
     assert [(v.rule, v.observed, v.limit) for v in outcome.violations] == figures
     assert all(type(v.observed) is float and type(v.limit) is float for v in outcome.violations)
     assert isinstance(outcome.violations, tuple)

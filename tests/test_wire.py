@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+from dataclasses import MISSING, dataclass
 from datetime import datetime, timezone
 from decimal import Decimal
 from pathlib import Path
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from delgov.types import (
     Budget,
     ClaimType,
     DelegationContract,
+    DomainType,
     ErrorCategory,
     FailurePolicy,
     LdpError,
@@ -42,6 +46,7 @@ from delgov.wire import (
     to_wire,
     validate_invariants,
 )
+from delgov.wire import _rows as build_rows
 
 UTC = timezone.utc
 
@@ -361,6 +366,16 @@ def test_money_past_2_53_is_an_invariant_violation():
         decode_contract(_with_budget_cost("1e400"))
 
 
+@pytest.mark.parametrize("amount", ["NaN", "sNaN", "-Infinity"])
+def test_non_finite_money_is_an_invariant_violation_not_a_crash(amount):
+    # the decoder refuses these, but in-memory values never went through it
+    result = TaskResult("t", "o", 1, Decimal(amount), datetime(2026, 1, 1, tzinfo=UTC))
+    assert validate_invariants(result) == [f"TaskResult.cost_usd: must be finite (got {amount})"]
+    assert validate_invariants(Budget(max_cost_usd=Decimal(amount))) == [
+        f"Budget.max_cost_usd: must be finite (got {amount})"
+    ]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_canonical_bytes_refuses_non_finite_floats(value):
     with pytest.raises(ValueError):
@@ -399,6 +414,43 @@ def test_single_fault_outcomes_match_the_pinned_table():
                 mismatches.append((decoder, text, expected, got))
     assert len(cases) > 400
     assert mismatches == []
+
+
+def test_first_fault_in_declaration_order_is_reported():
+    # TaskResult declares task_id before provenance, so the missing key wins
+    raw = json.dumps(
+        {
+            "output": "o",
+            "tokens_used": 1,
+            "cost_usd": "0.01",
+            "completed_at": "2026-01-01T00:00:00Z",
+            "provenance": "x",
+        }
+    )
+    with pytest.raises(MalformedMessage) as info:
+        decode_message(raw)
+    assert str(info.value) == "message: missing required key 'task_id'"
+
+
+def test_field_table_has_one_row_per_dataclass_field_in_declaration_order():
+    assert tuple(FIELDS) == get_args(DomainType)
+    for cls, rows in FIELDS.items():
+        expected = [
+            (f.name, f.default is MISSING and f.default_factory is MISSING)
+            for f in dataclasses.fields(cls)
+        ]
+        assert [(name, required) for name, _, required in rows] == expected
+    assert sum(len(rows) for rows in FIELDS.values()) == 34
+
+
+def test_annotation_without_a_wire_kind_fails_at_table_build():
+    @dataclass(frozen=True)
+    class Tally:
+        label: str
+        counts: list[int]
+
+    with pytest.raises(TypeError, match=r"^Tally\.counts: no wire kind for "):
+        build_rows(Tally)
 
 
 # ---------------------------------------------------------------------------
