@@ -95,7 +95,8 @@ def check_result(
     only off the accepted path: once a limit is found broken, or when an
     amount cannot be compared (``NaN``), a broken invariant raises
     ``InvariantViolation``. A result that breaks an invariant but no limit,
-    such as a negative ``tokens_used``, is accepted.
+    such as a negative ``tokens_used``, is accepted. A ``received_at``
+    whose UTC form falls outside the years 1 to 9999 raises ``ValueError``.
     """
     received_at = _utc(received_at)
     policy = contract.policy

@@ -1,22 +1,22 @@
 """Value types for the governed delegation protocol.
 
-All types are frozen dataclasses. Construction normalizes representations
-(timestamps to UTC, money to exact ``Decimal``, sequences to tuples, claim
-types to ``ClaimType`` members) but does not enforce semantic rules.
-Semantic checks live in ``delgov.wire.validate_invariants`` so that
-suspect input can be inspected and reported instead of being lost to a
-constructor exception.
+All types are frozen dataclasses. Construction normalizes every field as
+its annotation says: an enum field takes a member or its plain value
+(``"fail_closed"``) and stores the member, money becomes an exact
+``Decimal``, a timestamp UTC (naive reads as UTC), a sequence a tuple. An
+unknown enum value or a timestamp out of range in UTC raises ``ValueError``.
+Semantic rules live in ``delgov.wire.validate_invariants`` so that suspect
+input can be inspected and reported instead of lost to a constructor error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from decimal import Decimal
 from enum import Enum
-from typing import Optional, Union
-
-MoneyLike = Union[Decimal, int, str, float]
+from functools import cache
+from typing import Any, Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 
 class FailurePolicy(str, Enum):
@@ -69,16 +69,17 @@ class VerificationStatus(str, Enum):
     HUMAN_VERIFIED = "human_verified"
 
 
-def _utc(value: Optional[datetime]) -> Optional[datetime]:
-    if value is None:
-        return None
+def _utc(value: datetime) -> datetime:
     if value.tzinfo is None:
         return value.replace(tzinfo=timezone.utc)
-    return value.astimezone(timezone.utc)
+    try:
+        return value.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"{value.isoformat()} is out of range in UTC") from None
 
 
-def _money(value: Optional[MoneyLike]) -> Optional[Decimal]:
-    if value is None or isinstance(value, Decimal):
+def _money(value: Union[Decimal, int, str, float]) -> Decimal:
+    if isinstance(value, Decimal):
         return value
     if isinstance(value, float):
         # repr() is the shortest faithful form, so 0.05 becomes "0.05", not
@@ -87,19 +88,55 @@ def _money(value: Optional[MoneyLike]) -> Optional[Decimal]:
     return Decimal(value)
 
 
+def _fields(cls: type) -> list[tuple[str, Any, bool]]:
+    """(name, type, required) per dataclass field in declaration order, for construction
+    and the wire codec alike. ``Optional[X]`` reads as ``X``; required means no default."""
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        hint, args = hints[f.name], get_args(hints[f.name])
+        if get_origin(hint) is Union and len(args) == 2 and args[1] is type(None):
+            hint = args[0]
+        out.append((f.name, hint, f.default is MISSING and f.default_factory is MISSING))
+    return out
+
+
+@cache
+def _normalizers(cls: type) -> tuple[tuple[str, Optional[type], Callable[[Any], Any]], ...]:
+    """(name, normal type, normalizer) for each field of ``cls`` whose annotation has one."""
+    plain = {Decimal: (Decimal, _money), datetime: (None, _utc), tuple[str, ...]: (tuple, tuple)}
+    out = []
+    for name, hint, _ in _fields(cls):
+        if isinstance(hint, type) and issubclass(hint, Enum):
+            out.append((name, hint, hint))
+        elif hint in plain:
+            out.append((name, *plain[hint]))
+    return tuple(out)
+
+
+class _Normalized:
+    """Base of the wire types: construction normalizes each field from its annotation."""
+
+    def __post_init__(self) -> None:
+        for name, normal_type, normalize in _normalizers(type(self)):
+            value = getattr(self, name)
+            # a value of its normal type skips the call (calling an enum costs
+            # far more); decoded values come back unchanged and are not written
+            if value is not None and type(value) is not normal_type:
+                if (normal := normalize(value)) is not value:
+                    object.__setattr__(self, name, normal)
+
+
 @dataclass(frozen=True)
-class Budget:
+class Budget(_Normalized):
     """Resource ceiling for a delegated task; at least one limit must be set."""
 
     max_tokens: Optional[int] = None
     max_cost_usd: Optional[Decimal] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "max_cost_usd", _money(self.max_cost_usd))
-
 
 @dataclass(frozen=True)
-class PolicyEnvelope:
+class PolicyEnvelope(_Normalized):
     """Constraint bundle inside a contract: what happens on violation."""
 
     failure_policy: FailurePolicy
@@ -107,12 +144,9 @@ class PolicyEnvelope:
     safety_constraints: tuple[str, ...] = ()
     max_delegation_depth: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "safety_constraints", tuple(self.safety_constraints))
-
 
 @dataclass(frozen=True)
-class DelegationContract:
+class DelegationContract(_Normalized):
     """Machine-readable statement of expectations attached to a task.
 
     ``success_criteria`` and ``safety_constraints`` are stored and echoed in
@@ -125,13 +159,9 @@ class DelegationContract:
     success_criteria: tuple[str, ...] = ()
     deadline: Optional[datetime] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "success_criteria", tuple(self.success_criteria))
-        object.__setattr__(self, "deadline", _utc(self.deadline))
-
 
 @dataclass(frozen=True)
-class QualityClaim:
+class QualityClaim(_Normalized):
     """Skill-scoped quality score plus the provenance of how it was established."""
 
     skill: str
@@ -140,14 +170,9 @@ class QualityClaim:
     issuer: Optional[str] = None
     observed_at: Optional[datetime] = None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.claim_type, ClaimType):
-            object.__setattr__(self, "claim_type", ClaimType(self.claim_type))
-        object.__setattr__(self, "observed_at", _utc(self.observed_at))
-
 
 @dataclass(frozen=True)
-class LdpError:
+class LdpError(_Normalized):
     """Structured failure: category, severity, retryability, machine code.
 
     ``partial_output`` preserves whatever the delegate produced before the
@@ -163,7 +188,7 @@ class LdpError:
 
 
 @dataclass(frozen=True)
-class Provenance:
+class Provenance(_Normalized):
     """How a result was verified and which delegates handled it.
 
     ``lineage`` is ordered: first entry is the original delegator, last is
@@ -174,13 +199,9 @@ class Provenance:
     evidence_refs: tuple[str, ...] = ()
     lineage: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "evidence_refs", tuple(self.evidence_refs))
-        object.__setattr__(self, "lineage", tuple(self.lineage))
-
 
 @dataclass(frozen=True)
-class TaskSubmit:
+class TaskSubmit(_Normalized):
     """Task submission; the contract is optional so legacy senders still work."""
 
     task_id: str
@@ -189,7 +210,7 @@ class TaskSubmit:
 
 
 @dataclass(frozen=True)
-class TaskResult:
+class TaskResult(_Normalized):
     """Task result with self-reported resource usage and optional provenance."""
 
     task_id: str
@@ -198,10 +219,6 @@ class TaskResult:
     cost_usd: Decimal
     completed_at: datetime
     provenance: Optional[Provenance] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cost_usd", _money(self.cost_usd))
-        object.__setattr__(self, "completed_at", _utc(self.completed_at))
 
 
 Message = Union[TaskSubmit, TaskResult]

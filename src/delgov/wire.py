@@ -37,24 +37,23 @@ decodes exactly as the base protocol would read it; the governance keys
 simply stay absent.
 
 Every wire type is described once, by its dataclass in ``delgov.types``.
-The field table ``FIELDS`` is derived from the dataclasses at import: one
-row per field, in declaration order, holding the wire name (the attribute
-name), the kind its annotation gives (``Optional[X]`` as ``X``) and whether
-it is required (has no default). Every encoder and decoder here goes through
-``to_wire`` and ``from_wire``, which read that table. Decoding checks the
-fields in declaration order, each for presence and then for type, and
-reports the first fault.
+``FIELDS`` is derived at import by the annotation reader that construction
+shares (``types._fields``): one row per field, in declaration order, holding
+the wire name (the attribute name), the kind its annotation gives
+(``Optional[X]`` as ``X``) and whether it is required (has no default).
+Every encoder and decoder goes through ``to_wire`` and ``from_wire``, which
+read that table. Decoding checks the fields in declaration order, each for
+presence and then for type, and reports the first fault.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Callable, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Optional, Union, get_args
 
 from .errors import default_semantics
 from .types import (
@@ -69,6 +68,9 @@ from .types import (
     QualityClaim,
     TaskResult,
     TaskSubmit,
+    _fields,
+    _money,
+    _utc,
 )
 
 
@@ -111,23 +113,18 @@ def parse_timestamp(raw: Any, path: str) -> datetime:
     if parsed.tzinfo is None:
         raise MalformedMessage(f"{path}: timestamp {raw!r} lacks a UTC offset")
     try:
-        return parsed.astimezone(timezone.utc)
-    except OverflowError:
+        return _utc(parsed)
+    except ValueError:
         raise MalformedMessage(f"{path}: timestamp {raw!r} is out of range in UTC") from None
 
 
 def parse_money(raw: Any, path: str) -> Decimal:
-    if isinstance(raw, bool):
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
         raise MalformedMessage(f"{path}: expected a decimal string or number")
-    if isinstance(raw, (str, int)):
-        try:
-            value = Decimal(raw)
-        except InvalidOperation:
-            raise MalformedMessage(f"{path}: invalid decimal {raw!r}") from None
-    elif isinstance(raw, float):
-        value = Decimal(repr(raw))
-    else:
-        raise MalformedMessage(f"{path}: expected a decimal string or number")
+    try:
+        value = _money(raw)
+    except InvalidOperation:
+        raise MalformedMessage(f"{path}: invalid decimal {raw!r}") from None
     # NaN, sNaN and the infinities parse, but no amount compares with them
     if not value.is_finite():
         raise MalformedMessage(f"{path}: non-finite decimal {raw!r}")
@@ -272,12 +269,8 @@ _KINDS = {
 
 def _rows(cls: type) -> tuple[tuple[str, _Kind, bool], ...]:
     """One row per dataclass field, in declaration order: (name, kind, required)."""
-    hints = get_type_hints(cls)
     rows = []
-    for f in dataclasses.fields(cls):
-        hint, args = hints[f.name], get_args(hints[f.name])
-        if get_origin(hint) is Union and len(args) == 2 and args[1] is type(None):
-            hint = args[0]  # Optional[X] crosses the wire as X, or not at all
+    for name, hint, required in _fields(cls):
         if hint in _WIRE_TYPES:
             kind = _object(hint)
         elif isinstance(hint, type) and issubclass(hint, Enum):
@@ -285,9 +278,8 @@ def _rows(cls: type) -> tuple[tuple[str, _Kind, bool], ...]:
         elif hint in _KINDS:
             kind = _KINDS[hint]
         else:
-            raise TypeError(f"{cls.__name__}.{f.name}: no wire kind for {hint!r}")
-        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        rows.append((f.name, kind, required))
+            raise TypeError(f"{cls.__name__}.{name}: no wire kind for {hint!r}")
+        rows.append((name, kind, required))
     return tuple(rows)
 
 
@@ -418,21 +410,24 @@ def validate_invariants(msg: DomainType) -> list[str]:
     return out
 
 
+def _check_range(label: str, value: Union[int, Decimal], strict: bool, out: list[str]) -> None:
+    # a count or amount is finite, above 0 (or at 0 unless strict) and at most 2**53
+    if isinstance(value, Decimal) and not value.is_finite():
+        out.append(f"{label}: must be finite (got {value})")
+    elif value <= 0 if strict else value < 0:
+        out.append(f"{label}: must be {'strictly positive' if strict else '>= 0'} (got {value})")
+    elif value > _MAX_TOKEN_COUNT:
+        out.append(f"{label}: must be at most 2**53 (got {value})")
+
+
 def _validate(value: DomainType, out: list[str]) -> None:
     if isinstance(value, Budget):
         if value.max_tokens is None and value.max_cost_usd is None:
             out.append("Budget: at least one of max_tokens or max_cost_usd must be present")
-        if value.max_tokens is not None and value.max_tokens <= 0:
-            out.append(f"Budget.max_tokens: must be strictly positive (got {value.max_tokens})")
-        elif value.max_tokens is not None and value.max_tokens > _MAX_TOKEN_COUNT:
-            out.append(f"Budget.max_tokens: must be at most 2**53 (got {value.max_tokens})")
-        cost = value.max_cost_usd
-        if cost is not None and not cost.is_finite():
-            out.append(f"Budget.max_cost_usd: must be finite (got {cost})")
-        elif cost is not None and cost <= 0:
-            out.append(f"Budget.max_cost_usd: must be strictly positive (got {cost})")
-        elif cost is not None and cost > _MAX_TOKEN_COUNT:
-            out.append(f"Budget.max_cost_usd: must be at most 2**53 (got {cost})")
+        if value.max_tokens is not None:
+            _check_range("Budget.max_tokens", value.max_tokens, True, out)
+        if value.max_cost_usd is not None:
+            _check_range("Budget.max_cost_usd", value.max_cost_usd, True, out)
     elif isinstance(value, PolicyEnvelope):
         if value.max_delegation_depth is not None and value.max_delegation_depth < 0:
             out.append(
@@ -470,16 +465,8 @@ def _validate(value: DomainType, out: list[str]) -> None:
         if value.contract is not None:
             _validate(value.contract, out)
     elif isinstance(value, TaskResult):
-        if value.tokens_used < 0:
-            out.append(f"TaskResult.tokens_used: must be >= 0 (got {value.tokens_used})")
-        elif value.tokens_used > _MAX_TOKEN_COUNT:
-            out.append(f"TaskResult.tokens_used: must be at most 2**53 (got {value.tokens_used})")
-        if not value.cost_usd.is_finite():
-            out.append(f"TaskResult.cost_usd: must be finite (got {value.cost_usd})")
-        elif value.cost_usd < 0:
-            out.append(f"TaskResult.cost_usd: must be >= 0 (got {value.cost_usd})")
-        elif value.cost_usd > _MAX_TOKEN_COUNT:
-            out.append(f"TaskResult.cost_usd: must be at most 2**53 (got {value.cost_usd})")
+        _check_range("TaskResult.tokens_used", value.tokens_used, False, out)
+        _check_range("TaskResult.cost_usd", value.cost_usd, False, out)
         if value.provenance is not None:
             if not value.provenance.lineage:
                 out.append("Provenance.lineage: must have at least one entry when attached to a result")

@@ -77,6 +77,14 @@ def test_token_overrun_under_fail_closed_is_rejected():
     assert outcome.disposition is Disposition.REJECTED
 
 
+def test_failure_policy_given_as_its_plain_value_still_fails_closed():
+    ctr = contract(failure_policy="fail_closed")
+    assert validate_invariants(ctr) == []
+    outcome = check_result(ctr, result(tokens=8200), BEFORE)
+    assert outcome.disposition is Disposition.REJECTED
+    assert isinstance(apply_policy(outcome, result(tokens=8200)), LdpError)
+
+
 def test_limit_is_inclusive():
     outcome = check_result(contract(), result(tokens=6000), BEFORE)
     assert outcome.violations == ()
@@ -105,6 +113,24 @@ def test_deadline_uses_receipt_time_not_completed_at():
     late_receipt = DEADLINE + timedelta(seconds=1)
     outcome = check_result(contract(), result(), late_receipt)  # result claims 17:00
     assert [v.rule for v in outcome.violations] == [ViolationRule.DEADLINE]
+
+
+@pytest.mark.parametrize(
+    "clock",
+    [
+        pytest.param(datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=1))), id="before-year-one"),
+        pytest.param(
+            datetime(9999, 12, 31, 23, tzinfo=timezone(timedelta(hours=-5))), id="after-year-9999"
+        ),
+    ],
+)
+def test_clocks_out_of_range_in_utc_raise_value_error(clock):
+    with pytest.raises(ValueError, match="is out of range in UTC") as info:
+        check_result(contract(), result(), clock)
+    assert info.type is ValueError
+    with pytest.raises(ValueError, match="is out of range in UTC") as info:
+        contract(deadline=clock)
+    assert info.type is ValueError
 
 
 def test_receipt_at_deadline_passes():

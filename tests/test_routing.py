@@ -90,6 +90,13 @@ def test_undated_claims_pass_only_without_a_staleness_window():
     assert eligible_claim(record, policy(max_staleness=timedelta(days=7)), NOW) is None
 
 
+def test_freshness_window_without_a_reference_time_raises():
+    dated = claim(0.8, ClaimType.SELF_CLAIMED, observed_at=NOW - timedelta(days=1))
+    pool = [DelegateRecord("d-a", (dated,))]
+    with pytest.raises(ValueError, match="^freshness filtering requires a reference time$"):
+        select(pool, policy(max_staleness=timedelta(days=7)), Random(0))
+
+
 def test_eligible_claim_rejects_blind_policies():
     record = DelegateRecord("d-a", (claim(0.8, ClaimType.SELF_CLAIMED),))
     with pytest.raises(ValueError):

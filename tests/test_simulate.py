@@ -115,6 +115,12 @@ def test_rounded_to_zero_dishonest_gives_an_honest_pool():
     assert all(p.honest for p in pool)
 
 
+def test_fraction_one_makes_every_delegate_dishonest():
+    pool, metadata = build_pool_with_metadata(PoolConfig(4, 1.0, (0.1, 0.2)), Random(0))
+    assert metadata.dishonest_ids == ("d0", "d1", "d2", "d3")
+    assert not any(p.honest for p in pool)
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -125,6 +131,9 @@ def test_rounded_to_zero_dishonest_gives_an_honest_pool():
         PoolConfig(10, 0.3, (-0.1, 0.45)),
         PoolConfig(10, 0.3, (0.35, 0.45), q_true_range=(0.5, 1.2)),
         PoolConfig(10, 0.3, (0.35, 0.45), noise_sigma=-0.01),
+        # valid fields, but some inflator's claim cannot rise above its q_true
+        PoolConfig(3, 0.5, (0.0, 0.0)),
+        PoolConfig(3, 1.0, (0.1, 0.2), q_true_range=(0.5, 1.0)),
     ],
 )
 def test_bad_configs_are_rejected(config):

@@ -6,8 +6,9 @@ import dataclasses
 import json
 import math
 from dataclasses import MISSING, dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
+from enum import Enum
 from pathlib import Path
 from typing import get_args
 
@@ -31,6 +32,7 @@ from delgov.types import (
     TaskResult,
     TaskSubmit,
     VerificationStatus,
+    _fields,
 )
 from delgov.wire import (
     FIELDS,
@@ -124,6 +126,11 @@ def test_money_roundtrips_exactly_as_decimal_string():
     obj = json.loads(encode_message(msg))
     assert obj["cost_usd"] == "0.05"
     assert decode_message(encode_message(msg)).cost_usd == Decimal("0.05")
+
+
+def test_float_money_is_read_by_its_shortest_repr():
+    assert Budget(max_cost_usd=0.05).max_cost_usd == Decimal("0.05")
+    assert str(Budget(max_cost_usd=0.05).max_cost_usd) == "0.05"
 
 
 def test_cost_as_json_number_is_accepted():
@@ -286,6 +293,14 @@ def _with_budget_cost(cost):
             "claim.observed_at: timestamp '9999-12-31T23:00:00-05:00' is out of range in UTC",
             id="timestamp-after-year-9999",
         ),
+        pytest.param(
+            json.dumps(
+                {"category": "runtime", "severity": "error", "retryable": "no",
+                 "code": "X", "message": "m"}
+            ),
+            "error.retryable: expected a boolean",
+            id="retryable-as-string",
+        ),
     ],
 )
 def test_hostile_input_is_malformed_not_a_crash(raw, message):
@@ -314,6 +329,12 @@ def test_unknown_enum_value_is_an_invariant_violation():
     )
     with pytest.raises(InvariantViolation):
         decode_message(raw)
+
+
+def test_empty_task_id_is_an_invariant_violation():
+    with pytest.raises(InvariantViolation) as info:
+        decode_message(b'{"task_id": "", "payload": "p"}')
+    assert info.value.violations == ["TaskSubmit.task_id: must be non-empty"]
 
 
 def test_quality_value_out_of_range_is_rejected():
@@ -453,6 +474,46 @@ def test_annotation_without_a_wire_kind_fails_at_table_build():
         build_rows(Tally)
 
 
+_ENUM_FIELDS = [
+    pytest.param(cls, name, hint, id=f"{cls.__name__}.{name}")
+    for cls in get_args(DomainType)
+    for name, hint, _ in _fields(cls)
+    if isinstance(hint, type) and issubclass(hint, Enum)
+]
+
+
+def _samples() -> dict:
+    contract = sample_contract()
+    return {
+        Budget: contract.policy.budget,
+        PolicyEnvelope: contract.policy,
+        DelegationContract: contract,
+        QualityClaim: QualityClaim("code", 0.9, ClaimType.SELF_CLAIMED),
+        LdpError: _error(ErrorCategory.POLICY, "X", "m", None),
+        Provenance: Provenance(VerificationStatus.UNVERIFIED, lineage=("a",)),
+        TaskSubmit: TaskSubmit("t-1", "p", contract),
+        TaskResult: sample_result(),
+    }
+
+
+@pytest.mark.parametrize(("cls", "name", "enum"), _ENUM_FIELDS)
+def test_every_enum_field_takes_a_member_or_its_value(cls, name, enum):
+    sample = _samples()[cls]
+    for member in enum:
+        by_member = dataclasses.replace(sample, **{name: member})
+        by_value = dataclasses.replace(sample, **{name: member.value})
+        assert getattr(by_member, name) is member
+        assert getattr(by_value, name) is member
+        assert validate_invariants(by_value) == validate_invariants(by_member)
+        assert to_wire(by_value) == to_wire(by_member)
+    with pytest.raises(ValueError, match="is not a valid"):
+        dataclasses.replace(sample, **{name: "no_such_value"})
+
+
+def test_there_are_five_enum_fields():
+    assert len(_ENUM_FIELDS) == 5
+
+
 # ---------------------------------------------------------------------------
 # validate_invariants
 
@@ -527,10 +588,33 @@ _text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), min_size=0, max_size=40
 )
 _id_text = st.text(alphabet="abcdefghijk-0123456789", min_size=1, max_size=16)
-_money = st.integers(min_value=1, max_value=10**7).map(lambda c: Decimal(c) / 100)
-_instant = st.datetimes(
-    min_value=datetime(1971, 1, 1), max_value=datetime(9000, 12, 31)
-).map(lambda d: d.replace(tzinfo=UTC))
+# Every strategy below draws each field in any in-memory form construction
+# accepts, so the roundtrips check that each form encodes and decodes back.
+_cents = st.integers(min_value=1, max_value=10**7)
+_money = st.one_of(
+    _cents.map(lambda c: Decimal(c) / 100),
+    _cents.map(lambda c: str(Decimal(c) / 100)),
+    st.integers(min_value=1, max_value=10**5),
+)
+_naive = st.datetimes(min_value=datetime(1971, 1, 1), max_value=datetime(9000, 12, 31))
+_instant = st.one_of(
+    _naive,  # read as UTC
+    _naive.map(lambda d: d.replace(tzinfo=UTC)),
+    st.builds(
+        lambda d, minutes: d.replace(tzinfo=timezone(timedelta(minutes=minutes))),
+        _naive,
+        st.integers(min_value=-14 * 60, max_value=14 * 60),
+    ),
+)
+
+
+def _member_or_value(enum):
+    return st.sampled_from(enum).flatmap(lambda member: st.sampled_from([member, member.value]))
+
+
+def _sequence(items, **sizes):
+    return st.lists(items, **sizes).flatmap(lambda xs: st.sampled_from([xs, tuple(xs)]))
+
 
 _budget = st.builds(
     Budget,
@@ -539,9 +623,9 @@ _budget = st.builds(
 )
 _policy = st.builds(
     PolicyEnvelope,
-    failure_policy=st.sampled_from(FailurePolicy),
+    failure_policy=_member_or_value(FailurePolicy),
     budget=st.one_of(st.none(), _budget),
-    safety_constraints=st.lists(_text, max_size=3).map(tuple),
+    safety_constraints=_sequence(_text, max_size=3),
     max_delegation_depth=st.one_of(st.none(), st.integers(min_value=0, max_value=64)),
 )
 _contract = st.builds(
@@ -549,14 +633,14 @@ _contract = st.builds(
     contract_id=_id_text,
     objective=_text,
     policy=_policy,
-    success_criteria=st.lists(_text, max_size=3).map(tuple),
+    success_criteria=_sequence(_text, max_size=3),
     deadline=st.one_of(st.none(), _instant),
 )
 _provenance = st.builds(
     Provenance,
-    verification_status=st.sampled_from(VerificationStatus),
-    evidence_refs=st.lists(_id_text, max_size=3).map(tuple),
-    lineage=st.lists(_id_text, min_size=1, max_size=4).map(tuple),
+    verification_status=_member_or_value(VerificationStatus),
+    evidence_refs=_sequence(_id_text, max_size=3),
+    lineage=_sequence(_id_text, min_size=1, max_size=4),
 )
 _submit = st.builds(
     TaskSubmit,
@@ -578,21 +662,27 @@ _claim = st.builds(
     QualityClaim,
     skill=_text,
     value=st.floats(min_value=0.0, max_value=1.0),
-    claim_type=st.sampled_from(ClaimType),
+    claim_type=_member_or_value(ClaimType),
     issuer=st.one_of(st.none(), _id_text),
     observed_at=st.one_of(st.none(), _instant),
 ).filter(lambda c: c.claim_type is not ClaimType.ISSUER_ATTESTED or c.issuer)
 
 
-def _error(category, code, message, partial_output):
+def _error(category, code, message, partial_output, as_values=False):
     semantics = default_semantics(category)
-    return LdpError(
-        category, semantics.severity, semantics.retryable, code, message, partial_output
-    )
+    severity = semantics.severity
+    if as_values:
+        category, severity = category.value, severity.value
+    return LdpError(category, severity, semantics.retryable, code, message, partial_output)
 
 
 _ldp_error = st.builds(
-    _error, st.sampled_from(ErrorCategory), _id_text, _text, st.one_of(st.none(), _text)
+    _error,
+    st.sampled_from(ErrorCategory),
+    _id_text,
+    _text,
+    st.one_of(st.none(), _text),
+    st.booleans(),
 )
 _TABLE_VALUES = {
     Budget: _budget,
