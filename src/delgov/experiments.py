@@ -76,7 +76,11 @@ from .wire import canonical_bytes, encode_message
 EXPERIMENT_SKILL = "general"
 ATTESTATION_ISSUER = "quality-bench"
 
-CONDITIONS = ("blind", "self_claimed", "attested")
+CONDITIONS = {
+    "blind": RoutingPolicy.blind(),
+    "self_claimed": RoutingPolicy.by_claims(EXPERIMENT_SKILL, ClaimType.SELF_CLAIMED),
+    "attested": RoutingPolicy.by_claims(EXPERIMENT_SKILL, ClaimType.ISSUER_ATTESTED),
+}
 
 ROUTING_POOL = PoolConfig(
     pool_size=10,
@@ -192,16 +196,6 @@ def records_for_pool(
     return records
 
 
-def condition_policy(condition: str) -> RoutingPolicy:
-    if condition == "blind":
-        return RoutingPolicy.blind()
-    if condition == "self_claimed":
-        return RoutingPolicy.by_claims(EXPERIMENT_SKILL, ClaimType.SELF_CLAIMED)
-    if condition == "attested":
-        return RoutingPolicy.by_claims(EXPERIMENT_SKILL, ClaimType.ISSUER_ATTESTED)
-    raise ValueError(f"unknown condition {condition!r}")
-
-
 def run_condition(
     pool: Sequence[DelegateProfile],
     records: Sequence[DelegateRecord],
@@ -217,7 +211,7 @@ def run_condition(
     routing never reads the rng, so it is resolved once, before the first
     task, and that delegate serves every task.
     """
-    policy = condition_policy(condition)
+    policy = CONDITIONS[condition]
     by_id = {p.delegate_id: p for p in pool}
     if policy.strategy is Strategy.BLIND:
         selections = [select(records, policy, select_rng) for _ in range(tasks)]

@@ -7,19 +7,20 @@ Two strategies:
   filtering claims by skill, minimum claim type on the trust scale, and
   freshness. Delegates without an eligible claim are excluded entirely.
 
-Routing is two steps. ``rank`` is the one ranking routine: it reads each
-delegate's eligible claim (``eligible_claim``) and lists the
-``(value, delegate_id)`` pairs the router chooses among. ``select`` then
-draws: blind routing draws uniformly from its rng, while by_claims takes
-the highest value over ``rank``, ties going to the smallest id. The
-by_claims draw never touches the rng, so for a fixed pool, policy and
-reference time it always picks the same delegate, and a caller routing
-many tasks over one static pool may select once and reuse the answer.
+One private filter, ``_eligible``, picks each delegate's claim, reading
+the policy and the clock once per call (a naive ``now`` as UTC, as
+``check_result`` does). ``eligible_claim`` applies it to one record and
+``rank``, the one ranking routine, to a pool, listing the ``(value,
+delegate_id)`` pairs the router chooses among. ``select`` then draws:
+blind uniformly from its rng, by_claims the highest value over ``rank``,
+ties to the smallest id. The by_claims draw never touches the rng, so a
+caller routing many tasks over one static pool, policy and reference time
+may select once and reuse the answer.
 
-Filtering is a hard minimum trust level rather than a numeric weighting
-scheme; a router that requires issuer_attested or better never reads
-self-reported numbers at all, which is what makes it immune to claim
-inflation.
+Filtering is a hard minimum trust level, not a weighting: a router that
+requires issuer_attested or better never reads self-reported numbers, so
+inflating claims built in process cannot move it. Wire claims can, as any
+non-empty issuer passes: a delegate may label its own claim attested.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
 from random import Random
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .types import ClaimType, QualityClaim
+from .types import ClaimType, QualityClaim, _Normalized, _utc
 
 
 class Strategy(str, Enum):
@@ -47,8 +48,9 @@ class NoEligibleDelegate(Exception):
 
 
 @dataclass(frozen=True)
-class RoutingPolicy:
-    """How to pick a delegate. Blind routing ignores every field but strategy."""
+class RoutingPolicy(_Normalized):
+    """How to pick a delegate. Blind routing ignores every field but strategy.
+    Enum fields take a member or its plain value (``"blind"``), as in the wire types."""
 
     strategy: Strategy
     min_claim_type: Optional[ClaimType] = None
@@ -99,6 +101,36 @@ class DelegateRecord:
             seen.add(key)
 
 
+def _eligible(
+    pool: Iterable[DelegateRecord], policy: RoutingPolicy, now: Optional[datetime]
+) -> Iterator[tuple[DelegateRecord, QualityClaim]]:
+    """``(record, eligible_claim)`` per record that has one. A claim at or below the best
+    level so far skips its freshness test: with one claim per (skill, type) it cannot win."""
+    if policy.strategy is not Strategy.BY_CLAIMS:
+        raise ValueError("eligible_claim applies only to by_claims policies")
+    if policy.skill is None or policy.min_claim_type is None:
+        raise ValueError("by_claims policy requires both skill and min_claim_type")
+    skill, window, floor = policy.skill, policy.max_staleness, policy.min_claim_type.level - 1
+    if window is not None and now is not None:
+        now = _utc(now)
+    for record in pool:
+        best, best_level = None, floor
+        for claim in record.claims:
+            level = claim.claim_type.level
+            if claim.skill != skill or level <= best_level:
+                continue
+            if window is not None:
+                if claim.observed_at is None:
+                    continue
+                if now is None:
+                    raise ValueError("freshness filtering requires a reference time")
+                if now - claim.observed_at > window:
+                    continue
+            best, best_level = claim, level
+        if best is not None:
+            yield record, best
+
+
 def eligible_claim(
     record: DelegateRecord,
     policy: RoutingPolicy,
@@ -111,30 +143,7 @@ def eligible_claim(
     no observation time pass only when no window is configured. Among the
     survivors the highest trust level wins, whatever its value.
     """
-    if policy.strategy is not Strategy.BY_CLAIMS:
-        raise ValueError("eligible_claim applies only to by_claims policies")
-    if policy.skill is None or policy.min_claim_type is None:
-        raise ValueError("by_claims policy requires both skill and min_claim_type")
-
-    min_level = policy.min_claim_type.level
-    best: Optional[QualityClaim] = None
-    best_level = -1
-    for claim in record.claims:
-        if claim.skill != policy.skill:
-            continue
-        level = claim.claim_type.level
-        if level < min_level:
-            continue
-        if policy.max_staleness is not None:
-            if claim.observed_at is None:
-                continue
-            if now is None:
-                raise ValueError("freshness filtering requires a reference time")
-            if now - claim.observed_at > policy.max_staleness:
-                continue
-        if level > best_level:
-            best, best_level = claim, level
-    return best
+    return next((claim for _, claim in _eligible((record,), policy, now)), None)
 
 
 def rank(
@@ -148,12 +157,7 @@ def rank(
     order and unsorted; the value is that claim's. ``policy`` must be a
     by_claims policy.
     """
-    ranked = []
-    for record in pool:
-        claim = eligible_claim(record, policy, now)
-        if claim is not None:
-            ranked.append((claim.value, record.delegate_id))
-    return ranked
+    return [(claim.value, record.delegate_id) for record, claim in _eligible(pool, policy, now)]
 
 
 def select(
@@ -181,5 +185,4 @@ def select(
             f"no delegate has an eligible {policy.skill!r} claim at "
             f"{policy.min_claim_type.value!r} or above"
         )
-    best_value = max(value for value, _ in ranked)
-    return min(delegate_id for value, delegate_id in ranked if value == best_value)
+    return min(ranked, key=lambda pair: (-pair[0], pair[1]))[1]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from enum import Enum
 from functools import cache
 from typing import Any, Callable, Optional, Union, get_args, get_origin, get_type_hints
@@ -85,7 +85,10 @@ def _money(value: Union[Decimal, int, str, float]) -> Decimal:
         # repr() is the shortest faithful form, so 0.05 becomes "0.05", not
         # its 55-digit binary expansion.
         return Decimal(repr(value))
-    return Decimal(value)
+    try:
+        return Decimal(value)
+    except InvalidOperation:
+        raise ValueError(f"invalid decimal {value!r}") from None
 
 
 def _fields(cls: type) -> list[tuple[str, Any, bool]]:
@@ -115,7 +118,7 @@ def _normalizers(cls: type) -> tuple[tuple[str, Optional[type], Callable[[Any], 
 
 
 class _Normalized:
-    """Base of the wire types: construction normalizes each field from its annotation."""
+    """Base of the wire types and RoutingPolicy: each field is normalized from its annotation."""
 
     def __post_init__(self) -> None:
         for name, normal_type, normalize in _normalizers(type(self)):

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from enum import Enum
 from operator import attrgetter
 from typing import Any, Callable, Optional, Union, get_args
@@ -123,7 +123,7 @@ def parse_money(raw: Any, path: str) -> Decimal:
         raise MalformedMessage(f"{path}: expected a decimal string or number")
     try:
         value = _money(raw)
-    except InvalidOperation:
+    except ValueError:
         raise MalformedMessage(f"{path}: invalid decimal {raw!r}") from None
     # NaN, sNaN and the infinities parse, but no amount compares with them
     if not value.is_finite():

@@ -179,7 +179,7 @@ def test_by_claims_condition_matches_a_per_task_select_loop(condition):
     run = experiments.run_condition(pool, records, condition, select_rng, Random("noise"), 40, 0.05)
     assert select_rng.getstate() == state
 
-    policy = experiments.condition_policy(condition)
+    policy = experiments.CONDITIONS[condition]
     by_id = {p.delegate_id: p for p in pool}
     loop_rng, noise_rng = Random("select"), Random("noise")
     selections, samples = [], []

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +99,19 @@ def test_removed_names_stay_removed(owner, name):
         scope = getattr(scope, attribute)
     assert not hasattr(scope, name)
     assert not hasattr(delgov, name)
+
+
+def test_the_package_imports_only_the_standard_library():
+    sources = sorted(Path(delgov.__file__).parent.glob("*.py"))
+    assert sources
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue  # relative imports stay inside the package
+            for module in modules:
+                top = module.partition(".")[0]
+                assert top in sys.stdlib_module_names, f"{source.name} imports {module}"

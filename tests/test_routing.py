@@ -13,6 +13,7 @@ from delgov.routing import (
     DelegateRecord,
     NoEligibleDelegate,
     RoutingPolicy,
+    Strategy,
     eligible_claim,
     rank,
     select,
@@ -49,6 +50,26 @@ def test_plain_string_claim_type_is_normalized_and_routes():
     assert select(pool, policy(ClaimType.ISSUER_ATTESTED), Random(0), NOW) == "d-b"
     with pytest.raises(ValueError, match="duplicate claim"):
         DelegateRecord("d-c", (claim_a, QualityClaim("reasoning", 0.2, "self_claimed")))
+
+
+def test_policy_from_plain_values_equals_the_member_policy_and_routes_the_same():
+    pool = [
+        DelegateRecord("d-a", (claim(0.9, ClaimType.SELF_CLAIMED),)),
+        DelegateRecord("d-b", (claim(0.7, ClaimType.ISSUER_ATTESTED),)),
+    ]
+    plain = RoutingPolicy("by_claims", "issuer_attested", "reasoning")
+    assert plain == policy(ClaimType.ISSUER_ATTESTED)
+    assert plain.strategy is Strategy.BY_CLAIMS
+    assert plain.min_claim_type is ClaimType.ISSUER_ATTESTED
+    assert select(pool, plain, Random(0), NOW) == "d-b"
+    assert RoutingPolicy("blind") == RoutingPolicy.blind()
+    assert select(pool, RoutingPolicy("blind"), Random(3)) == select(
+        pool, RoutingPolicy.blind(), Random(3)
+    )
+    with pytest.raises(ValueError, match="is not a valid"):
+        RoutingPolicy("cheapest")
+    with pytest.raises(ValueError, match="is not a valid"):
+        RoutingPolicy("by_claims", "peer_reviewed", "reasoning")
 
 
 def test_self_claim_filtered_out_by_attested_minimum():
@@ -282,3 +303,32 @@ def test_rank_is_the_eligible_claim_filter_and_select_its_argmax(pool, pol):
         best = max(value for value, _ in ranked)
         assert select(pool, pol, rng, NOW) == min(d for v, d in ranked if v == best)
     assert rng.getstate() == state
+
+
+def _outcome(call):
+    try:
+        return call()
+    except NoEligibleDelegate as exc:
+        return type(exc), str(exc)
+
+
+# One instant in three forms: aware UTC, a fixed non-UTC offset, naive UTC wall time.
+_OFFSET = timezone(timedelta(hours=5, minutes=30))
+_NOW_FORMS = (
+    lambda instant: instant,
+    lambda instant: instant.astimezone(_OFFSET),
+    lambda instant: instant.replace(tzinfo=None),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pools, _policies, st.integers(-3 * 24, 3 * 24), st.sampled_from(_NOW_FORMS))
+def test_every_form_of_the_same_now_routes_the_same(pool, pol, hours, form):
+    instant = NOW + timedelta(hours=hours)
+    now = form(instant)
+    for record in pool:
+        assert eligible_claim(record, pol, now) == eligible_claim(record, pol, instant)
+    assert rank(pool, pol, now) == rank(pool, pol, instant)
+    assert _outcome(lambda: select(pool, pol, Random(0), now)) == _outcome(
+        lambda: select(pool, pol, Random(0), instant)
+    )

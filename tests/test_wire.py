@@ -133,6 +133,13 @@ def test_float_money_is_read_by_its_shortest_repr():
     assert str(Budget(max_cost_usd=0.05).max_cost_usd) == "0.05"
 
 
+def test_non_numeric_money_string_raises_value_error_in_memory():
+    with pytest.raises(ValueError, match="^invalid decimal 'abc'$"):
+        Budget(max_cost_usd="abc")
+    with pytest.raises(ValueError, match="^invalid decimal ''$"):
+        TaskResult("t-1", "x", 5, "", datetime(2026, 1, 1, tzinfo=timezone.utc))
+
+
 def test_cost_as_json_number_is_accepted():
     raw = json.dumps(
         {
