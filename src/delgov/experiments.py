@@ -10,7 +10,9 @@ Three experiments, all seeded and reproducible:
   differ only in the router's minimum claim type.
 - Sensitivity grid: 36 cells over dishonest fraction x inflation level x
   pool size, averaged over a seed list, with a paradox flag per cell
-  (self_claimed mean strictly below blind mean).
+  (self_claimed mean strictly below blind mean). A ``PoolConfig`` holds
+  only those three axes; every pool shares the simulator's fixed
+  true-quality range and noise (``Q_TRUE_RANGE``, ``NOISE_SIGMA``).
 - Overhead: canonical message byte sizes with and without a contract, and
   mean wall time for contract validation and message serialization.
 
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from decimal import Decimal
 from random import Random
@@ -82,13 +84,7 @@ CONDITIONS = {
     "attested": RoutingPolicy.by_claims(EXPERIMENT_SKILL, ClaimType.ISSUER_ATTESTED),
 }
 
-ROUTING_POOL = PoolConfig(
-    pool_size=10,
-    dishonest_fraction=0.3,
-    inflation_range=(0.35, 0.45),
-    q_true_range=(0.45, 0.95),
-    noise_sigma=0.05,
-)
+ROUTING_POOL = PoolConfig(pool_size=10, dishonest_fraction=0.3, inflation_range=(0.35, 0.45))
 
 GRID_FRACTIONS = (0.1, 0.3, 0.5, 0.7)
 GRID_INFLATION = (
@@ -203,7 +199,6 @@ def run_condition(
     select_rng: Random,
     noise_rng: Random,
     tasks: int,
-    noise_sigma: float,
 ) -> ConditionRun:
     """Route and execute ``tasks`` tasks under one condition.
 
@@ -219,7 +214,7 @@ def run_condition(
         selections = [select(records, policy, select_rng)] * tasks
     else:
         selections = []
-    samples = [execute_task(by_id[d], noise_rng, noise_sigma) for d in selections]
+    samples = [execute_task(by_id[d], noise_rng) for d in selections]
     return ConditionRun(condition=condition, samples=tuple(samples), selections=tuple(selections))
 
 
@@ -227,7 +222,6 @@ def _run_conditions(
     pool: Sequence[DelegateProfile],
     stream_seeds: Callable[[str], tuple[str, str]],
     tasks: int,
-    noise_sigma: float,
 ) -> tuple[ConditionRun, ...]:
     """Run every condition over one pool, in ``CONDITIONS`` order.
 
@@ -245,7 +239,6 @@ def _run_conditions(
             condition,
             *map(Random, stream_seeds(condition)),
             tasks,
-            noise_sigma,
         )
         for condition in CONDITIONS
     )
@@ -295,7 +288,6 @@ def run_routing_conditions_detailed(seed: int, tasks_per_condition: int) -> Rout
         pool,
         lambda c: (f"{seed}:e3:{c}:select", f"{seed}:e3:{c}:noise"),
         tasks_per_condition,
-        ROUTING_POOL.noise_sigma,
     )
     best_id = best_delegate(pool)
     dishonest = frozenset(metadata.dishonest_ids)
@@ -325,12 +317,7 @@ def run_sensitivity(
     for fraction in GRID_FRACTIONS:
         for level, inflation in GRID_INFLATION:
             for size in GRID_POOL_SIZES:
-                config = replace(
-                    ROUTING_POOL,
-                    pool_size=size,
-                    dishonest_fraction=fraction,
-                    inflation_range=inflation,
-                )
+                config = PoolConfig(size, fraction, inflation)
                 key = f"grid:{fraction!r}:{level}:{size}"
                 totals = {condition: 0.0 for condition in CONDITIONS}
                 for seed in seeds:
@@ -340,7 +327,6 @@ def run_sensitivity(
                         pool,
                         lambda c: (f"{seed}:{key}:select:{c}", f"{seed}:{key}:noise"),
                         tasks_per_condition,
-                        config.noise_sigma,
                     )
                     for run in runs:
                         totals[run.condition] += math.fsum(run.samples) / len(run.samples)

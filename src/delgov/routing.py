@@ -81,7 +81,8 @@ class DelegateRecord:
     """A delegate and its advertised quality claims.
 
     At most one claim per (skill, claim_type) pair; a delegate may well
-    hold different claim types for different skills.
+    hold different claim types for different skills. NaN values, which have
+    no order, are refused: routing over one would follow pool order.
     """
 
     delegate_id: str
@@ -97,6 +98,10 @@ class DelegateRecord:
                 raise ValueError(
                     f"delegate {self.delegate_id!r} has duplicate claim for "
                     f"skill {claim.skill!r} at type {claim.claim_type.value!r}"
+                )
+            if claim.value != claim.value:
+                raise ValueError(
+                    f"delegate {self.delegate_id!r} has a NaN claim for skill {claim.skill!r}"
                 )
             seen.add(key)
 

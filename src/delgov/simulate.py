@@ -1,8 +1,11 @@
 """Simulated delegate pools with known true quality and configurable inflation.
 
+A ``PoolConfig`` is one cell of the sensitivity grid: pool size, dishonest
+fraction and inflation range. The rest of the model is fixed: true
+qualities span ``Q_TRUE_RANGE`` and task noise is ``NOISE_SIGMA``.
 Pool construction is fully deterministic given (config, seed):
 
-- True qualities are evenly spaced across ``q_true_range``; with n
+- True qualities are evenly spaced across ``Q_TRUE_RANGE``; with n
   delegates, delegate i gets ``lo + i * (hi - lo) / (n - 1)``. Delegate ids
   are zero-padded so lexicographic order equals quality order.
 - The dishonest count is ``round(pool_size * dishonest_fraction)`` with
@@ -19,10 +22,10 @@ Pool construction is fully deterministic given (config, seed):
   jitter), comfortably inside the 0.02 honesty band.
 
 Task execution (``execute_task``) returns the output quality as a plain
-float: the delegate's true quality plus zero-mean gaussian noise, clamped
-to [0, 1]. Gaussians come from a local Box-Muller transform over
-``random.Random`` uniforms so seeded runs reproduce across platforms and
-interpreter versions.
+float: the delegate's true quality plus zero-mean gaussian noise of
+standard deviation ``NOISE_SIGMA``, clamped to [0, 1]. Gaussians come
+from a local Box-Muller transform over ``random.Random`` uniforms so
+seeded runs reproduce across platforms and interpreter versions.
 """
 
 from __future__ import annotations
@@ -48,15 +51,17 @@ class DelegateProfile:
     honest: bool
 
 
+Q_TRUE_RANGE = (0.45, 0.95)
+NOISE_SIGMA = 0.05
+
+
 @dataclass(frozen=True)
 class PoolConfig:
-    """Knobs for pool construction and task execution noise."""
+    """The grid's three axes; ``Q_TRUE_RANGE`` and ``NOISE_SIGMA`` are fixed."""
 
     pool_size: int
     dishonest_fraction: float
     inflation_range: tuple[float, float]
-    q_true_range: tuple[float, float] = (0.45, 0.95)
-    noise_sigma: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -100,11 +105,6 @@ def _validate_config(config: PoolConfig) -> None:
     low, high = config.inflation_range
     if not 0.0 <= low <= high:
         raise BadConfig(f"inflation_range must satisfy 0 <= low <= high (got {config.inflation_range})")
-    lo, hi = config.q_true_range
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise BadConfig(f"q_true_range must lie within [0, 1] (got {config.q_true_range})")
-    if config.noise_sigma < 0.0:
-        raise BadConfig(f"noise_sigma must be >= 0 (got {config.noise_sigma})")
 
 
 def build_pool_with_metadata(
@@ -118,7 +118,7 @@ def build_pool_with_metadata(
     """
     _validate_config(config)
     n = config.pool_size
-    lo, hi = config.q_true_range
+    lo, hi = Q_TRUE_RANGE
     low, high = config.inflation_range
 
     k = min(dishonest_count(n, config.dishonest_fraction), n)
@@ -158,17 +158,12 @@ def build_pool_with_metadata(
     return profiles, metadata
 
 
-def execute_task(
-    profile: DelegateProfile,
-    rng: Random,
-    noise_sigma: float,
-) -> float:
+def execute_task(profile: DelegateProfile, rng: Random) -> float:
     """Output quality of one task: true quality plus gaussian noise, clamped to [0, 1].
 
-    Draws exactly one gaussian from ``rng`` even when sigma is zero, so the
-    stream position does not depend on the noise setting.
+    Draws exactly one gaussian (``NOISE_SIGMA``) from ``rng``.
     """
-    return min(max(profile.q_true + gaussian(rng, 0.0, noise_sigma), 0.0), 1.0)
+    return min(max(profile.q_true + gaussian(rng, 0.0, NOISE_SIGMA), 0.0), 1.0)
 
 
 def best_delegate(pool: Sequence[DelegateProfile]) -> str:

@@ -11,6 +11,9 @@ Format rules:
 - Absent optional fields are omitted entirely, never emitted as null.
   An empty list is equivalent to an absent one.
 - Timestamps are RFC 3339 UTC strings, e.g. ``"2026-03-15T18:00:00Z"``.
+  The decoder reads one grammar on every Python, in ASCII digits:
+  ``YYYY-MM-DD``, ``T`` or ``t``, ``HH:MM:SS``, optionally ``.`` and one to
+  six digits (microseconds at most), then ``Z``, ``z`` or ``[+-]HH:MM``.
 - Money is carried as a decimal string so roundtrips are exact on every
   platform; it is parsed to :class:`decimal.Decimal` internally.
 - Unknown object keys are ignored on decode (new fields never break old
@@ -49,6 +52,7 @@ presence and then for type, and reports the first fault.
 from __future__ import annotations
 
 import json
+import re
 from datetime import datetime, timezone
 from decimal import Decimal
 from enum import Enum
@@ -102,12 +106,21 @@ def format_timestamp(value: datetime) -> str:
     return value.astimezone(timezone.utc).replace(tzinfo=None).isoformat() + "Z"
 
 
+# The module docstring's grammar: fromisoformat alone reads other forms, varying by version.
+_RFC3339 = re.compile(r"\d{4}-\d\d-\d\d[Tt]\d\d:\d\d:\d\d(\.\d{1,6})?([Zz]|[+-]\d\d:[0-5]\d)?", re.ASCII)
+
+
 def parse_timestamp(raw: Any, path: str) -> datetime:
     if not isinstance(raw, str):
         raise MalformedMessage(f"{path}: expected an RFC 3339 string")
-    text = raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw
+    match = _RFC3339.fullmatch(raw)
+    if match is None:
+        raise MalformedMessage(f"{path}: invalid RFC 3339 timestamp {raw!r}")
+    fraction, offset = match.groups()
+    offset = "+00:00" if offset in ("Z", "z") else offset or ""
     try:
-        parsed = datetime.fromisoformat(text)
+        # every supported fromisoformat reads a six-digit fraction and +00:00
+        parsed = datetime.fromisoformat(raw[:19] + (fraction or ".").ljust(7, "0") + offset)
     except ValueError:
         raise MalformedMessage(f"{path}: invalid RFC 3339 timestamp {raw!r}") from None
     if parsed.tzinfo is None:

@@ -176,7 +176,7 @@ def test_by_claims_condition_matches_a_per_task_select_loop(condition):
     records = experiments.records_for_pool(pool, with_attested_claims=condition == "attested")
     select_rng = Random("select")
     state = select_rng.getstate()
-    run = experiments.run_condition(pool, records, condition, select_rng, Random("noise"), 40, 0.05)
+    run = experiments.run_condition(pool, records, condition, select_rng, Random("noise"), 40)
     assert select_rng.getstate() == state
 
     policy = experiments.CONDITIONS[condition]
@@ -186,7 +186,7 @@ def test_by_claims_condition_matches_a_per_task_select_loop(condition):
     for _ in range(40):
         delegate_id = select(records, policy, loop_rng)
         selections.append(delegate_id)
-        samples.append(execute_task(by_id[delegate_id], noise_rng, 0.05))
+        samples.append(execute_task(by_id[delegate_id], noise_rng))
     assert run.selections == tuple(selections)
     assert run.samples == tuple(samples)
 
@@ -195,7 +195,7 @@ def test_by_claims_condition_without_an_eligible_claim_raises():
     pool = _routing_pool(11)
     self_only = experiments.records_for_pool(pool, with_attested_claims=False)
     with pytest.raises(NoEligibleDelegate):
-        experiments.run_condition(pool, self_only, "attested", Random(0), Random(1), 5, 0.05)
+        experiments.run_condition(pool, self_only, "attested", Random(0), Random(1), 5)
     # no task, no routing: nothing is raised
-    run = experiments.run_condition(pool, self_only, "attested", Random(0), Random(1), 0, 0.05)
+    run = experiments.run_condition(pool, self_only, "attested", Random(0), Random(1), 0)
     assert run.samples == () and run.selections == ()

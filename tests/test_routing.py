@@ -132,6 +132,16 @@ def test_duplicate_claim_per_skill_and_type_is_rejected():
         )
 
 
+def test_nan_claim_is_rejected_when_the_record_is_built():
+    # NaN has no order, so routing over it would follow pool order
+    a = DelegateRecord("a", (claim(0.5, ClaimType.SELF_CLAIMED),))
+    with pytest.raises(ValueError, match="delegate 'b' has a NaN claim for skill 'reasoning'"):
+        DelegateRecord("b", (claim(float("nan"), ClaimType.SELF_CLAIMED),))
+    # other out-of-range values are left to validate_invariants and still route by value
+    b = DelegateRecord("b", (claim(1.5, ClaimType.SELF_CLAIMED),))
+    assert select([a, b], policy(), Random(0), NOW) == select([b, a], policy(), Random(0), NOW) == "b"
+
+
 def _pool(values_by_id, claim_type=ClaimType.SELF_CLAIMED):
     return [
         DelegateRecord(delegate_id, (claim(value, claim_type),))

@@ -21,8 +21,6 @@ CANONICAL = PoolConfig(
     pool_size=10,
     dishonest_fraction=0.3,
     inflation_range=(0.35, 0.45),
-    q_true_range=(0.45, 0.95),
-    noise_sigma=0.05,
 )
 
 # expected mean of clamp(N(0.95, 0.05), 0, 1): the upper clamp eats
@@ -129,21 +127,13 @@ def test_fraction_one_makes_every_delegate_dishonest():
         PoolConfig(10, 1.2, (0.35, 0.45)),
         PoolConfig(10, 0.3, (0.45, 0.35)),
         PoolConfig(10, 0.3, (-0.1, 0.45)),
-        PoolConfig(10, 0.3, (0.35, 0.45), q_true_range=(0.5, 1.2)),
-        PoolConfig(10, 0.3, (0.35, 0.45), noise_sigma=-0.01),
         # valid fields, but some inflator's claim cannot rise above its q_true
         PoolConfig(3, 0.5, (0.0, 0.0)),
-        PoolConfig(3, 1.0, (0.1, 0.2), q_true_range=(0.5, 1.0)),
     ],
 )
 def test_bad_configs_are_rejected(config):
     with pytest.raises(BadConfig):
         build_pool_with_metadata(config, Random(0))[0]
-
-
-def test_zero_sigma_returns_true_quality_exactly():
-    pool = build_pool_with_metadata(CANONICAL, Random(8))[0]
-    assert execute_task(pool[4], Random(1), noise_sigma=0.0) == pool[4].q_true
 
 
 def test_clamped_mean_matches_the_analytic_oracle():
@@ -152,7 +142,7 @@ def test_clamped_mean_matches_the_analytic_oracle():
     pool = build_pool_with_metadata(CANONICAL, Random(10))[0]
     top = next(p for p in pool if p.delegate_id == "d9")
     rng = Random(77)
-    outcomes = [execute_task(top, rng, 0.05) for _ in range(10000)]
+    outcomes = [execute_task(top, rng) for _ in range(10000)]
     mean = sum(outcomes) / len(outcomes)
     assert abs(mean - CLAMPED_MEAN_95) < 0.0015  # 3 sigma of the MC estimate
     assert 0.935 <= mean <= 0.955
@@ -162,7 +152,7 @@ def test_noise_scale_in_the_unclamped_region():
     pool = build_pool_with_metadata(CANONICAL, Random(11))[0]
     mid = next(p for p in pool if abs(p.q_true - 0.5611) < 0.001)
     rng = Random(5)
-    outcomes = [execute_task(mid, rng, 0.05) for _ in range(10000)]
+    outcomes = [execute_task(mid, rng) for _ in range(10000)]
     mean = sum(outcomes) / len(outcomes)
     std = math.sqrt(sum((x - mean) ** 2 for x in outcomes) / (len(outcomes) - 1))
     assert abs(std - 0.05) < 0.002

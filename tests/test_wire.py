@@ -316,6 +316,52 @@ def test_hostile_input_is_malformed_not_a_crash(raw, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        ("2026-W11-1T18:00:00Z", "invalid RFC 3339 timestamp"),  # ISO week date
+        ("20260315T180000Z", "invalid RFC 3339 timestamp"),  # ISO basic format
+        ("2026-03-15T18:00:00,5Z", "invalid RFC 3339 timestamp"),  # comma before the fraction
+        ("2026-03-15T18:00:00.1234567Z", "invalid RFC 3339 timestamp"),  # finer than a microsecond
+        ("2026-03-15T18Z", "invalid RFC 3339 timestamp"),
+        ("2026-03-15T18:00Z", "invalid RFC 3339 timestamp"),
+        ("2026-03-15 18:00:00Z", "invalid RFC 3339 timestamp"),
+        ("2026-03-15T18:00:00+05:60", "invalid RFC 3339 timestamp"),
+        ("\u0662\u0660\u0662\u0666-03-15T18:00:00Z", "invalid RFC 3339 timestamp"),  # non-ASCII digits
+        ("2026-02-29T18:00:00Z", "invalid RFC 3339 timestamp"),  # not a leap year
+        ("2026-03-15T18:00:00.5", "lacks a UTC offset"),
+    ],
+)
+def test_timestamps_outside_the_rfc_3339_grammar_are_rejected_on_every_python(text, fault):
+    with pytest.raises(MalformedMessage, match=f"claim.observed_at: .*{fault}"):
+        decode_any(json.dumps(dict(_CLAIM, observed_at=text)))
+
+
+@pytest.mark.parametrize(
+    "text, instant",
+    [
+        ("2026-03-15T18:00:00.5Z", datetime(2026, 3, 15, 18, 0, 0, 500000, tzinfo=UTC)),
+        ("2026-03-15t18:00:00z", datetime(2026, 3, 15, 18, tzinfo=UTC)),
+        ("2026-03-15T19:00:00.123456+01:00", datetime(2026, 3, 15, 18, 0, 0, 123456, tzinfo=UTC)),
+    ],
+)
+def test_rfc_3339_timestamps_decode_to_the_same_instant_on_every_python(text, instant):
+    assert decode_any(json.dumps(dict(_CLAIM, observed_at=text))).observed_at == instant
+
+
+@pytest.mark.parametrize(
+    "call, value, message",
+    [
+        (to_wire, "text", "not a wire type: str"),
+        (encode_message, sample_contract(), "not a protocol message: DelegationContract"),
+        (validate_invariants, 7, "not a protocol domain type: int"),
+    ],
+)
+def test_values_that_are_not_wire_types_raise_type_error(call, value, message):
+    with pytest.raises(TypeError, match=message):
+        call(value)
+
+
 def test_years_before_1000_encode_with_four_digits_and_roundtrip():
     msg = sample_result(completed_at=datetime(1, 1, 1, tzinfo=UTC))
     assert json.loads(encode_message(msg))["completed_at"] == "0001-01-01T00:00:00Z"
