@@ -22,10 +22,10 @@ Pool construction is fully deterministic given (config, seed):
   jitter), comfortably inside the 0.02 honesty band.
 
 Task execution (``execute_task``) returns the output quality as a plain
-float: the delegate's true quality plus zero-mean gaussian noise of
-standard deviation ``NOISE_SIGMA``, clamped to [0, 1]. Gaussians come
-from a local Box-Muller transform over ``random.Random`` uniforms so
-seeded runs reproduce across platforms and interpreter versions.
+float: the delegate's true quality plus ``NOISE_SIGMA`` times a standard
+normal, clamped to [0, 1]. ``gaussian`` draws it by a local Box-Muller
+transform over ``random.Random`` uniforms so seeded runs reproduce
+across platforms and interpreter versions.
 """
 
 from __future__ import annotations
@@ -85,16 +85,15 @@ def dishonest_count(pool_size: int, dishonest_fraction: float) -> int:
     return int(product.to_integral_value(rounding=ROUND_HALF_EVEN))
 
 
-def gaussian(rng: Random, mu: float = 0.0, sigma: float = 1.0) -> float:
-    """One N(mu, sigma) sample via the basic Box-Muller transform.
+def gaussian(rng: Random) -> float:
+    """One standard normal sample, N(0, 1), via the basic Box-Muller transform.
 
     Consumes exactly two uniforms per call and keeps no state, so the
     draw sequence is a pure function of the rng stream.
     """
     u1 = 1.0 - rng.random()  # (0, 1], keeps the log finite
     u2 = rng.random()
-    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-    return mu + sigma * z
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 def _validate_config(config: PoolConfig) -> None:
@@ -161,9 +160,9 @@ def build_pool_with_metadata(
 def execute_task(profile: DelegateProfile, rng: Random) -> float:
     """Output quality of one task: true quality plus gaussian noise, clamped to [0, 1].
 
-    Draws exactly one gaussian (``NOISE_SIGMA``) from ``rng``.
+    Draws exactly one standard normal from ``rng``, scaled by ``NOISE_SIGMA``.
     """
-    return min(max(profile.q_true + gaussian(rng, 0.0, NOISE_SIGMA), 0.0), 1.0)
+    return min(max(profile.q_true + NOISE_SIGMA * gaussian(rng), 0.0), 1.0)
 
 
 def best_delegate(pool: Sequence[DelegateProfile]) -> str:

@@ -3,8 +3,11 @@
 All types are frozen dataclasses. Construction normalizes every field as
 its annotation says: an enum field takes a member or its plain value
 (``"fail_closed"``) and stores the member, money becomes an exact
-``Decimal``, a timestamp UTC (naive reads as UTC), a sequence a tuple. An
-unknown enum value or a timestamp out of range in UTC raises ``ValueError``.
+``Decimal``, a timestamp UTC (naive reads as UTC), a sequence of strings a
+tuple, and an int given for a float field its float. A ``str``, ``int``,
+``float`` or ``bool`` field, or an item of a tuple field, of another type
+raises ``TypeError`` (a bool is never an integer or a number). An unknown
+enum value or a timestamp out of range in UTC raises ``ValueError``.
 Semantic rules live in ``delgov.wire.validate_invariants`` so that suspect
 input can be inspected and reported instead of lost to a constructor error.
 """
@@ -78,9 +81,7 @@ def _utc(value: datetime) -> datetime:
         raise ValueError(f"{value.isoformat()} is out of range in UTC") from None
 
 
-def _money(value: Union[Decimal, int, str, float]) -> Decimal:
-    if isinstance(value, Decimal):
-        return value
+def _money(value: Union[int, str, float]) -> Decimal:
     if isinstance(value, float):
         # repr() is the shortest faithful form, so 0.05 becomes "0.05", not
         # its 55-digit binary expansion.
@@ -89,6 +90,42 @@ def _money(value: Union[Decimal, int, str, float]) -> Decimal:
         return Decimal(value)
     except InvalidOperation:
         raise ValueError(f"invalid decimal {value!r}") from None
+
+
+def _str(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
+def _int(value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected an integer")
+    return value
+
+
+def _float(value: Any) -> float:
+    # a bool is never a number; an int is stored as its float
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("integer too large for a float") from None
+
+
+def _bool(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected a boolean")
+    return value
+
+
+def _strings(value: Any) -> tuple[str, ...]:
+    items = tuple(value)
+    for item in items:
+        if not isinstance(item, str):
+            raise TypeError("expected a sequence of strings")
+    return items
 
 
 def _fields(cls: type) -> list[tuple[str, Any, bool]]:
@@ -107,7 +144,8 @@ def _fields(cls: type) -> list[tuple[str, Any, bool]]:
 @cache
 def _normalizers(cls: type) -> tuple[tuple[str, Optional[type], Callable[[Any], Any]], ...]:
     """(name, normal type, normalizer) for each field of ``cls`` whose annotation has one."""
-    plain = {Decimal: (Decimal, _money), datetime: (None, _utc), tuple[str, ...]: (tuple, tuple)}
+    plain = {str: (str, _str), int: (int, _int), float: (float, _float), bool: (bool, _bool),
+             Decimal: (Decimal, _money), datetime: (None, _utc), tuple[str, ...]: (None, _strings)}
     out = []
     for name, hint, _ in _fields(cls):
         if isinstance(hint, type) and issubclass(hint, Enum):
@@ -125,8 +163,12 @@ class _Normalized:
             value = getattr(self, name)
             # a value of its normal type skips the call (calling an enum costs
             # far more); decoded values come back unchanged and are not written
-            if value is not None and type(value) is not normal_type:
-                if (normal := normalize(value)) is not value:
+            if type(value) is not normal_type and value is not None:
+                try:
+                    normal = normalize(value)
+                except TypeError as exc:
+                    raise TypeError(f"{type(self).__name__}.{name}: {exc}") from None
+                if normal is not value:
                     object.__setattr__(self, name, normal)
 
 

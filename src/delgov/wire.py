@@ -30,9 +30,13 @@ processing happens:
 
 Hostile input is malformed too, never a crash: JSON nested past the
 parser's recursion limit, an integer literal past the interpreter's digit
-limit, a non-finite money value (``NaN``, ``sNaN``, ``Infinity``) and a
-timestamp whose UTC form falls outside the years 1 to 9999 each raise
-:class:`MalformedMessage`. A key that appears twice in one object is not
+limit, a non-finite money value (``NaN``, ``sNaN``, ``Infinity``), a
+timestamp whose UTC form falls outside the years 1 to 9999, a string
+anywhere in the document (keys included) holding an unpaired surrogate,
+by a ``\\ud800`` escape or, in ``str`` input, as itself, and an integer
+too large for a float in a float field each raise
+:class:`MalformedMessage`. A paired escape such as ``\\ud83d\\ude00``
+reads as its one character. A key that appears twice in one object is not
 rejected: the last occurrence wins, as in :func:`json.loads`.
 
 A message without any governance fields (contract, claims, provenance)
@@ -72,8 +76,12 @@ from .types import (
     QualityClaim,
     TaskResult,
     TaskSubmit,
+    _bool,
     _fields,
+    _float,
+    _int,
     _money,
+    _str,
     _utc,
 )
 
@@ -144,24 +152,6 @@ def parse_money(raw: Any, path: str) -> Decimal:
     return value
 
 
-def _int(raw: Any, path: str, name: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise MalformedMessage(f"{path}.{name}: expected an integer")
-    return raw
-
-
-def _number(raw: Any, path: str, name: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise MalformedMessage(f"{path}.{name}: expected a number")
-    return float(raw)
-
-
-def _bool(raw: Any, path: str, name: str) -> bool:
-    if not isinstance(raw, bool):
-        raise MalformedMessage(f"{path}.{name}: expected a boolean")
-    return raw
-
-
 def _str_list(raw: Any, path: str, name: str) -> tuple[str, ...]:
     if not isinstance(raw, list):
         raise MalformedMessage(f"{path}.{name}: expected a list of strings")
@@ -177,17 +167,26 @@ def _str_list(raw: Any, path: str, name: str) -> tuple[str, ...]:
 
 # A kind is how one sort of field crosses the wire: a pair of converters
 # (encode, decode). ``encode(value)`` gives the JSON value of an
-# attribute, or None to leave the key out; ``decode(raw, path, name)``
-# checks the JSON value and converts it back. None in either place means
-# the value crosses unchanged, and a None decoder admits only strings.
-# Kinds are plain tuples because the per-field loops unpack them, and a
-# plain tuple unpacks faster than a NamedTuple.
-_Kind = tuple[Optional[Callable[[Any], Any]], Optional[Callable[[Any, str, str], Any]]]
+# attribute, or None to leave the key out; None in its place means the
+# value crosses unchanged. ``decode(raw, path, name)`` checks the JSON
+# value and converts it back. Kinds are plain tuples because the
+# per-field loops unpack them, and a plain tuple unpacks faster than a
+# NamedTuple.
+_Kind = tuple[Optional[Callable[[Any], Any]], Callable[[Any, str, str], Any]]
 
-_STR: _Kind = (None, None)
-_INT: _Kind = (None, _int)
-_NUMBER: _Kind = (None, _number)
-_BOOL: _Kind = (None, _bool)
+
+def _scalar(check: Callable[[Any], Any]) -> _Kind:
+    """The kind of a scalar field: construction's own check, with the field path on failure."""
+
+    def decode(raw: Any, path: str, name: str) -> Any:
+        try:
+            return check(raw)
+        except (TypeError, ValueError) as exc:
+            raise MalformedMessage(f"{path}.{name}: {exc}") from None
+
+    return None, decode
+
+
 _STR_LIST: _Kind = (lambda items: list(items) or None, _str_list)
 _MONEY: _Kind = (str, lambda raw, path, name: parse_money(raw, f"{path}.{name}"))
 _TIMESTAMP: _Kind = (
@@ -238,11 +237,7 @@ def from_wire(cls: type, raw: Any, path: str) -> Any:
             item = raw.get(name)
             if item is None:
                 continue
-        if decode is not None:
-            item = decode(item, path, name)
-        elif not isinstance(item, str):
-            raise MalformedMessage(f"{path}.{name}: expected a string")
-        values[name] = item
+        values[name] = decode(item, path, name)
     return cls(**values)
 
 
@@ -270,10 +265,10 @@ def _object(cls: type) -> _Kind:
 _WIRE_TYPES = get_args(DomainType)
 # The kinds of plain annotations; enums and wire types get theirs in _rows.
 _KINDS = {
-    str: _STR,
-    int: _INT,
-    float: _NUMBER,
-    bool: _BOOL,
+    str: _scalar(_str),
+    int: _scalar(_int),
+    float: _scalar(_float),
+    bool: _scalar(_bool),
     tuple[str, ...]: _STR_LIST,
     Decimal: _MONEY,
     datetime: _TIMESTAMP,
@@ -320,6 +315,8 @@ def encode_message(msg: Message) -> bytes:
 
     Valid in-memory values always encode; callers own the precondition
     that ``msg`` satisfies its invariants (see ``validate_invariants``).
+    A string built in memory with an unpaired surrogate has no UTF-8
+    form and raises ``UnicodeEncodeError``, which is a ``ValueError``.
     """
     if not isinstance(msg, (TaskSubmit, TaskResult)):
         raise TypeError(f"not a protocol message: {type(msg).__name__}")
@@ -337,7 +334,28 @@ def _checked(value: DomainType) -> Any:
     return value
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _has_lone_surrogate(parsed: Any) -> bool:
+    """Whether any string of a parsed JSON value, keys included, holds an unpaired surrogate."""
+    pending = [parsed]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, dict):
+            pending.extend(node)
+            pending.extend(node.values())
+        elif isinstance(node, list):
+            pending.extend(node)
+        elif isinstance(node, str) and _SURROGATE.search(node):
+            return True
+    return False
+
+
 def _load_object(data: Union[bytes, str]) -> dict:
+    # UTF-8 decoding refuses surrogates, so decoded text can bring one in
+    # only by a \u escape; a non-ASCII str can also hold one as it is
+    suspect = isinstance(data, str) and not data.isascii()
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -354,6 +372,8 @@ def _load_object(data: Union[bytes, str]) -> dict:
         raise MalformedMessage("message: invalid JSON (integer too long)") from None
     if not isinstance(parsed, dict):
         raise MalformedMessage("message: top-level value must be an object")
+    if (suspect or "\\" in data) and _has_lone_surrogate(parsed):
+        raise MalformedMessage("message: a string holds an unpaired surrogate")
     return parsed
 
 

@@ -94,6 +94,8 @@ HOSTILE = {
     "nan_money.json": json.dumps(dict(_RESULT_DOC, cost_usd="NaN")),
     "snan_money.json": json.dumps(dict(_RESULT_DOC, cost_usd="sNaN")),
     "year_one.json": json.dumps(dict(_RESULT_DOC, completed_at="0001-01-01T00:00:00+01:00")),
+    "lone_surrogate.json": json.dumps(dict(_RESULT_DOC, output="ok \ud800")),
+    "huge_claim_value.json": json.dumps({"skill": "s", "value": 10**400, "claim_type": "self_claimed"}),
 }
 
 
@@ -150,6 +152,21 @@ def test_check_contract_on_huge_cost_exits_one_without_output(tmp_path):
     assert proc.stderr == (
         "invalid input: TaskResult.cost_usd: must be at most 2**53 (got 1E+400)\n"
     )
+
+
+def test_check_contract_on_a_lone_surrogate_exits_one_without_output(tmp_path):
+    # the result used to decode, print its disposition, then fail to encode
+    contract_path, result_path = tmp_path / "c.json", tmp_path / "r.json"
+    write_contract(contract_path)
+    result_path.write_text(json.dumps(dict(_RESULT_DOC, output="ok \ud800", tokens_used=8200)))
+    assert "\\ud800" in result_path.read_text()
+    proc = run_cli(
+        "check-contract", str(contract_path), str(result_path),
+        "--received-at", "2026-01-01T00:00:00Z",
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "invalid input: message: a string holds an unpaired surrogate\n"
 
 
 @pytest.mark.parametrize(

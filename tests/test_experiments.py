@@ -148,6 +148,19 @@ def test_overhead_iteration_stability():
     assert 1 / 3 <= ratio <= 3
 
 
+@pytest.mark.parametrize(
+    ("seeds", "tasks", "message"),
+    [
+        ([], 10, "run_sensitivity requires at least one seed"),
+        ([1], 0, "tasks_per_condition must be >= 1"),
+    ],
+    ids=["no-seeds", "no-tasks"],
+)
+def test_sensitivity_rejects_empty_inputs(seeds, tasks, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        experiments.run_sensitivity(seeds, tasks)
+
+
 def test_overhead_rejects_tiny_iteration_counts():
     with pytest.raises(ValueError):
         experiments.run_overhead(10)

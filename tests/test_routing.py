@@ -124,6 +124,17 @@ def test_eligible_claim_rejects_blind_policies():
         eligible_claim(record, RoutingPolicy.blind(), NOW)
 
 
+@pytest.mark.parametrize(
+    "partial",
+    [RoutingPolicy("by_claims", skill="reasoning"), RoutingPolicy("by_claims", ClaimType.SELF_CLAIMED)],
+    ids=["no-floor", "no-skill"],
+)
+def test_by_claims_policy_needs_a_skill_and_a_floor(partial):
+    record = DelegateRecord("d-a", (claim(0.8, ClaimType.SELF_CLAIMED),))
+    with pytest.raises(ValueError, match="^by_claims policy requires both skill and min_claim_type$"):
+        eligible_claim(record, partial, NOW)
+
+
 def test_duplicate_claim_per_skill_and_type_is_rejected():
     with pytest.raises(ValueError):
         DelegateRecord(

@@ -174,8 +174,8 @@ def test_gaussian_moments_pass_a_normality_check():
 
 
 def test_gaussian_draw_sequence_is_reproducible():
-    a = [gaussian(Random(5), 0.0, 1.0) for _ in range(3)]
-    b = [gaussian(Random(5), 0.0, 1.0) for _ in range(3)]
+    a = [gaussian(Random(5)) for _ in range(3)]
+    b = [gaussian(Random(5)) for _ in range(3)]
     assert a[0] == b[0]
     # one call consumes exactly two uniforms
     rng1, rng2 = Random(9), Random(9)
@@ -196,3 +196,5 @@ def test_best_delegate_argmax_and_ties():
     assert best_delegate(tied) == "d-a"
     two = [DelegateProfile("d-a", 0.6, 0.6, True), DelegateProfile("d-b", 0.7, 0.7, True)]
     assert best_delegate(two) == "d-b"
+    with pytest.raises(ValueError, match="^best_delegate requires a non-empty pool$"):
+        best_delegate([])

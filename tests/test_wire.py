@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import get_args
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delgov.errors import default_semantics
@@ -308,12 +308,87 @@ def _with_budget_cost(cost):
             "error.retryable: expected a boolean",
             id="retryable-as-string",
         ),
+        pytest.param(
+            json.dumps(dict(_RESULT, output="ok \ud800")).encode(),
+            "message: a string holds an unpaired surrogate",
+            id="lone-surrogate-escape",
+        ),
+        pytest.param(
+            json.dumps(dict(_RESULT, output="ok \udc00"), ensure_ascii=False),
+            "message: a string holds an unpaired surrogate",
+            id="lone-surrogate-in-a-str",
+        ),
+        pytest.param(
+            json.dumps(dict(_CLAIM, **{"x_\ud83d": 1})),
+            "message: a string holds an unpaired surrogate",
+            id="lone-surrogate-in-an-unknown-key",
+        ),
+        pytest.param(
+            json.dumps(dict(_CLAIM, value=10**400)),
+            "claim.value: integer too large for a float",
+            id="401-digit-claim-value",
+        ),
     ],
 )
 def test_hostile_input_is_malformed_not_a_crash(raw, message):
     with pytest.raises(MalformedMessage) as info:
         decode_any(raw)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "escape, text",
+    [("\\ud83d\\ude00", "\U0001F600"), ("\\\\ud800", "\\ud800")],
+    ids=["paired-surrogate-escape", "escaped-backslash"],
+)
+def test_escapes_that_spell_text_still_decode(escape, text):
+    raw = json.dumps(dict(_RESULT, output="@")).replace("@", escape).encode()
+    result = decode_message(raw)
+    assert result.output == text
+    assert decode_message(encode_message(result)) == result
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TaskSubmit(7, "p"), "TaskSubmit.task_id: expected a string"),
+        (
+            lambda: TaskResult("t", "o", "5", Decimal("0.01"), datetime(2026, 1, 1, tzinfo=UTC)),
+            "TaskResult.tokens_used: expected an integer",
+        ),
+        (lambda: Budget(max_tokens=True), "Budget.max_tokens: expected an integer"),
+        (lambda: QualityClaim("s", "0.9", "self_claimed"), "QualityClaim.value: expected a number"),
+        (lambda: QualityClaim("s", True, "self_claimed"), "QualityClaim.value: expected a number"),
+        (
+            lambda: LdpError("runtime", "error", 1, "X", "m"),
+            "LdpError.retryable: expected a boolean",
+        ),
+        (
+            lambda: Provenance("unverified", lineage=(1,)),
+            "Provenance.lineage: expected a sequence of strings",
+        ),
+        (
+            lambda: PolicyEnvelope("fail_open", safety_constraints=["no pii", None]),
+            "PolicyEnvelope.safety_constraints: expected a sequence of strings",
+        ),
+    ],
+    ids=[
+        "int-for-str", "str-for-int", "bool-for-int", "str-for-float", "bool-for-float",
+        "int-for-bool", "int-in-a-tuple", "none-in-a-list",
+    ],
+)
+def test_fields_of_another_type_raise_type_error_at_construction(build, message):
+    with pytest.raises(TypeError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_an_int_claim_value_is_stored_as_its_float():
+    claim = QualityClaim("s", 1, "self_claimed")
+    assert type(claim.value) is float
+    text = canonical_bytes(to_wire(claim))
+    assert text == b'{"claim_type":"self_claimed","skill":"s","value":1.0}'
+    assert decode_any(text) == claim
 
 
 @pytest.mark.parametrize(
@@ -714,7 +789,7 @@ _message = st.one_of(_submit, _result)
 _claim = st.builds(
     QualityClaim,
     skill=_text,
-    value=st.floats(min_value=0.0, max_value=1.0),
+    value=st.one_of(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=1)),
     claim_type=_member_or_value(ClaimType),
     issuer=st.one_of(st.none(), _id_text),
     observed_at=st.one_of(st.none(), _instant),
@@ -819,6 +894,7 @@ def _decodes_to_a_valid_value_or_raises_decode_error(raw):
     except DecodeError:
         return
     assert validate_invariants(value) == []
+    assert decode_any(canonical_bytes(to_wire(value))) == value
 
 
 @settings(max_examples=300, deadline=None)
@@ -837,13 +913,15 @@ _ENUM_VALUES = [
     for enum in (ClaimType, FailurePolicy, ErrorCategory, Severity, VerificationStatus)
     for member in enum
 ]
+# unlike _text, this may hold unpaired surrogates, which no document may carry
+_any_text = st.text(max_size=40)
 _schema_scalar = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
     st.sampled_from([2**53, 2**53 + 1, 10**400, -(10**20)]),
     st.floats(),
-    _text,
+    _any_text,
     st.sampled_from(_ENUM_VALUES),
     st.sampled_from(
         [
@@ -863,7 +941,7 @@ _schema_json = st.recursive(
     _schema_scalar,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
-        st.dictionaries(st.one_of(st.sampled_from(_WIRE_KEYS), _text), inner, max_size=8),
+        st.dictionaries(st.one_of(st.sampled_from(_WIRE_KEYS), _any_text), inner, max_size=8),
     ),
     max_leaves=20,
 )
@@ -876,9 +954,11 @@ _patched_document = st.builds(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_schema_json, _patched_document))
-def test_decode_any_is_total_over_arbitrary_json_values(value):
-    _decodes_to_a_valid_value_or_raises_decode_error(json.dumps(value))
+@given(st.one_of(_schema_json, _patched_document), st.booleans())
+@example({"skill": "s", "value": 10**400, "claim_type": "self_claimed"}, True)
+def test_decode_any_is_total_over_arbitrary_json_values(value, ensure_ascii):
+    # ensure_ascii writes a surrogate as a \u escape, otherwise as itself in a str
+    _decodes_to_a_valid_value_or_raises_decode_error(json.dumps(value, ensure_ascii=ensure_ascii))
 
 
 def test_canonical_keys_sort_by_code_point_not_utf16():
