@@ -14,7 +14,8 @@ approximation with a continuity correction and the tie-corrected
 variance. The approximation is meant for the sample sizes the
 experiments use (around 100 per side); at tiny n it diverges from the
 exact permutation distribution, which the tests document against a
-brute-force oracle.
+brute-force oracle. A NaN sample has no mean and no rank, so all three
+raise ValueError for one.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from operator import ne
 from typing import Sequence
 
 
@@ -35,6 +37,8 @@ def descriptive(samples: Sequence[float]) -> tuple[float, float]:
     if n < 2:
         raise InsufficientData(f"descriptive needs at least 2 samples (got {n})")
     mean = math.fsum(samples) / n
+    if math.isnan(mean):  # fsum is NaN exactly when a sample is
+        raise ValueError("a NaN sample has no mean")
     var = math.fsum((x - mean) ** 2 for x in samples) / (n - 1)
     return mean, math.sqrt(var)
 
@@ -76,6 +80,8 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> tuple[float, float
     if n_a < 3 or n_b < 3:
         raise InsufficientData("mann_whitney_u needs at least 3 samples per side")
     pooled = sorted([*a, *b])
+    if any(map(ne, pooled, pooled)):  # only NaN is unequal to itself, and it sorts anywhere
+        raise ValueError("a NaN sample has no rank")
     # twice the rank sum of a, an integer, so halving it is exact
     r_a = sum(bisect_left(pooled, x) + bisect_right(pooled, x) + 1 for x in a) / 2
     u_a = r_a - n_a * (n_a + 1) / 2.0

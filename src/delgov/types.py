@@ -1,15 +1,19 @@
 """Value types for the governed delegation protocol.
 
-All types are frozen dataclasses. Construction normalizes every field as
-its annotation says: an enum field takes a member or its plain value
-(``"fail_closed"``) and stores the member, money becomes an exact
-``Decimal``, a timestamp UTC (naive reads as UTC), a sequence of strings a
-tuple, and an int given for a float field its float. A ``str``, ``int``,
-``float`` or ``bool`` field, or an item of a tuple field, of another type
-raises ``TypeError`` (a bool is never an integer or a number). An unknown
-enum value or a timestamp out of range in UTC raises ``ValueError``.
-Semantic rules live in ``delgov.wire.validate_invariants`` so that suspect
-input can be inspected and reported instead of lost to a constructor error.
+All types are frozen dataclasses. Construction checks every field against
+its annotation, as the one field table ``_fields`` says. An enum field
+takes a member or its plain value (``"fail_closed"``) and stores the
+member, money becomes an exact ``Decimal``, a timestamp UTC (naive reads
+as UTC), a sequence of strings a tuple, and an int given for a float field
+its float. Only an ``Optional`` field takes ``None``, so a required field
+refuses it. Other values of the wrong type raise ``TypeError``: a bool is
+never an integer or a number, money is a decimal string or a number, a
+timestamp a ``datetime``, a tuple field takes no bare string, and a field
+annotated with a wire type takes that type only. An unknown enum value
+(``None`` too), a string that is not a decimal or a timestamp out of range
+in UTC raises ``ValueError``. Semantic rules live in
+``delgov.wire.validate_invariants`` so that suspect input can be inspected
+and reported instead of lost to a constructor error.
 """
 
 from __future__ import annotations
@@ -72,7 +76,9 @@ class VerificationStatus(str, Enum):
     HUMAN_VERIFIED = "human_verified"
 
 
-def _utc(value: datetime) -> datetime:
+def _utc(value: Any) -> datetime:
+    if not isinstance(value, datetime):
+        raise TypeError("expected a datetime")
     if value.tzinfo is None:
         return value.replace(tzinfo=timezone.utc)
     try:
@@ -81,7 +87,9 @@ def _utc(value: datetime) -> datetime:
         raise ValueError(f"{value.isoformat()} is out of range in UTC") from None
 
 
-def _money(value: Union[int, str, float]) -> Decimal:
+def _money(value: Any) -> Decimal:
+    if isinstance(value, bool) or not isinstance(value, (str, int, float, Decimal)):
+        raise TypeError("expected a decimal string or number")
     if isinstance(value, float):
         # repr() is the shortest faithful form, so 0.05 becomes "0.05", not
         # its 55-digit binary expansion.
@@ -121,6 +129,8 @@ def _bool(value: Any) -> bool:
 
 
 def _strings(value: Any) -> tuple[str, ...]:
+    if value is None or isinstance(value, str):  # a str would iterate as its characters
+        raise TypeError("expected a sequence of strings")
     items = tuple(value)
     for item in items:
         if not isinstance(item, str):
@@ -128,44 +138,60 @@ def _strings(value: Any) -> tuple[str, ...]:
     return items
 
 
-def _fields(cls: type) -> list[tuple[str, Any, bool]]:
-    """(name, type, required) per dataclass field in declaration order, for construction
-    and the wire codec alike. ``Optional[X]`` reads as ``X``; required means no default."""
+def _only(cls: type) -> Callable[[Any], Any]:
+    # the check of a field of a wire type, which keeps that exact type only
+    def refuse(value: Any) -> Any:
+        raise TypeError(f"expected a {cls.__name__}")
+
+    return refuse
+
+
+# (normal type, check) of each plain annotation. A timestamp or a tuple of
+# strings has no normal type: its every value goes through the check.
+_CHECKS: dict[Any, tuple[Optional[type], Callable[[Any], Any]]] = {
+    str: (str, _str), int: (int, _int), float: (float, _float), bool: (bool, _bool),
+    Decimal: (Decimal, _money), datetime: (None, _utc), tuple[str, ...]: (None, _strings),
+}
+
+
+@cache
+def _fields(cls: type) -> tuple[tuple[str, Any, bool, bool, Optional[type], Callable[[Any], Any]], ...]:
+    """(name, type, required, optional, normal type, check) per dataclass field in
+    declaration order, for construction and the wire codec alike. ``Optional[X]`` reads
+    as ``X`` and is optional, the one annotation that takes None; required means no
+    default. A value of the normal type is kept as it is, and the check gives any other
+    its normal form or raises."""
     hints = get_type_hints(cls)
     out = []
     for f in fields(cls):
         hint, args = hints[f.name], get_args(hints[f.name])
-        if get_origin(hint) is Union and len(args) == 2 and args[1] is type(None):
-            hint = args[0]
-        out.append((f.name, hint, f.default is MISSING and f.default_factory is MISSING))
-    return out
-
-
-@cache
-def _normalizers(cls: type) -> tuple[tuple[str, Optional[type], Callable[[Any], Any]], ...]:
-    """(name, normal type, normalizer) for each field of ``cls`` whose annotation has one."""
-    plain = {str: (str, _str), int: (int, _int), float: (float, _float), bool: (bool, _bool),
-             Decimal: (Decimal, _money), datetime: (None, _utc), tuple[str, ...]: (None, _strings)}
-    out = []
-    for name, hint, _ in _fields(cls):
-        if isinstance(hint, type) and issubclass(hint, Enum):
-            out.append((name, hint, hint))
-        elif hint in plain:
-            out.append((name, *plain[hint]))
+        optional = get_origin(hint) is Union and len(args) == 2 and args[1] is type(None)
+        hint = args[0] if optional else hint
+        if hint in _CHECKS:
+            normal, check = _CHECKS[hint]
+        elif isinstance(hint, type) and issubclass(hint, Enum):
+            normal, check = hint, hint
+        elif isinstance(hint, type) and issubclass(hint, _Normalized):
+            normal, check = hint, _only(hint)
+        else:
+            normal, check = hint, lambda value: value
+        required = f.default is MISSING and f.default_factory is MISSING
+        out.append((f.name, hint, required, optional, normal, check))
     return tuple(out)
 
 
 class _Normalized:
-    """Base of the wire types and RoutingPolicy: each field is normalized from its annotation."""
+    """Base of the wire types and RoutingPolicy: each field is checked against its annotation."""
 
     def __post_init__(self) -> None:
-        for name, normal_type, normalize in _normalizers(type(self)):
+        for name, _, _, optional, normal_type, check in _fields(type(self)):
             value = getattr(self, name)
             # a value of its normal type skips the call (calling an enum costs
-            # far more); decoded values come back unchanged and are not written
-            if type(value) is not normal_type and value is not None:
+            # far more), and so does None in an Optional field; decoded values
+            # come back unchanged and are not written
+            if type(value) is not normal_type and (value is not None or not optional):
                 try:
-                    normal = normalize(value)
+                    normal = check(value)
                 except TypeError as exc:
                     raise TypeError(f"{type(self).__name__}.{name}: {exc}") from None
                 if normal is not value:

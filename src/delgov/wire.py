@@ -44,10 +44,14 @@ decodes exactly as the base protocol would read it; the governance keys
 simply stay absent.
 
 Every wire type is described once, by its dataclass in ``delgov.types``.
-``FIELDS`` is derived at import by the annotation reader that construction
-shares (``types._fields``): one row per field, in declaration order, holding
+``FIELDS`` is derived at import from the field table that construction
+reads (``types._fields``): one row per field, in declaration order, holding
 the wire name (the attribute name), the kind its annotation gives
 (``Optional[X]`` as ``X``) and whether it is required (has no default).
+The kind of a ``str``, ``int``, ``float`` or ``bool`` field is
+construction's own check. The codec adds only what the wire needs: nested
+objects, enum values (an unknown one is an :class:`InvariantViolation`),
+RFC 3339 text, JSON lists of strings, and money that must be finite.
 Every encoder and decoder goes through ``to_wire`` and ``from_wire``, which
 read that table. Decoding checks the fields in declaration order, each for
 presence and then for type, and reports the first fault.
@@ -76,12 +80,9 @@ from .types import (
     QualityClaim,
     TaskResult,
     TaskSubmit,
-    _bool,
+    _CHECKS,
     _fields,
-    _float,
-    _int,
     _money,
-    _str,
     _utc,
 )
 
@@ -139,16 +140,11 @@ def parse_timestamp(raw: Any, path: str) -> datetime:
         raise MalformedMessage(f"{path}: timestamp {raw!r} is out of range in UTC") from None
 
 
-def parse_money(raw: Any, path: str) -> Decimal:
-    if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
-        raise MalformedMessage(f"{path}: expected a decimal string or number")
-    try:
-        value = _money(raw)
-    except ValueError:
-        raise MalformedMessage(f"{path}: invalid decimal {raw!r}") from None
+def _finite_money(raw: Any) -> Decimal:
+    value = _money(raw)
     # NaN, sNaN and the infinities parse, but no amount compares with them
     if not value.is_finite():
-        raise MalformedMessage(f"{path}: non-finite decimal {raw!r}")
+        raise ValueError(f"non-finite decimal {raw!r}")
     return value
 
 
@@ -175,8 +171,8 @@ def _str_list(raw: Any, path: str, name: str) -> tuple[str, ...]:
 _Kind = tuple[Optional[Callable[[Any], Any]], Callable[[Any, str, str], Any]]
 
 
-def _scalar(check: Callable[[Any], Any]) -> _Kind:
-    """The kind of a scalar field: construction's own check, with the field path on failure."""
+def _scalar(check: Callable[[Any], Any], encode: Optional[Callable[[Any], Any]] = None) -> _Kind:
+    """The kind of a scalar field: a construction check, with the field path on failure."""
 
     def decode(raw: Any, path: str, name: str) -> Any:
         try:
@@ -184,11 +180,11 @@ def _scalar(check: Callable[[Any], Any]) -> _Kind:
         except (TypeError, ValueError) as exc:
             raise MalformedMessage(f"{path}.{name}: {exc}") from None
 
-    return None, decode
+    return encode, decode
 
 
 _STR_LIST: _Kind = (lambda items: list(items) or None, _str_list)
-_MONEY: _Kind = (str, lambda raw, path, name: parse_money(raw, f"{path}.{name}"))
+_MONEY = _scalar(_finite_money, str)
 _TIMESTAMP: _Kind = (
     format_timestamp,
     lambda raw, path, name: parse_timestamp(raw, f"{path}.{name}"),
@@ -263,22 +259,16 @@ def _object(cls: type) -> _Kind:
 
 
 _WIRE_TYPES = get_args(DomainType)
-# The kinds of plain annotations; enums and wire types get theirs in _rows.
-_KINDS = {
-    str: _scalar(_str),
-    int: _scalar(_int),
-    float: _scalar(_float),
-    bool: _scalar(_bool),
-    tuple[str, ...]: _STR_LIST,
-    Decimal: _MONEY,
-    datetime: _TIMESTAMP,
-}
+# The kinds of plain annotations: construction's own checks, except where the
+# wire adds a rule. Enums and wire types get theirs in _rows.
+_KINDS = {hint: _scalar(check) for hint, (_, check) in _CHECKS.items()}
+_KINDS.update({tuple[str, ...]: _STR_LIST, Decimal: _MONEY, datetime: _TIMESTAMP})
 
 
 def _rows(cls: type) -> tuple[tuple[str, _Kind, bool], ...]:
     """One row per dataclass field, in declaration order: (name, kind, required)."""
     rows = []
-    for name, hint, required in _fields(cls):
+    for name, hint, required, *_ in _fields(cls):
         if hint in _WIRE_TYPES:
             kind = _object(hint)
         elif isinstance(hint, type) and issubclass(hint, Enum):

@@ -133,6 +133,11 @@ def test_clocks_out_of_range_in_utc_raise_value_error(clock):
     assert info.type is ValueError
 
 
+def test_a_clock_that_is_not_a_datetime_raises_type_error():
+    with pytest.raises(TypeError, match="^expected a datetime$"):
+        check_result(contract(), result(), "2026-03-15T17:15:00Z")
+
+
 def test_receipt_at_deadline_passes():
     outcome = check_result(contract(), result(), DEADLINE)
     assert outcome.violations == ()

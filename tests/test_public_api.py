@@ -80,7 +80,9 @@ def test_every_public_name_imports():
 
 # Removed without aliases: each only forwarded or had no caller outside the
 # tests. check_result does the work of the first two; use ClaimType(x).level,
-# descriptive/cohens_d/mann_whitney_u and str for the rest.
+# descriptive/cohens_d/mann_whitney_u and str for the next four, and a
+# constructor such as Budget(max_cost_usd=raw), then validate_invariants, for
+# parse_money.
 @pytest.mark.parametrize(
     ("owner", "name"),
     [
@@ -90,6 +92,7 @@ def test_every_public_name_imports():
         ("stats", "compare"),
         ("stats", "ComparisonStats"),
         ("wire", "format_money"),
+        ("wire", "parse_money"),
     ],
 )
 def test_removed_names_stay_removed(owner, name):

@@ -133,6 +133,26 @@ def test_needs_three_per_side():
         mann_whitney_u([1, 2], [3, 4, 5])
 
 
+_NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # at any position in either sample: sorting gives a NaN no place
+        lambda: mann_whitney_u([0.1, _NAN, 0.5, 0.9], [0.2, 0.3, 0.4]),
+        lambda: mann_whitney_u([0.1, 0.5, 0.9, _NAN], [0.2, 0.3, 0.4]),
+        lambda: mann_whitney_u([0.2, 0.3, 0.4], [_NAN, 0.1, 0.5]),
+        lambda: descriptive([0.1, _NAN]),
+        lambda: cohens_d([0.1, 0.2], [0.3, _NAN]),
+    ],
+    ids=["mwu-a-middle", "mwu-a-last", "mwu-b-first", "descriptive", "cohens-d"],
+)
+def test_a_nan_sample_raises_value_error(call):
+    with pytest.raises(ValueError, match="^a NaN sample has no (mean|rank)$"):
+        call()
+
+
 def test_u_matches_pair_counting_oracle_on_an_alphabet_sample():
     # exhaustive over multisets of sizes 3 and 4 from a 4-value alphabet;
     # the acceptance suite extends this to sizes up to 6

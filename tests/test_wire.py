@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from dataclasses import MISSING, dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
@@ -371,10 +372,40 @@ def test_escapes_that_spell_text_still_decode(escape, text):
             lambda: PolicyEnvelope("fail_open", safety_constraints=["no pii", None]),
             "PolicyEnvelope.safety_constraints: expected a sequence of strings",
         ),
+        (
+            lambda: PolicyEnvelope("fail_open", safety_constraints="no pii"),
+            "PolicyEnvelope.safety_constraints: expected a sequence of strings",
+        ),
+        (
+            lambda: PolicyEnvelope("fail_open", safety_constraints=None),
+            "PolicyEnvelope.safety_constraints: expected a sequence of strings",
+        ),
+        (
+            lambda: TaskResult("t", None, 1, Decimal("0.01"), datetime(2026, 1, 1, tzinfo=UTC)),
+            "TaskResult.output: expected a string",
+        ),
+        (
+            lambda: DelegationContract("c", "o", policy="x"),
+            "DelegationContract.policy: expected a PolicyEnvelope",
+        ),
+        (
+            lambda: TaskSubmit("t", "p", contract=PolicyEnvelope("fail_open")),
+            "TaskSubmit.contract: expected a DelegationContract",
+        ),
+        (
+            lambda: QualityClaim("s", 0.5, "self_claimed", observed_at="2026-01-01"),
+            "QualityClaim.observed_at: expected a datetime",
+        ),
+        (
+            lambda: Budget(max_cost_usd=True),
+            "Budget.max_cost_usd: expected a decimal string or number",
+        ),
     ],
     ids=[
         "int-for-str", "str-for-int", "bool-for-int", "str-for-float", "bool-for-float",
-        "int-for-bool", "int-in-a-tuple", "none-in-a-list",
+        "int-for-bool", "int-in-a-tuple", "none-in-a-list", "bare-str-for-a-tuple",
+        "none-for-a-tuple", "none-for-required", "str-for-a-wire-type", "other-wire-type",
+        "str-for-a-timestamp", "bool-for-money",
     ],
 )
 def test_fields_of_another_type_raise_type_error_at_construction(build, message):
@@ -605,7 +636,7 @@ def test_annotation_without_a_wire_kind_fails_at_table_build():
 _ENUM_FIELDS = [
     pytest.param(cls, name, hint, id=f"{cls.__name__}.{name}")
     for cls in get_args(DomainType)
-    for name, hint, _ in _fields(cls)
+    for name, hint, *_ in _fields(cls)
     if isinstance(hint, type) and issubclass(hint, Enum)
 ]
 
@@ -959,6 +990,83 @@ _patched_document = st.builds(
 def test_decode_any_is_total_over_arbitrary_json_values(value, ensure_ascii):
     # ensure_ascii writes a surrogate as a \u escape, otherwise as itself in a str
     _decodes_to_a_valid_value_or_raises_decode_error(json.dumps(value, ensure_ascii=ensure_ascii))
+
+
+# Constructor arguments drawn wide: a field gets a value of its own
+# annotation in any form, edge values included, or one of another sort
+# altogether.
+_edge_instant = st.datetimes().map(lambda d: d.replace(tzinfo=UTC)) | st.builds(
+    lambda d, hours: d.replace(tzinfo=timezone(timedelta(hours=hours))),
+    st.sampled_from([datetime.min, datetime.max]),
+    st.sampled_from([-14, 14]),
+)
+_OWN_SORT = {
+    str: _any_text,
+    int: st.integers(),
+    float: st.floats() | st.integers(),
+    bool: st.booleans(),
+    Decimal: st.one_of(
+        _money, st.decimals(), st.floats(), st.text(alphabet="0123456789.-eEnaNsIf", max_size=8)
+    ),
+    datetime: _instant | _edge_instant,
+    tuple[str, ...]: _sequence(_any_text, max_size=3) | _any_text,
+}
+_other_sort = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    _any_text,
+    st.lists(_any_text, max_size=3),
+    st.sampled_from(_ENUM_VALUES),
+    st.decimals(),
+    st.datetimes(),
+    st.one_of(*_TABLE_VALUES.values()),
+)
+
+
+def _own_sort(hint):
+    if hint in _TABLE_VALUES:
+        return _TABLE_VALUES[hint]
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return _member_or_value(hint)
+    return _OWN_SORT[hint]
+
+
+def _wide_arguments(cls):
+    # every field of its own sort but at most one, the odd one; optional fields may be left out
+    def build(odd):
+        required, optional = {}, {}
+        for name, hint, is_required, *_ in _fields(cls):
+            sort = _other_sort if name == odd else _own_sort(hint)
+            (required if is_required else optional)[name] = sort
+        return st.fixed_dictionaries(required, optional=optional)
+
+    return st.sampled_from([None] + [row[0] for row in _fields(cls)]).flatmap(build)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FIELDS, key=lambda cls: cls.__name__)).flatmap(
+    lambda cls: st.tuples(st.just(cls), _wide_arguments(cls))
+))
+def test_every_value_that_constructs_round_trips_or_is_flagged(drawn):
+    # construction raises, or validate_invariants names a fault, or the
+    # canonical wire form decodes back to an equal value
+    cls, arguments = drawn
+    try:
+        value = cls(**arguments)
+    except (TypeError, ValueError):
+        return
+    if validate_invariants(value):
+        return
+    wire_form = to_wire(value)
+    try:
+        text = canonical_bytes(wire_form)
+    except UnicodeEncodeError:
+        # a string with an unpaired surrogate has no UTF-8 form (see encode_message)
+        assert re.search("[\ud800-\udfff]", json.dumps(wire_form, ensure_ascii=False))
+        return
+    assert from_wire(cls, json.loads(text), "value") == value
 
 
 def test_canonical_keys_sort_by_code_point_not_utf16():
