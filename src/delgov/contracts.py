@@ -71,6 +71,10 @@ class ValidationOutcome:
     disposition: Disposition
 
 
+# Frozen and without violations, so one instance serves every accepted result.
+_ACCEPTED = ValidationOutcome((), Disposition.ACCEPTED)
+
+
 @dataclass(frozen=True)
 class Accepted:
     """An accepted result together with its (possibly empty) violation log."""
@@ -144,7 +148,7 @@ def check_result(
             ))
 
     if not found:
-        return ValidationOutcome((), Disposition.ACCEPTED)
+        return _ACCEPTED
     _require_invariants(contract, result)
     violations = tuple(
         Violation(rule, detail, float(observed), float(limit))

@@ -60,62 +60,23 @@ class DefaultSemantics:
 
 
 _TABLE: dict[ErrorCategory, DefaultSemantics] = {
-    ErrorCategory.RUNTIME: DefaultSemantics(
-        retryable=True,
-        severity=Severity.ERROR,
-        action=RecoveryAction(
-            RecoveryKind.REROUTE_OTHER_DELEGATE,
-            "Retry or reroute to another delegate",
-        ),
-    ),
-    ErrorCategory.TRANSPORT: DefaultSemantics(
-        retryable=True,
-        severity=Severity.WARNING,
-        action=RecoveryAction(
-            RecoveryKind.RETRY_BACKOFF,
-            "Retry with exponential backoff",
-        ),
-    ),
-    ErrorCategory.POLICY: DefaultSemantics(
-        retryable=False,
-        severity=Severity.FATAL,
-        action=RecoveryAction(
-            RecoveryKind.ESCALATE,
-            "Escalate; contract violation",
-        ),
-    ),
-    ErrorCategory.CAPABILITY: DefaultSemantics(
-        retryable=False,
-        severity=Severity.ERROR,
-        action=RecoveryAction(
-            RecoveryKind.SELECT_DIFFERENT_DELEGATE,
-            "Select different delegate",
-        ),
-    ),
-    ErrorCategory.QUALITY: DefaultSemantics(
-        retryable=False,
-        severity=Severity.WARNING,
-        action=RecoveryAction(
-            RecoveryKind.ACCEPT_WITH_WARNING,
-            "Accept with quality warning",
-        ),
-    ),
-    ErrorCategory.IDENTITY: DefaultSemantics(
-        retryable=False,
-        severity=Severity.ERROR,
-        action=RecoveryAction(
-            RecoveryKind.AUTHENTICATION_FAILURE,
-            "Authentication failure",
-        ),
-    ),
-    ErrorCategory.SESSION: DefaultSemantics(
-        retryable=True,
-        severity=Severity.ERROR,
-        action=RecoveryAction(
-            RecoveryKind.REESTABLISH_SESSION,
-            "Re-establish session",
-        ),
-    ),
+    category: DefaultSemantics(retryable, severity, RecoveryAction(kind, description))
+    for category, retryable, severity, kind, description in (
+        (ErrorCategory.RUNTIME, True, Severity.ERROR, RecoveryKind.REROUTE_OTHER_DELEGATE,
+         "Retry or reroute to another delegate"),
+        (ErrorCategory.TRANSPORT, True, Severity.WARNING, RecoveryKind.RETRY_BACKOFF,
+         "Retry with exponential backoff"),
+        (ErrorCategory.POLICY, False, Severity.FATAL, RecoveryKind.ESCALATE,
+         "Escalate; contract violation"),
+        (ErrorCategory.CAPABILITY, False, Severity.ERROR, RecoveryKind.SELECT_DIFFERENT_DELEGATE,
+         "Select different delegate"),
+        (ErrorCategory.QUALITY, False, Severity.WARNING, RecoveryKind.ACCEPT_WITH_WARNING,
+         "Accept with quality warning"),
+        (ErrorCategory.IDENTITY, False, Severity.ERROR, RecoveryKind.AUTHENTICATION_FAILURE,
+         "Authentication failure"),
+        (ErrorCategory.SESSION, True, Severity.ERROR, RecoveryKind.REESTABLISH_SESSION,
+         "Re-establish session"),
+    )
 }
 
 

@@ -9,11 +9,11 @@ its float. Only an ``Optional`` field takes ``None``, so a required field
 refuses it. Other values of the wrong type raise ``TypeError``: a bool is
 never an integer or a number, money is a decimal string or a number, a
 timestamp a ``datetime``, a tuple field takes no bare string, and a field
-annotated with a wire type takes that type only. An unknown enum value
-(``None`` too), a string that is not a decimal or a timestamp out of range
-in UTC raises ``ValueError``. Semantic rules live in
-``delgov.wire.validate_invariants`` so that suspect input can be inspected
-and reported instead of lost to a constructor error.
+annotated with any other class (a wire type, a ``timedelta``) takes that
+type only. An unknown enum value (``None`` too), a string that is not a
+decimal or a timestamp out of range in UTC raises ``ValueError``. Semantic
+rules live in ``delgov.wire.validate_invariants`` so that suspect input can
+be inspected and reported instead of lost to a constructor error.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ class VerificationStatus(str, Enum):
 def _utc(value: Any) -> datetime:
     if not isinstance(value, datetime):
         raise TypeError("expected a datetime")
+    if value.tzinfo is timezone.utc:
+        return value
     if value.tzinfo is None:
         return value.replace(tzinfo=timezone.utc)
     try:
@@ -139,7 +141,7 @@ def _strings(value: Any) -> tuple[str, ...]:
 
 
 def _only(cls: type) -> Callable[[Any], Any]:
-    # the check of a field of a wire type, which keeps that exact type only
+    # the check of a field annotated with any other class, which keeps that exact type only
     def refuse(value: Any) -> Any:
         raise TypeError(f"expected a {cls.__name__}")
 
@@ -169,10 +171,8 @@ def _fields(cls: type) -> tuple[tuple[str, Any, bool, bool, Optional[type], Call
         hint = args[0] if optional else hint
         if hint in _CHECKS:
             normal, check = _CHECKS[hint]
-        elif isinstance(hint, type) and issubclass(hint, Enum):
-            normal, check = hint, hint
-        elif isinstance(hint, type) and issubclass(hint, _Normalized):
-            normal, check = hint, _only(hint)
+        elif isinstance(hint, type):
+            normal, check = hint, hint if issubclass(hint, Enum) else _only(hint)
         else:
             normal, check = hint, lambda value: value
         required = f.default is MISSING and f.default_factory is MISSING
@@ -187,8 +187,9 @@ class _Normalized:
         for name, _, _, optional, normal_type, check in _fields(type(self)):
             value = getattr(self, name)
             # a value of its normal type skips the call (calling an enum costs
-            # far more), and so does None in an Optional field; decoded values
-            # come back unchanged and are not written
+            # far more), and so does None in an Optional field; a value the check
+            # returns unchanged is not written. wire.from_wire never runs this: it
+            # builds each value from fields that went through these same checks
             if type(value) is not normal_type and (value is not None or not optional):
                 try:
                     normal = check(value)

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delgov.errors import default_semantics
+from delgov.routing import RoutingPolicy
 from delgov.types import (
     Budget,
     ClaimType,
@@ -292,6 +293,21 @@ def _with_budget_cost(cost):
             id="snan-budget",
         ),
         pytest.param(
+            json.dumps(dict(_RESULT, cost_usd="1_0")),
+            "message.cost_usd: invalid decimal '1_0'",
+            id="money-with-an-underscore",
+        ),
+        pytest.param(
+            json.dumps(dict(_RESULT, cost_usd=" 0.5 ")),
+            "message.cost_usd: invalid decimal ' 0.5 '",
+            id="money-in-whitespace",
+        ),
+        pytest.param(
+            json.dumps(dict(_RESULT, cost_usd="\u0661")),
+            "message.cost_usd: invalid decimal '\u0661'",
+            id="money-in-non-ascii-digits",
+        ),
+        pytest.param(
             json.dumps(dict(_RESULT, completed_at="0001-01-01T00:00:00+01:00")),
             "message.completed_at: timestamp '0001-01-01T00:00:00+01:00' is out of range in UTC",
             id="timestamp-before-year-one",
@@ -400,12 +416,16 @@ def test_escapes_that_spell_text_still_decode(escape, text):
             lambda: Budget(max_cost_usd=True),
             "Budget.max_cost_usd: expected a decimal string or number",
         ),
+        (
+            lambda: RoutingPolicy.by_claims("s", ClaimType.SELF_CLAIMED, max_staleness="1d"),
+            "RoutingPolicy.max_staleness: expected a timedelta",
+        ),
     ],
     ids=[
         "int-for-str", "str-for-int", "bool-for-int", "str-for-float", "bool-for-float",
         "int-for-bool", "int-in-a-tuple", "none-in-a-list", "bare-str-for-a-tuple",
         "none-for-a-tuple", "none-for-required", "str-for-a-wire-type", "other-wire-type",
-        "str-for-a-timestamp", "bool-for-money",
+        "str-for-a-timestamp", "bool-for-money", "str-for-a-timedelta",
     ],
 )
 def test_fields_of_another_type_raise_type_error_at_construction(build, message):
@@ -919,12 +939,26 @@ def test_forward_tolerance_unknown_key_injection(msg, extras, data):
     assert decode_message(json.dumps(obj)) == msg
 
 
+def _built_as_construction_builds(value):
+    # The decoder skips construction's checks, so they must find nothing to
+    # change in a decoded value, nested values included.
+    rebuilt = dataclasses.replace(value)
+    assert rebuilt == value
+    for field in dataclasses.fields(value):
+        item, again = getattr(value, field.name), getattr(rebuilt, field.name)
+        assert type(again) is type(item)
+        assert again is item  # e.g. a timestamp already in UTC, not merely the same instant
+        if dataclasses.is_dataclass(item):
+            _built_as_construction_builds(item)
+
+
 def _decodes_to_a_valid_value_or_raises_decode_error(raw):
     try:
         value = decode_any(raw)
     except DecodeError:
         return
     assert validate_invariants(value) == []
+    _built_as_construction_builds(value)
     assert decode_any(canonical_bytes(to_wire(value))) == value
 
 
