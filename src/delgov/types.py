@@ -10,14 +10,16 @@ refuses it. Other values of the wrong type raise ``TypeError``: a bool is
 never an integer or a number, money is a decimal string or a number, a
 timestamp a ``datetime``, a tuple field takes no bare string, and a field
 annotated with any other class (a wire type, a ``timedelta``) takes that
-type only. An unknown enum value (``None`` too), a string that is not a
-decimal or a timestamp out of range in UTC raises ``ValueError``. Semantic
+type only. An unknown enum value (``None`` too), a money string outside the
+wire's one decimal grammar (ASCII digits; no ``_`` and no surrounding space)
+or a timestamp out of range in UTC raises ``ValueError``. Semantic
 rules live in ``delgov.wire.validate_invariants`` so that suspect input can
 be inspected and reported instead of lost to a constructor error.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
@@ -89,6 +91,11 @@ def _utc(value: Any) -> datetime:
         raise ValueError(f"{value.isoformat()} is out of range in UTC") from None
 
 
+# The one money grammar, in ASCII digits. Decimal alone also reads underscores,
+# surrounding whitespace and any Unicode digit, so two readers could disagree.
+_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([Ee][+-]?\d+)?", re.ASCII)
+
+
 def _money(value: Any) -> Decimal:
     if isinstance(value, bool) or not isinstance(value, (str, int, float, Decimal)):
         raise TypeError("expected a decimal string or number")
@@ -97,9 +104,13 @@ def _money(value: Any) -> Decimal:
         # its 55-digit binary expansion.
         return Decimal(repr(value))
     try:
-        return Decimal(value)
+        money = Decimal(value)
     except InvalidOperation:
         raise ValueError(f"invalid decimal {value!r}") from None
+    # a non-finite string ("NaN", " inf ") is left to the rules that refuse it
+    if isinstance(value, str) and money.is_finite() and _DECIMAL.fullmatch(value) is None:
+        raise ValueError(f"invalid decimal {value!r}")
+    return money
 
 
 def _str(value: Any) -> str:

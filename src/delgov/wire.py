@@ -16,10 +16,10 @@ Format rules:
   six digits (microseconds at most), then ``Z``, ``z`` or ``[+-]HH:MM``.
 - Money is carried as a decimal string so roundtrips are exact on every
   platform; it is parsed to :class:`decimal.Decimal` internally. The
-  decoder reads one grammar in ASCII digits: an optional sign, digits with
-  an optional ``.`` and fraction (or ``.`` and digits), then optionally
-  ``e`` or ``E``, an optional sign and digits. A JSON number is read as it
-  is.
+  decoder and construction read one grammar (``types._DECIMAL``) in ASCII
+  digits: an optional sign, digits with an optional ``.`` and fraction (or
+  ``.`` and digits), then optionally ``e`` or ``E``, an optional sign and
+  digits. A JSON number is read as it is.
 - Unknown object keys are ignored on decode (new fields never break old
   readers). Unknown enum values are rejected: trust semantics must never
   be guessed.
@@ -53,22 +53,23 @@ simply stay absent.
 
 Every wire type is described once, by its dataclass in ``delgov.types``.
 ``FIELDS`` is derived at import from the field table that construction
-reads (``types._fields``): one row per field, in declaration order, holding
-the wire name (the attribute name), the kind its annotation gives
-(``Optional[X]`` as ``X``) and whether it is required (has no default).
-The kind of a ``str``, ``int``, ``float`` or ``bool`` field is
-construction's own check. The codec adds only what the wire needs: nested
-objects, enum values (an unknown one is an :class:`InvariantViolation`),
-RFC 3339 text, JSON lists of strings, and money that must be finite.
-Every encoder and decoder goes through ``to_wire`` and ``from_wire``, which
-read that table. Decoding checks the fields in declaration order, each for
-presence and then for type, and reports the first fault. It then builds the
-value without the dataclass ``__init__``, so construction's checks do not
-run a second time. That is safe because each kind already gives what
-construction would keep: a scalar passes construction's own check, an enum
-value becomes its member, a nested object is built as its exact type, a
-list becomes a tuple of strings, a timestamp aware UTC and money a finite
-``Decimal``. An absent optional field takes its dataclass default.
+reads (``types._fields``): one flat row per field, in declaration order,
+holding the wire name (the attribute name), the encoder and decoder of the
+kind its annotation gives (``Optional[X]`` as ``X``), whether it is
+required (has no default) and its dataclass default. The kind of a
+``str``, ``int``, ``float`` or ``bool`` field is construction's own check.
+The codec adds only what the wire needs: nested objects, enum values (an
+unknown one is an :class:`InvariantViolation`), RFC 3339 text, JSON lists
+of strings, and money that must be finite. It is the only per-type
+table: ``to_wire`` reads each row's encoder, and ``from_wire`` its decoder,
+requiredness and default. Decoding checks the fields in declaration order,
+each for presence and then for type, and reports the first fault. It then
+builds the value without the dataclass ``__init__``, so construction's
+checks do not run a second time. That is safe because each kind already
+gives what construction would keep: a scalar passes construction's own
+check, an enum value becomes its member, a nested object is built as its
+exact type, a list becomes a tuple of strings, a timestamp aware UTC and
+money a finite ``Decimal``. An absent optional field takes the row's default.
 """
 
 from __future__ import annotations
@@ -155,18 +156,11 @@ def parse_timestamp(raw: Any, path: str) -> datetime:
         raise MalformedMessage(f"{path}: timestamp {raw!r} is out of range in UTC") from None
 
 
-# The module docstring's money grammar. Decimal alone also reads underscores,
-# surrounding whitespace and any Unicode digit, so two readers could disagree.
-_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([Ee][+-]?\d+)?", re.ASCII)
-
-
 def _finite_money(raw: Any) -> Decimal:
     value = _money(raw)
     # NaN, sNaN and the infinities parse, but no amount compares with them
     if not value.is_finite():
         raise ValueError(f"non-finite decimal {raw!r}")
-    if isinstance(raw, str) and _DECIMAL.fullmatch(raw) is None:
-        raise ValueError(f"invalid decimal {raw!r}")
     return value
 
 
@@ -187,10 +181,11 @@ def _str_list(raw: Any, path: str, name: str) -> tuple[str, ...]:
 # (encode, decode). ``encode(value)`` gives the JSON value of an
 # attribute, or None to leave the key out; None in its place means the
 # value crosses unchanged. ``decode(raw, path, name)`` checks the JSON
-# value and converts it back. Kinds are plain tuples because the
-# per-field loops unpack them, and a plain tuple unpacks faster than a
-# NamedTuple.
+# value and converts it back. Each kind is spliced into the flat rows of
+# FIELDS, which the per-field loops unpack: a plain tuple unpacks faster
+# than a NamedTuple.
 _Kind = tuple[Optional[Callable[[Any], Any]], Callable[[Any, str, str], Any]]
+_Row = tuple[str, Optional[Callable[[Any], Any]], Callable[[Any, str, str], Any], bool, Any]
 
 
 def _scalar(check: Callable[[Any], Any], encode: Optional[Callable[[Any], Any]] = None) -> _Kind:
@@ -226,7 +221,7 @@ def to_wire(value: DomainType) -> dict:
     if fields is None:
         raise TypeError(f"not a wire type: {type(value).__name__}")
     out: dict[str, Any] = {}
-    for name, (encode, _), _ in fields:
+    for name, encode, _, _, _ in fields:
         item = getattr(value, name)
         if item is not None and encode is not None:
             item = encode(item)
@@ -247,7 +242,7 @@ def from_wire(cls: type, raw: Any, path: str) -> Any:
     if not isinstance(raw, dict):
         raise MalformedMessage(f"{path}: expected an object")
     value = object.__new__(cls)
-    for name, decode, required, default in _DECODERS[cls]:
+    for name, _, decode, required, default in FIELDS[cls]:
         if required:
             if name not in raw:
                 raise MalformedMessage(f"{path}: missing required key {name!r}")
@@ -287,10 +282,10 @@ _KINDS = {hint: _scalar(check) for hint, (_, check) in _CHECKS.items()}
 _KINDS.update({tuple[str, ...]: _STR_LIST, Decimal: _MONEY, datetime: _TIMESTAMP})
 
 
-def _rows(cls: type) -> tuple[tuple[str, _Kind, bool], ...]:
-    """One row per dataclass field, in declaration order: (name, kind, required)."""
+def _rows(cls: type) -> tuple[_Row, ...]:
+    """(name, encode, decode, required, default) per dataclass field, in declaration order."""
     rows = []
-    for name, hint, required, *_ in _fields(cls):
+    for (name, hint, required, *_), f in zip(_fields(cls), fields(cls)):
         if hint in _WIRE_TYPES:
             kind = _object(hint)
         elif isinstance(hint, type) and issubclass(hint, Enum):
@@ -299,19 +294,11 @@ def _rows(cls: type) -> tuple[tuple[str, _Kind, bool], ...]:
             kind = _KINDS[hint]
         else:
             raise TypeError(f"{cls.__name__}.{name}: no wire kind for {hint!r}")
-        rows.append((name, kind, required))
+        rows.append((name, *kind, required, f.default))
     return tuple(rows)
 
 
-FIELDS: dict[type, tuple[tuple[str, _Kind, bool], ...]] = {cls: _rows(cls) for cls in _WIRE_TYPES}
-# from_wire's rows: (name, decode, required, the dataclass default), bound once
-_DECODERS = {
-    cls: tuple(
-        (name, decode, required, f.default)
-        for (name, (_, decode), required), f in zip(rows, fields(cls))
-    )
-    for cls, rows in FIELDS.items()
-}
+FIELDS: dict[type, tuple[_Row, ...]] = {cls: _rows(cls) for cls in _WIRE_TYPES}
 _set = object.__setattr__
 
 
@@ -355,24 +342,6 @@ def _checked(value: DomainType) -> Any:
     return value
 
 
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def _has_lone_surrogate(parsed: Any) -> bool:
-    """Whether any string of a parsed JSON value, keys included, holds an unpaired surrogate."""
-    pending = [parsed]
-    while pending:
-        node = pending.pop()
-        if isinstance(node, dict):
-            pending.extend(node)
-            pending.extend(node.values())
-        elif isinstance(node, list):
-            pending.extend(node)
-        elif isinstance(node, str) and _SURROGATE.search(node):
-            return True
-    return False
-
-
 def _load_object(data: Union[bytes, str]) -> dict:
     # UTF-8 decoding refuses surrogates, so decoded text can bring one in
     # only by a \u escape; a non-ASCII str can also hold one as it is
@@ -393,8 +362,15 @@ def _load_object(data: Union[bytes, str]) -> dict:
         raise MalformedMessage("message: invalid JSON (integer too long)") from None
     if not isinstance(parsed, dict):
         raise MalformedMessage("message: top-level value must be an object")
-    if (suspect or "\\" in data) and _has_lone_surrogate(parsed):
-        raise MalformedMessage("message: a string holds an unpaired surrogate")
+    if suspect or "\\" in data:
+        # UTF-8 has no form for U+D800 to U+DFFF (RFC 3629), so encoding the
+        # parsed value fails on an unpaired surrogate in any string, keys
+        # included; a paired escape was parsed as its one character. With
+        # ensure_ascii the surrogate would be written as an escape and pass
+        try:
+            json.dumps(parsed, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedMessage("message: a string holds an unpaired surrogate") from None
     return parsed
 
 

@@ -169,6 +169,36 @@ def test_check_contract_on_a_lone_surrogate_exits_one_without_output(tmp_path):
     assert proc.stderr == "invalid input: message: a string holds an unpaired surrogate\n"
 
 
+def test_validate_on_a_missing_file_exits_one(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["validate", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{missing}: unreadable (")
+    assert captured.err.endswith(")\n")
+
+
+def test_check_contract_on_a_missing_file_exits_one(tmp_path, capsys):
+    contract_path = tmp_path / "c.json"
+    write_contract(contract_path)
+    missing = tmp_path / "missing.json"
+    assert main(["check-contract", str(contract_path), str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("unreadable input: ")
+    assert str(missing) in captured.err
+
+
+def test_check_contract_on_a_submit_exits_one(tmp_path, capsys):
+    contract_path, submit_path = tmp_path / "c.json", tmp_path / "s.json"
+    write_contract(contract_path)
+    submit_path.write_text(json.dumps({"task_id": "t", "payload": "p"}))
+    assert main(["check-contract", str(contract_path), str(submit_path)]) == 1
+    assert capsys.readouterr() == (
+        "", "invalid input: RESULT_FILE does not hold a task result\n"
+    )
+
+
 @pytest.mark.parametrize(
     ("tasks", "statistic"),
     [("1", "cohens_d needs at least 2"), ("2", "mann_whitney_u needs at least 3")],

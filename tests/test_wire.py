@@ -135,11 +135,14 @@ def test_float_money_is_read_by_its_shortest_repr():
     assert str(Budget(max_cost_usd=0.05).max_cost_usd) == "0.05"
 
 
-def test_non_numeric_money_string_raises_value_error_in_memory():
-    with pytest.raises(ValueError, match="^invalid decimal 'abc'$"):
-        Budget(max_cost_usd="abc")
-    with pytest.raises(ValueError, match="^invalid decimal ''$"):
-        TaskResult("t-1", "x", 5, "", datetime(2026, 1, 1, tzinfo=timezone.utc))
+@pytest.mark.parametrize("amount", ["abc", "", "1_0", " 0.5 ", "\u0661"])
+def test_non_numeric_money_string_raises_value_error_in_memory(amount):
+    # construction reads the decoder's money grammar: "1_0" is not Decimal("10")
+    message = f"^invalid decimal {re.escape(repr(amount))}$"
+    with pytest.raises(ValueError, match=message):
+        Budget(max_cost_usd=amount)
+    with pytest.raises(ValueError, match=message):
+        TaskResult("t-1", "x", 5, amount, datetime(2026, 1, 1, tzinfo=timezone.utc))
 
 
 def test_cost_as_json_number_is_accepted():
@@ -339,6 +342,11 @@ def _with_budget_cost(cost):
             json.dumps(dict(_CLAIM, **{"x_\ud83d": 1})),
             "message: a string holds an unpaired surrogate",
             id="lone-surrogate-in-an-unknown-key",
+        ),
+        pytest.param(
+            json.dumps(_CLAIM)[:-1] + ',"ext":' + '{"x":' * 300 + '"\\ud800"' + "}" * 301,
+            "message: a string holds an unpaired surrogate",
+            id="lone-surrogate-300-levels-deep",
         ),
         pytest.param(
             json.dumps(dict(_CLAIM, value=10**400)),
@@ -636,10 +644,10 @@ def test_field_table_has_one_row_per_dataclass_field_in_declaration_order():
     assert tuple(FIELDS) == get_args(DomainType)
     for cls, rows in FIELDS.items():
         expected = [
-            (f.name, f.default is MISSING and f.default_factory is MISSING)
+            (f.name, f.default is MISSING and f.default_factory is MISSING, f.default)
             for f in dataclasses.fields(cls)
         ]
-        assert [(name, required) for name, _, required in rows] == expected
+        assert [(name, required, default) for name, _, _, required, default in rows] == expected
     assert sum(len(rows) for rows in FIELDS.values()) == 34
 
 
