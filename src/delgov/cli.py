@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_e3 = sub.add_parser("e3", help="run the three routing conditions")
     p_e3.add_argument("--seed", type=int, default=42)
     p_e3.add_argument("--tasks", type=int, default=100)
-    p_e3.add_argument("--out", default="e3.csv")
+    p_e3.add_argument("--out", type=_out_path, default="e3.csv")
     p_e3.set_defaults(run=_cmd_e3)
 
     p_sens = sub.add_parser("sensitivity", help="run the 36-cell sensitivity grid")
@@ -81,12 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=_seed_list, default=[42], help="comma-separated seed list"
     )
     p_sens.add_argument("--tasks", type=int, default=100)
-    p_sens.add_argument("--out", default="sensitivity.csv")
+    p_sens.add_argument("--out", type=_out_path, default="sensitivity.csv")
     p_sens.set_defaults(run=_cmd_sensitivity)
 
     p_bench = sub.add_parser("bench", help="measure protocol overhead")
     p_bench.add_argument("--iterations", type=int, default=10000)
-    p_bench.add_argument("--out", default="bench.csv")
+    p_bench.add_argument("--out", type=_out_path, default="bench.csv")
     p_bench.set_defaults(run=_cmd_bench)
 
     p_demo = sub.add_parser("demo-trace", help="replay the contract lifecycle on the canonical example")
@@ -100,6 +100,13 @@ def _seed_list(text: str) -> list[int]:
     except ValueError:
         message = f"expected comma-separated integers, got {text!r}"
         raise argparse.ArgumentTypeError(message) from None
+
+
+def _out_path(text: str) -> Path:
+    # the CSV goes to --out and the JSON summary beside it, with the suffix .json
+    if Path(text).suffix.lower() == ".json":
+        raise argparse.ArgumentTypeError(f"{text!r} is where the .json summary goes; name the CSV")
+    return Path(text)
 
 
 def _print_wire(obj: dict) -> None:
@@ -165,7 +172,7 @@ def _cmd_e3(args: argparse.Namespace) -> int:
     # the summary needs more samples than the run does: build it before
     # writing anything, so a bad --tasks leaves no partial output
     summary = experiments.routing_summary([run])
-    out = Path(args.out)
+    out = args.out
     experiments.write_csv(str(out), run.reports)
     experiments.write_summary_json(str(out.with_suffix(".json")), summary)
     with open(out.with_suffix(".pool.jsonl"), "wb") as fh:
@@ -185,7 +192,7 @@ def _cmd_e3(args: argparse.Namespace) -> int:
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     cells = experiments.run_sensitivity(args.seeds, args.tasks)
-    out = Path(args.out)
+    out = args.out
     experiments.write_csv(str(out), cells)
     paradox_cells = [c for c in cells if c.paradox]
     experiments.write_summary_json(
@@ -211,7 +218,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     report = experiments.run_overhead(args.iterations)
-    out = Path(args.out)
+    out = args.out
     experiments.write_csv(str(out), [report])
     experiments.write_summary_json(
         str(out.with_suffix(".json")),
@@ -296,6 +303,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         # covers out-of-range knobs like --tasks 0 or --iterations 10
         print(f"bad arguments: {exc}", file=sys.stderr)
+        return EXIT_BAD_ARGS
+    except OSError as exc:
+        # an --out path that cannot be written, such as one in a missing directory
+        print(f"bad arguments: cannot write output ({exc})", file=sys.stderr)
         return EXIT_BAD_ARGS
 
 

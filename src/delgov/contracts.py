@@ -30,7 +30,7 @@ an adversarial guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime
 from enum import Enum
 from typing import Union
@@ -191,10 +191,8 @@ def violation_record(
 ) -> dict:
     """Wire-format log record for one violation, ready for the log stream."""
     return {
+        **asdict(violation),
         "rule": violation.rule.value,
-        "detail": violation.detail,
-        "observed": violation.observed,
-        "limit": violation.limit,
         "contract_id": contract_id,
         "task_id": task_id,
     }

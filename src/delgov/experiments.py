@@ -262,11 +262,9 @@ def _condition_report(
     if run.condition == "blind":
         d, p = 0.0, 1.0
     else:
-        d = cohens_d(run.samples, blind_samples) if n >= 2 and len(blind_samples) >= 2 else math.nan
-        if n >= 3 and len(blind_samples) >= 3:
-            _, p = mann_whitney_u(run.samples, blind_samples)
-        else:
-            p = math.nan
+        # every condition of one run has the same number of samples as blind
+        d = cohens_d(run.samples, blind_samples) if n >= 2 else math.nan
+        p = mann_whitney_u(run.samples, blind_samples)[1] if n >= 3 else math.nan
     return ConditionReport(
         condition=run.condition,
         quality_mean=mean,

@@ -168,12 +168,12 @@ _CHECKS: dict[Any, tuple[Optional[type], Callable[[Any], Any]]] = {
 
 
 @cache
-def _fields(cls: type) -> tuple[tuple[str, Any, bool, bool, Optional[type], Callable[[Any], Any]], ...]:
-    """(name, type, required, optional, normal type, check) per dataclass field in
-    declaration order, for construction and the wire codec alike. ``Optional[X]`` reads
-    as ``X`` and is optional, the one annotation that takes None; required means no
-    default. A value of the normal type is kept as it is, and the check gives any other
-    its normal form or raises."""
+def _fields(cls: type) -> tuple[tuple[str, Any, bool, Any, bool, Optional[type], Callable[[Any], Any]], ...]:
+    """(name, type, required, default, optional, normal type, check) per dataclass field
+    in declaration order, for construction and the wire codec alike. ``Optional[X]``
+    reads as ``X`` and is optional, the one annotation that takes None; required means
+    no default, and default is the dataclass default. A value of the normal type is kept
+    as it is, and the check gives any other its normal form or raises."""
     hints = get_type_hints(cls)
     out = []
     for f in fields(cls):
@@ -187,7 +187,7 @@ def _fields(cls: type) -> tuple[tuple[str, Any, bool, bool, Optional[type], Call
         else:
             normal, check = hint, lambda value: value
         required = f.default is MISSING and f.default_factory is MISSING
-        out.append((f.name, hint, required, optional, normal, check))
+        out.append((f.name, hint, required, f.default, optional, normal, check))
     return tuple(out)
 
 
@@ -195,7 +195,7 @@ class _Normalized:
     """Base of the wire types and RoutingPolicy: each field is checked against its annotation."""
 
     def __post_init__(self) -> None:
-        for name, _, _, optional, normal_type, check in _fields(type(self)):
+        for name, _, _, _, optional, normal_type, check in _fields(type(self)):
             value = getattr(self, name)
             # a value of its normal type skips the call (calling an enum costs
             # far more), and so does None in an Optional field; a value the check

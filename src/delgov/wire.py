@@ -55,15 +55,18 @@ Every wire type is described once, by its dataclass in ``delgov.types``.
 ``FIELDS`` is derived at import from the field table that construction
 reads (``types._fields``): one flat row per field, in declaration order,
 holding the wire name (the attribute name), the encoder and decoder of the
-kind its annotation gives (``Optional[X]`` as ``X``), whether it is
-required (has no default) and its dataclass default. The kind of a
-``str``, ``int``, ``float`` or ``bool`` field is construction's own check.
-The codec adds only what the wire needs: nested objects, enum values (an
-unknown one is an :class:`InvariantViolation`), RFC 3339 text, JSON lists
-of strings, and money that must be finite. It is the only per-type
-table: ``to_wire`` reads each row's encoder, and ``from_wire`` its decoder,
-requiredness and default. Decoding checks the fields in declaration order,
-each for presence and then for type, and reports the first fault. It then
+kind its annotation gives (``Optional[X]`` as ``X``), and whether it is
+required (has no default) and its default, both as ``_fields`` gives them.
+The kind of a ``str``, ``int``, ``float`` or ``bool`` field is
+construction's own check. The codec adds only what the wire needs: nested
+objects, enum values (an unknown one is an :class:`InvariantViolation`),
+RFC 3339 text, JSON lists of strings, and money that must be finite. It is
+the only per-type table: ``to_wire`` reads each row's encoder,
+``from_wire`` its decoder, requiredness and default, and
+``validate_invariants`` which rows hold a nested object: it lists a
+value's own rules, then walks those objects in declaration order, each by
+its own rules. Decoding checks the fields in declaration order, each for
+presence and then for type, and reports the first fault. It then
 builds the value without the dataclass ``__init__``, so construction's
 checks do not run a second time. That is safe because each kind already
 gives what construction would keep: a scalar passes construction's own
@@ -76,8 +79,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import fields
-from datetime import datetime, timezone
+from datetime import datetime
 from decimal import Decimal
 from enum import Enum
 from operator import attrgetter
@@ -92,7 +94,6 @@ from .types import (
     LdpError,
     Message,
     PolicyEnvelope,
-    Provenance,
     QualityClaim,
     TaskResult,
     TaskSubmit,
@@ -128,7 +129,7 @@ def format_timestamp(value: datetime) -> str:
 
     The year always has four digits, so years before 1000 decode again.
     """
-    return value.astimezone(timezone.utc).replace(tzinfo=None).isoformat() + "Z"
+    return _utc(value).replace(tzinfo=None).isoformat() + "Z"
 
 
 # The module docstring's grammar: fromisoformat alone reads other forms, varying by version.
@@ -285,7 +286,7 @@ _KINDS.update({tuple[str, ...]: _STR_LIST, Decimal: _MONEY, datetime: _TIMESTAMP
 def _rows(cls: type) -> tuple[_Row, ...]:
     """(name, encode, decode, required, default) per dataclass field, in declaration order."""
     rows = []
-    for (name, hint, required, *_), f in zip(_fields(cls), fields(cls)):
+    for name, hint, required, default, *_ in _fields(cls):
         if hint in _WIRE_TYPES:
             kind = _object(hint)
         elif isinstance(hint, type) and issubclass(hint, Enum):
@@ -294,11 +295,13 @@ def _rows(cls: type) -> tuple[_Row, ...]:
             kind = _KINDS[hint]
         else:
             raise TypeError(f"{cls.__name__}.{name}: no wire kind for {hint!r}")
-        rows.append((name, *kind, required, f.default))
+        rows.append((name, *kind, required, default))
     return tuple(rows)
 
 
 FIELDS: dict[type, tuple[_Row, ...]] = {cls: _rows(cls) for cls in _WIRE_TYPES}
+# The fields of each wire type that hold a nested wire object, in declaration order.
+_NESTED = {cls: tuple(row[0] for row in rows if row[1] is to_wire) for cls, rows in FIELDS.items()}
 _set = object.__setattr__
 
 
@@ -451,6 +454,9 @@ def _check_range(label: str, value: Union[int, Decimal], strict: bool, out: list
 
 
 def _validate(value: DomainType, out: list[str]) -> None:
+    nested = _NESTED.get(type(value))
+    if nested is None:
+        raise TypeError(f"not a protocol domain type: {type(value).__name__}")
     if isinstance(value, Budget):
         if value.max_tokens is None and value.max_cost_usd is None:
             out.append("Budget: at least one of max_tokens or max_cost_usd must be present")
@@ -464,12 +470,9 @@ def _validate(value: DomainType, out: list[str]) -> None:
                 "PolicyEnvelope.max_delegation_depth: must be >= 0 "
                 f"(got {value.max_delegation_depth})"
             )
-        if value.budget is not None:
-            _validate(value.budget, out)
     elif isinstance(value, DelegationContract):
         if not value.contract_id:
             out.append("DelegationContract.contract_id: must be non-empty")
-        _validate(value.policy, out)
     elif isinstance(value, QualityClaim):
         if not 0.0 <= value.value <= 1.0:
             out.append(f"QualityClaim.value: must be within [0, 1] (got {value.value})")
@@ -487,19 +490,15 @@ def _validate(value: DomainType, out: list[str]) -> None:
                 f"LdpError.severity: category {value.category.value!r} requires "
                 f"severity={expected.severity.value!r}"
             )
-    elif isinstance(value, Provenance):
-        pass  # standalone provenance has no range rules; see TaskResult
     elif isinstance(value, TaskSubmit):
         if not value.task_id:
             out.append("TaskSubmit.task_id: must be non-empty")
-        if value.contract is not None:
-            _validate(value.contract, out)
     elif isinstance(value, TaskResult):
         _check_range("TaskResult.tokens_used", value.tokens_used, False, out)
         _check_range("TaskResult.cost_usd", value.cost_usd, False, out)
-        if value.provenance is not None:
-            if not value.provenance.lineage:
-                out.append("Provenance.lineage: must have at least one entry when attached to a result")
-            _validate(value.provenance, out)
-    else:
-        raise TypeError(f"not a protocol domain type: {type(value).__name__}")
+        if value.provenance is not None and not value.provenance.lineage:
+            out.append("Provenance.lineage: must have at least one entry when attached to a result")
+    # then every nested object, by its own rules; standalone provenance has none
+    for name in nested:
+        if (item := getattr(value, name)) is not None:
+            _validate(item, out)

@@ -230,6 +230,37 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+_QUICK_RUNS = {
+    "e3": ["e3", "--tasks", "3"],
+    "sensitivity": ["sensitivity", "--seeds", "1", "--tasks", "3"],
+    "bench": ["bench", "--iterations", "1000"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_QUICK_RUNS))
+def test_an_out_path_ending_in_json_is_refused_at_parsing(tmp_path, capsys, command):
+    # the JSON summary is written beside the CSV as .json, so it would overwrite it
+    out = tmp_path / "r.json"
+    assert main([*_QUICK_RUNS[command], "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"delgov {command}: error: argument --out: "
+        f"{str(out)!r} is where the .json summary goes; name the CSV"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(_QUICK_RUNS))
+def test_an_out_path_in_a_missing_directory_exits_two_on_one_line(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "r.csv"
+    assert main([*_QUICK_RUNS[command], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"bad arguments: cannot write output ([Errno 2] No such file or directory: {str(out)!r})\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_summary_document(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--iterations", "1000", "--out", str(out)]) == 0

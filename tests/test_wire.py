@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import re
+import time
 from dataclasses import MISSING, dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
@@ -46,6 +47,7 @@ from delgov.wire import (
     decode_contract,
     decode_message,
     encode_message,
+    format_timestamp,
     from_wire,
     to_wire,
     validate_invariants,
@@ -171,6 +173,25 @@ def test_timestamp_offsets_normalize_to_utc():
     decoded = decode_message(raw)
     assert decoded.completed_at == datetime(2026, 3, 15, 17, 30, 0, tzinfo=UTC)
     assert json.loads(encode_message(decoded))["completed_at"] == "2026-03-15T17:30:00Z"
+
+
+@pytest.fixture
+def new_york_clock(monkeypatch):
+    """Run with the host's local time zone five hours behind UTC in winter."""
+    if not hasattr(time, "tzset"):
+        pytest.skip("time.tzset is Unix-only")
+    # a POSIX rule, so no time zone database is needed
+    monkeypatch.setenv("TZ", "EST5EDT,M3.2.0,M11.1.0")
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
+
+
+def test_format_timestamp_reads_a_naive_clock_as_utc_whatever_the_host_zone(new_york_clock):
+    assert time.timezone == 5 * 3600
+    assert format_timestamp(datetime(2026, 1, 1)) == "2026-01-01T00:00:00Z"
+    assert format_timestamp(datetime(2026, 1, 1, tzinfo=UTC)) == "2026-01-01T00:00:00Z"
 
 
 def test_fractional_seconds_roundtrip():
@@ -738,6 +759,30 @@ def test_ldp_error_semantics_consistency_is_checked():
 def test_negative_depth_is_flagged():
     policy = PolicyEnvelope(failure_policy=FailurePolicy.FAIL_OPEN, max_delegation_depth=-1)
     assert any("max_delegation_depth" in v for v in validate_invariants(policy))
+
+
+def test_invariant_messages_list_own_rules_before_nested_values():
+    # each value reports its own rules, then its nested values in declaration order
+    contract = DelegationContract(
+        contract_id="",
+        objective="o",
+        policy=PolicyEnvelope(
+            failure_policy=FailurePolicy.FAIL_OPEN, budget=Budget(), max_delegation_depth=-1
+        ),
+    )
+    assert validate_invariants(TaskSubmit(task_id="", payload="p", contract=contract)) == [
+        "TaskSubmit.task_id: must be non-empty",
+        "DelegationContract.contract_id: must be non-empty",
+        "PolicyEnvelope.max_delegation_depth: must be >= 0 (got -1)",
+        "Budget: at least one of max_tokens or max_cost_usd must be present",
+    ]
+    result = sample_result(
+        tokens_used=-1, provenance=Provenance(VerificationStatus.UNVERIFIED)
+    )
+    assert validate_invariants(result) == [
+        "TaskResult.tokens_used: must be >= 0 (got -1)",
+        "Provenance.lineage: must have at least one entry when attached to a result",
+    ]
 
 
 # ---------------------------------------------------------------------------
