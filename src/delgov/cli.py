@@ -21,6 +21,8 @@ arguments; ``bench`` output depends on the host clock by nature.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -109,6 +111,32 @@ def _out_path(text: str) -> Path:
     return Path(text)
 
 
+def _write_all(files: Sequence[tuple[Path, bytes]]) -> None:
+    """Write every file or none: stage each beside its target, then rename them all.
+
+    On failure the staged files are removed, files that already existed are
+    left untouched, and the error names the target, not the staging file.
+    """
+    staged: list[Path] = []
+    try:
+        for path, data in files:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            try:
+                with open(temp, "wb") as fh:
+                    staged.append(temp)
+                    fh.write(data)
+            except OSError as exc:
+                exc.filename = str(path)
+                raise
+        for (path, _), temp in zip(files, staged):
+            os.replace(temp, path)
+    finally:
+        for temp in staged:
+            temp.unlink(missing_ok=True)
+
+
 def _print_wire(obj: dict) -> None:
     print(canonical_bytes(obj).decode("utf-8"))
 
@@ -173,11 +201,16 @@ def _cmd_e3(args: argparse.Namespace) -> int:
     # writing anything, so a bad --tasks leaves no partial output
     summary = experiments.routing_summary([run])
     out = args.out
-    experiments.write_csv(str(out), run.reports)
-    experiments.write_summary_json(str(out.with_suffix(".json")), summary)
-    with open(out.with_suffix(".pool.jsonl"), "wb") as fh:
-        for profile in run.pool:
-            fh.write(canonical_bytes(asdict(profile)) + b"\n")
+    _write_all(
+        [
+            (out, experiments.csv_bytes(run.reports)),
+            (out.with_suffix(".json"), experiments.summary_bytes(summary)),
+            (
+                out.with_suffix(".pool.jsonl"),
+                b"".join(canonical_bytes(asdict(profile)) + b"\n" for profile in run.pool),
+            ),
+        ]
+    )
     print(f"{'condition':<14}{'quality':>18}{'accuracy%':>11}{'inflated%':>11}{'d':>9}{'p':>12}")
     for report in run.reports:
         quality = f"{report.quality_mean:.3f} +/- {report.quality_std:.3f}"
@@ -193,17 +226,19 @@ def _cmd_e3(args: argparse.Namespace) -> int:
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     cells = experiments.run_sensitivity(args.seeds, args.tasks)
     out = args.out
-    experiments.write_csv(str(out), cells)
     paradox_cells = [c for c in cells if c.paradox]
-    experiments.write_summary_json(
-        str(out.with_suffix(".json")),
-        {
-            "experiment": "sensitivity",
-            "seeds": args.seeds,
-            "tasks_per_condition": args.tasks,
-            "cells": [asdict(cell) for cell in cells],
-            "paradox_count": len(paradox_cells),
-        },
+    summary = {
+        "experiment": "sensitivity",
+        "seeds": args.seeds,
+        "tasks_per_condition": args.tasks,
+        "cells": [asdict(cell) for cell in cells],
+        "paradox_count": len(paradox_cells),
+    }
+    _write_all(
+        [
+            (out, experiments.csv_bytes(cells)),
+            (out.with_suffix(".json"), experiments.summary_bytes(summary)),
+        ]
     )
     print(f"{len(cells)} cells, paradox in {len(paradox_cells)}")
     for cell in paradox_cells:
@@ -219,10 +254,12 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     report = experiments.run_overhead(args.iterations)
     out = args.out
-    experiments.write_csv(str(out), [report])
-    experiments.write_summary_json(
-        str(out.with_suffix(".json")),
-        {"experiment": "overhead", "iterations": args.iterations, **asdict(report)},
+    summary = {"experiment": "overhead", "iterations": args.iterations, **asdict(report)}
+    _write_all(
+        [
+            (out, experiments.csv_bytes([report])),
+            (out.with_suffix(".json"), experiments.summary_bytes(summary)),
+        ]
     )
     delta = report.bytes_with_contract - report.bytes_without_contract
     pct = 100.0 * delta / report.bytes_without_contract
@@ -230,7 +267,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
           f"{report.bytes_with_contract} with contract (+{delta}, +{pct:.0f}%)")
     print(f"validation:    {report.validation_ns_mean / 1000.0:.2f} us/result")
     print(f"serialization: {report.serialization_ns_mean / 1000.0:.2f} us/message")
-    print(f"wrote {args.out}")
+    print(f"wrote {out}, {out.with_suffix('.json')}")
     return EXIT_OK
 
 

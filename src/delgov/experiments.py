@@ -32,14 +32,18 @@ the attested-dominance property hold pointwise instead of merely in
 expectation. No cross-condition statistics are computed on the grid, so
 nothing needs the independence.
 
-Reports are frozen dataclasses, and each is described once: ``write_csv``
+Reports are frozen dataclasses, and each is described once: ``csv_bytes``
 takes its columns from the dataclass fields, in declaration order, and the
 JSON summaries use ``dataclasses.asdict``.
 
 Routing cost: over the static pool of one condition, by_claims routing is
 a pure function of the pool and the policy, so ``run_condition`` selects
 once per condition and gives every task that delegate. Blind routing
-still draws once per task from its selection stream.
+still draws once per task from its selection stream. Each record indexes
+its claims by skill and trust level when it is built, so a by_claims
+select looks each delegate's claim up instead of scanning its claims;
+the self_claimed records reuse the claim objects of the full records
+rather than building them again.
 """
 
 from __future__ import annotations
@@ -231,7 +235,8 @@ def _run_conditions(
     route over the full records.
     """
     full = records_for_pool(pool)
-    self_only = records_for_pool(pool, with_attested_claims=False)
+    # records_for_pool lists the self-reported claim first
+    self_only = [DelegateRecord(r.delegate_id, r.claims[:1]) for r in full]
     return tuple(
         run_condition(
             pool,
@@ -459,8 +464,8 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def write_csv(path: str, rows: Sequence[object]) -> None:
-    """One CSV line per report dataclass, under a header of its field names.
+def csv_bytes(rows: Sequence[object]) -> bytes:
+    """One CSV line per report dataclass, under a header of its field names, as UTF-8.
 
     Columns follow the dataclass field order; ``rows`` must be non-empty
     and of one type.
@@ -469,15 +474,12 @@ def write_csv(path: str, rows: Sequence[object]) -> None:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_cell(getattr(row, column)) for column in columns))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def write_summary_json(path: str, payload: dict) -> None:
-    """Wire-format summary document (canonical JSON plus trailing newline)."""
-    data = canonical_bytes(payload) + b"\n"
-    with open(path, "wb") as fh:
-        fh.write(data)
+def summary_bytes(payload: dict) -> bytes:
+    """Wire-format summary document: canonical JSON plus a trailing newline."""
+    return canonical_bytes(payload) + b"\n"
 
 
 def routing_summary(runs: Sequence[RoutingRun]) -> dict:

@@ -7,15 +7,16 @@ Two strategies:
   filtering claims by skill, minimum claim type on the trust scale, and
   freshness. Delegates without an eligible claim are excluded entirely.
 
-One private filter, ``_eligible``, picks each delegate's claim, reading
-the policy and the clock once per call (a naive ``now`` as UTC, as
-``check_result`` does). ``eligible_claim`` applies it to one record and
-``rank``, the one ranking routine, to a pool, listing the ``(value,
-delegate_id)`` pairs the router chooses among. ``select`` then draws:
-blind uniformly from its rng, by_claims the highest value over ``rank``,
-ties to the smallest id. The by_claims draw never touches the rng, so a
-caller routing many tasks over one static pool, policy and reference time
-may select once and reuse the answer.
+Each ``DelegateRecord`` indexes its claims by skill and trust level when
+it is built. One private filter, ``_eligible``, looks each delegate's claim
+up, reading the policy and the clock once per call (a naive ``now`` as
+UTC, as ``check_result`` does). ``eligible_claim`` applies it to one record
+and ``rank`` to a pool, listing the ``(value, delegate_id)`` pairs the
+router chooses among. ``select`` then draws: blind uniformly from its rng,
+by_claims the highest value in one pass over the filter, ties to the
+smallest id. The by_claims draw never touches the rng, so a caller routing
+many tasks over one static pool, policy and reference time may select once
+and reuse the answer.
 
 Filtering is a hard minimum trust level, not a weighting: a router that
 requires issuer_attested or better never reads self-reported numbers, so
@@ -32,6 +33,9 @@ from random import Random
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .types import ClaimType, QualityClaim, _Normalized, _utc
+
+
+_LEVELS = len(ClaimType)
 
 
 class Strategy(str, Enum):
@@ -89,12 +93,19 @@ class DelegateRecord:
     claims: tuple[QualityClaim, ...] = ()
 
     def __post_init__(self) -> None:
-        claims = tuple(self.claims)
-        object.__setattr__(self, "claims", claims)
-        seen = set()
+        claims = self.claims
+        if type(claims) is not tuple:
+            claims = tuple(claims)
+            object.__setattr__(self, "claims", claims)
+        # the routing index: per skill, one claim slot per ClaimType.level; a plain
+        # attribute, not a field, so equality, hashing and repr read the claims alone
+        by_skill: dict[str, list[Optional[QualityClaim]]] = {}
         for claim in claims:
-            key = (claim.skill, claim.claim_type)
-            if key in seen:
+            slots = by_skill.get(claim.skill)
+            if slots is None:
+                slots = by_skill[claim.skill] = [None] * _LEVELS
+            level = claim.claim_type.level
+            if slots[level] is not None:
                 raise ValueError(
                     f"delegate {self.delegate_id!r} has duplicate claim for "
                     f"skill {claim.skill!r} at type {claim.claim_type.value!r}"
@@ -103,26 +114,31 @@ class DelegateRecord:
                 raise ValueError(
                     f"delegate {self.delegate_id!r} has a NaN claim for skill {claim.skill!r}"
                 )
-            seen.add(key)
+            slots[level] = claim
+        object.__setattr__(self, "_by_skill", by_skill)
 
 
 def _eligible(
     pool: Iterable[DelegateRecord], policy: RoutingPolicy, now: Optional[datetime]
 ) -> Iterator[tuple[DelegateRecord, QualityClaim]]:
-    """``(record, eligible_claim)`` per record that has one. A claim at or below the best
-    level so far skips its freshness test: with one claim per (skill, type) it cannot win."""
+    """``(record, eligible_claim)`` per record that has one. Each record's claims of the
+    policy skill are looked up by level, from the top down to the floor, and the first that
+    passes the freshness test wins: with one claim per (skill, type) no lower one can."""
     if policy.strategy is not Strategy.BY_CLAIMS:
         raise ValueError("eligible_claim applies only to by_claims policies")
     if policy.skill is None or policy.min_claim_type is None:
         raise ValueError("by_claims policy requires both skill and min_claim_type")
-    skill, window, floor = policy.skill, policy.max_staleness, policy.min_claim_type.level - 1
+    skill, window = policy.skill, policy.max_staleness
+    levels = range(_LEVELS - 1, policy.min_claim_type.level - 1, -1)
     if window is not None and now is not None:
         now = _utc(now)
     for record in pool:
-        best, best_level = None, floor
-        for claim in record.claims:
-            level = claim.claim_type.level
-            if claim.skill != skill or level <= best_level:
+        slots = record._by_skill.get(skill)
+        if slots is None:
+            continue
+        for level in levels:
+            claim = slots[level]
+            if claim is None:
                 continue
             if window is not None:
                 if claim.observed_at is None:
@@ -131,9 +147,8 @@ def _eligible(
                     raise ValueError("freshness filtering requires a reference time")
                 if now - claim.observed_at > window:
                     continue
-            best, best_level = claim, level
-        if best is not None:
-            yield record, best
+            yield record, claim
+            break
 
 
 def eligible_claim(
@@ -174,20 +189,26 @@ def select(
     """Pick one delegate id from a non-empty pool.
 
     Blind draws uniformly from ``rng``. by_claims picks the highest value
-    over ``rank(pool, policy, now)`` and is a pure function of the pool,
-    policy and reference time: the rng is never touched, and ties on claim
-    value go to the lexicographically smallest delegate id so runs
-    reproduce.
+    among the pairs ``rank(pool, policy, now)`` lists, without building the
+    list, and is a pure function of the pool, policy and reference time:
+    the rng is never touched, and ties on claim value go to the
+    lexicographically smallest delegate id so runs reproduce.
     """
     if not pool:
         raise ValueError("select requires a non-empty pool")
     if policy.strategy is Strategy.BLIND:
         return pool[rng.randrange(len(pool))].delegate_id
 
-    ranked = rank(pool, policy, now)
-    if not ranked:
+    winner = None
+    for record, claim in _eligible(pool, policy, now):
+        value = claim.value
+        if winner is None or value > best or (
+            value == best and record.delegate_id < winner.delegate_id
+        ):
+            winner, best = record, value
+    if winner is None:
         raise NoEligibleDelegate(
             f"no delegate has an eligible {policy.skill!r} claim at "
             f"{policy.min_claim_type.value!r} or above"
         )
-    return min(ranked, key=lambda pair: (-pair[0], pair[1]))[1]
+    return winner.delegate_id

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -259,6 +260,34 @@ def test_an_out_path_in_a_missing_directory_exits_two_on_one_line(tmp_path, caps
         f"bad arguments: cannot write output ([Errno 2] No such file or directory: {str(out)!r})\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    ("command", "blocked"),
+    [("e3", ".json"), ("e3", ".pool.jsonl"), ("sensitivity", ".json"), ("bench", ".json")],
+)
+def test_a_failed_write_leaves_no_new_file_and_no_staging_file(tmp_path, capsys, command, blocked):
+    # a directory holds the name of one output: the command writes every file or none
+    out = tmp_path / "r.csv"
+    out.write_bytes(b"kept\n")
+    directory = out.with_suffix(blocked)
+    directory.mkdir()
+    assert main([*_QUICK_RUNS[command], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"bad arguments: cannot write output "
+        f"([Errno {errno.EISDIR}] Is a directory: {str(directory)!r})\n"
+    )
+    assert sorted(tmp_path.iterdir()) == sorted([out, directory])
+    assert out.read_bytes() == b"kept\n"
+
+
+def test_bench_names_both_files_it_writes(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--iterations", "1000", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}, {tmp_path / 'b.json'}"
+    assert sorted(tmp_path.iterdir()) == [out, tmp_path / "b.json"]
 
 
 def test_bench_summary_document(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 
 from delgov import experiments
 from delgov.routing import NoEligibleDelegate, select
-from delgov.simulate import build_pool_with_metadata, dishonest_count, execute_task
+from delgov.simulate import PoolConfig, build_pool_with_metadata, dishonest_count, execute_task
 
 
 def test_seed42_routing_exactness():
@@ -47,14 +47,11 @@ def test_conservation_of_routing_mass():
         assert report.accuracy_pct == pytest.approx(100.0 * best_share / 200)
 
 
-def test_runs_are_reproducible(tmp_path):
+def test_runs_are_reproducible():
     first = experiments.run_routing_conditions_detailed(11, 100).reports
     second = experiments.run_routing_conditions_detailed(11, 100).reports
     assert first == second
-    path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    experiments.write_csv(str(path_a), first)
-    experiments.write_csv(str(path_b), second)
-    assert path_a.read_bytes() == path_b.read_bytes()
+    assert experiments.csv_bytes(first) == experiments.csv_bytes(second)
 
 
 def test_condition_streams_are_independent_of_each_other():
@@ -105,14 +102,11 @@ def test_attested_dominates_in_every_cell():
         assert cell.attested_mean >= cell.self_claimed_mean
 
 
-def test_grid_is_reproducible(tmp_path):
+def test_grid_is_reproducible():
     cells_a = experiments.run_sensitivity([5, 6], 20)
     cells_b = experiments.run_sensitivity([5, 6], 20)
     assert cells_a == cells_b
-    path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    experiments.write_csv(str(path_a), cells_a)
-    experiments.write_csv(str(path_b), cells_b)
-    assert path_a.read_bytes() == path_b.read_bytes()
+    assert experiments.csv_bytes(cells_a) == experiments.csv_bytes(cells_b)
 
 
 def test_paradox_flag_is_consistent_with_stored_means():
@@ -120,10 +114,9 @@ def test_paradox_flag_is_consistent_with_stored_means():
         assert cell.paradox == (cell.self_claimed_mean < cell.blind_mean)
 
 
-def test_csv_columns_and_values(tmp_path):
-    path = tmp_path / "e3.csv"
-    experiments.write_csv(str(path), experiments.run_routing_conditions_detailed(1, 10).reports)
-    lines = path.read_text().splitlines()
+def test_csv_columns_and_values():
+    data = experiments.csv_bytes(experiments.run_routing_conditions_detailed(1, 10).reports)
+    lines = data.decode("utf-8").splitlines()
     assert lines[0] == (
         "condition,quality_mean,quality_std,accuracy_pct,"
         "inflation_selected_pct,d_vs_blind,p_vs_blind,std_defined"
@@ -166,16 +159,15 @@ def test_overhead_rejects_tiny_iteration_counts():
         experiments.run_overhead(10)
 
 
-def test_summary_document_reports_both_effect_pairings(tmp_path):
+def test_summary_document_reports_both_effect_pairings():
     runs = [experiments.run_routing_conditions_detailed(s, 50) for s in (1, 2)]
     summary = experiments.routing_summary(runs)
     assert len(summary["d_attested_vs_self_claimed"]) == 2
     assert all(d > 0 for d in summary["d_attested_vs_self_claimed"])
     assert summary["pool_metadata"]["dominance_guaranteed"] is True
-    path = tmp_path / "summary.json"
-    experiments.write_summary_json(str(path), summary)
-    experiments.write_summary_json(str(tmp_path / "again.json"), summary)
-    assert path.read_bytes() == (tmp_path / "again.json").read_bytes()
+    data = experiments.summary_bytes(summary)
+    assert data.endswith(b"}\n")
+    assert data == experiments.summary_bytes(experiments.routing_summary(runs))
 
 
 def _routing_pool(seed):
@@ -212,3 +204,30 @@ def test_by_claims_condition_without_an_eligible_claim_raises():
     # no task, no routing: nothing is raised
     run = experiments.run_condition(pool, self_only, "attested", Random(0), Random(1), 0)
     assert run.samples == () and run.selections == ()
+
+
+# the e3 pool and the grid's corner fractions and inflation levels, at every pool size
+_CONFIGS = [experiments.ROUTING_POOL] + [
+    PoolConfig(size, fraction, inflation)
+    for fraction in (experiments.GRID_FRACTIONS[0], experiments.GRID_FRACTIONS[-1])
+    for _, inflation in (experiments.GRID_INFLATION[0], experiments.GRID_INFLATION[-1])
+    for size in experiments.GRID_POOL_SIZES
+]
+
+
+@pytest.mark.parametrize("config", _CONFIGS)
+def test_each_condition_routes_over_the_records_for_its_pool(monkeypatch, config):
+    routed = {}
+
+    def spy(pool, records, condition, *rest):
+        routed[condition] = records
+        return run_condition(pool, records, condition, *rest)
+
+    run_condition = experiments.run_condition
+    monkeypatch.setattr(experiments, "run_condition", spy)
+    for seed in range(3):
+        pool, _ = build_pool_with_metadata(config, Random(f"{seed}:records"))
+        experiments._run_conditions(pool, lambda c: (f"{c}:select", f"{c}:noise"), 2)
+        full = experiments.records_for_pool(pool)
+        assert routed["blind"] == routed["attested"] == full
+        assert routed["self_claimed"] == experiments.records_for_pool(pool, with_attested_claims=False)

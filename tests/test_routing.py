@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 from datetime import datetime, timedelta, timezone
 from random import Random
 
@@ -153,6 +156,56 @@ def test_nan_claim_is_rejected_when_the_record_is_built():
     assert select([a, b], policy(), Random(0), NOW) == select([b, a], policy(), Random(0), NOW) == "b"
 
 
+_MIXED = (
+    claim(0.9, ClaimType.SELF_CLAIMED),
+    claim(0.6, ClaimType.ISSUER_ATTESTED),
+    claim(0.7, ClaimType.RUNTIME_OBSERVED, skill="code", observed_at=NOW - timedelta(days=1)),
+)
+
+
+@pytest.mark.parametrize("build", [tuple, list, iter], ids=["tuple", "list", "generator"])
+def test_a_record_built_from_any_iterable_equals_the_tuple_built_one(build):
+    record = DelegateRecord("d-a", build(_MIXED))
+    expected = DelegateRecord("d-a", _MIXED)
+    assert type(record.claims) is tuple
+    assert record == expected and hash(record) == hash(expected)
+    assert repr(record) == repr(expected)
+    assert "_by_skill" not in repr(record)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [
+        lambda record: dataclasses.replace(record),
+        lambda record: dataclasses.replace(record, claims=list(record.claims)),
+        copy.copy,
+        copy.deepcopy,
+        lambda record: pickle.loads(pickle.dumps(record)),
+    ],
+    ids=["replace", "replace-list", "copy", "deepcopy", "pickle"],
+)
+def test_copies_of_a_record_route_the_same(duplicate):
+    pool = [
+        DelegateRecord("d-a", _MIXED),
+        DelegateRecord("d-b", (claim(0.8, ClaimType.SELF_CLAIMED),)),
+    ]
+    copies = [duplicate(record) for record in pool]
+    assert copies == pool
+    policies = (
+        policy(),
+        policy(ClaimType.ISSUER_ATTESTED),
+        policy(skill="code", max_staleness=timedelta(days=2)),
+    )
+    for pol in policies:
+        assert rank(copies, pol, NOW) == rank(pool, pol, NOW)
+        assert _outcome(lambda: select(copies, pol, Random(0), NOW)) == _outcome(
+            lambda: select(pool, pol, Random(0), NOW)
+        )
+    # the attested claim outranks d-a's higher self-reported one
+    assert rank(copies, policy(), NOW) == [(0.6, "d-a"), (0.8, "d-b")]
+    assert rank(copies, policy(skill="code", max_staleness=timedelta(days=2)), NOW) == [(0.7, "d-a")]
+
+
 def _pool(values_by_id, claim_type=ClaimType.SELF_CLAIMED):
     return [
         DelegateRecord(delegate_id, (claim(value, claim_type),))
@@ -289,7 +342,8 @@ def _record(draw, delegate_id):
         claim(draw(st.sampled_from((0.2, 0.5, 0.8, 0.95))), claim_type, skill, "iss", draw(_observed))
         for skill, claim_type in keys
     )
-    return DelegateRecord(delegate_id, claims)
+    # a record built from a list holds the same tuple
+    return DelegateRecord(delegate_id, list(claims) if draw(st.booleans()) else claims)
 
 
 _pools = st.lists(
@@ -353,3 +407,27 @@ def test_every_form_of_the_same_now_routes_the_same(pool, pol, hours, form):
     assert _outcome(lambda: select(pool, pol, Random(0), now)) == _outcome(
         lambda: select(pool, pol, Random(0), instant)
     )
+
+
+_windowed = _policies.filter(lambda pol: pol.max_staleness is not None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pools, _windowed)
+def test_a_window_without_a_reference_time_raises_only_on_a_dated_candidate(pool, pol):
+    dated = any(
+        c.skill == pol.skill
+        and c.claim_type.level >= pol.min_claim_type.level
+        and c.observed_at is not None
+        for record in pool
+        for c in record.claims
+    )
+    if dated:
+        for call in (lambda: rank(pool, pol), lambda: select(pool, pol, Random(0))):
+            with pytest.raises(ValueError, match="^freshness filtering requires a reference time$"):
+                call()
+    else:
+        assert rank(pool, pol) == rank(pool, pol, NOW) == []
+        assert _outcome(lambda: select(pool, pol, Random(0))) == _outcome(
+            lambda: select(pool, pol, Random(0), NOW)
+        )
