@@ -9,7 +9,10 @@ Commands:
 - ``sensitivity``: run the 36-cell grid and write the per-cell CSV.
 - ``bench``: measure protocol overhead and write the report CSV.
 - ``demo-trace``: replay the contract lifecycle end to end on the
-  canonical over-budget example and print each step.
+  canonical over-budget example and print each step as a wire document:
+  the submit and the result as sent, the disposition and error documents
+  ``check-contract`` prints, then the recovery action. The two commands
+  share one path from a received result to its disposition (``_resolve``).
 
 Exit codes: 0 success, 1 malformed or invalid input, 2 bad arguments,
 3 contract rejected (distinct so scripts can branch on fail_closed).
@@ -27,12 +30,12 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO, Union
 
 from . import experiments
-from .contracts import apply_policy, check_result, violation_record
+from .contracts import Accepted, apply_policy, check_result, violation_record
 from .errors import default_semantics
-from .types import LdpError, TaskResult, TaskSubmit
+from .types import DelegationContract, LdpError, TaskResult
 from .wire import (
     DecodeError,
     canonical_bytes,
@@ -40,7 +43,6 @@ from .wire import (
     decode_contract,
     decode_message,
     encode_message,
-    format_timestamp,
     parse_timestamp,
     to_wire,
 )
@@ -137,8 +139,28 @@ def _write_all(files: Sequence[tuple[Path, bytes]]) -> None:
             temp.unlink(missing_ok=True)
 
 
-def _print_wire(obj: dict) -> None:
-    print(canonical_bytes(obj).decode("utf-8"))
+def _print_wire(obj: dict, file: Optional[TextIO] = None) -> None:
+    print(canonical_bytes(obj).decode("utf-8"), file=file)
+
+
+def _resolve(
+    contract: DelegationContract, result: TaskResult, received_at: datetime
+) -> tuple[list[dict], list[dict], Union[Accepted, LdpError]]:
+    """Check a result at receipt and apply the contract's failure policy.
+
+    Returns the violation records, the wire documents that report the
+    outcome (the disposition, then the error on a rejection) and the
+    resolution itself.
+    """
+    outcome = check_result(contract, result, received_at)
+    records = [
+        violation_record(v, contract.contract_id, result.task_id) for v in outcome.violations
+    ]
+    resolved = apply_policy(outcome, result)
+    documents = [{"disposition": outcome.disposition.value, "violations": records}]
+    if isinstance(resolved, LdpError):
+        documents.append(to_wire(resolved))
+    return records, documents, resolved
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -180,19 +202,12 @@ def _cmd_check_contract(args: argparse.Namespace) -> int:
         print("invalid input: RESULT_FILE does not hold a task result", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
-    outcome = check_result(contract, message, received_at)
-    records = [
-        violation_record(v, contract.contract_id, message.task_id) for v in outcome.violations
-    ]
+    records, documents, resolved = _resolve(contract, message, received_at)
     for record in records:
-        print(canonical_bytes(record).decode("utf-8"), file=sys.stderr)
-
-    resolved = apply_policy(outcome, message)
-    _print_wire({"disposition": outcome.disposition.value, "violations": records})
-    if isinstance(resolved, LdpError):
-        _print_wire(to_wire(resolved))
-        return EXIT_REJECTED
-    return EXIT_OK
+        _print_wire(record, sys.stderr)
+    for document in documents:
+        _print_wire(document)
+    return EXIT_REJECTED if isinstance(resolved, LdpError) else EXIT_OK
 
 
 def _cmd_e3(args: argparse.Namespace) -> int:
@@ -271,61 +286,33 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def demo_trace() -> tuple[list[str], LdpError, TaskResult]:
+def demo_trace() -> tuple[list[dict], LdpError, TaskResult]:
     """Replay the contract lifecycle on the canonical over-budget example.
 
-    A fail_closed contract with a 6000-token budget meets a result that
-    consumed 8200 tokens: the delegator detects the breach at receipt,
-    rejects, and hands back a CONTRACT_VIOLATED error that preserves the
-    delegate's output as partial_output.
+    The canonical submit, under a fail_closed contract with a 6000-token
+    budget, and a result that consumed 8200 tokens are encoded and decoded
+    again. The decoded pair goes through ``check-contract``'s path: the
+    delegator detects the breach at receipt, rejects, and hands back a
+    CONTRACT_VIOLATED error that preserves the delegate's output as
+    partial_output. Each step is a wire document: the two messages, the
+    disposition and error documents, then the recovery action.
     """
-    steps: list[str] = []
-    contract = experiments.canonical_contract()
-    submit = TaskSubmit(
-        task_id="task-58c21f7d",
-        payload="Summarize the attached quarterly report.",
-        contract=contract,
-    )
-    steps.append(
-        f"submit: task {submit.task_id} with contract {contract.contract_id} "
-        f"(max_tokens={contract.policy.budget.max_tokens}, "
-        f"policy={contract.policy.failure_policy.value}, "
-        f"deadline={format_timestamp(contract.deadline)})"
-    )
-    steps.append(f"submit wire bytes: {len(encode_message(submit))}")
-
-    result = experiments.canonical_result(tokens_used=8200)
-    steps.append(
-        f"result: task {result.task_id} completed at "
-        f"{format_timestamp(result.completed_at)} using {result.tokens_used} tokens"
-    )
-
+    sent = [
+        encode_message(experiments.canonical_submit(True)),
+        encode_message(experiments.canonical_result(tokens_used=8200)),
+    ]
+    submit, result = map(decode_message, sent)
     received_at = datetime(2026, 3, 15, 17, 15, 0, tzinfo=timezone.utc)
-    outcome = check_result(contract, result, received_at)
-    for violation in outcome.violations:
-        steps.append(f"violation: {violation.detail}")
-    steps.append(f"disposition: {outcome.disposition.value}")
-
-    resolved = apply_policy(outcome, result)
+    _, documents, resolved = _resolve(submit.contract, result, received_at)
     if not isinstance(resolved, LdpError):
         raise AssertionError("canonical over-budget trace must reject")
-    semantics = default_semantics(resolved.category)
-    steps.append(
-        f"error: code={resolved.code} category={resolved.category.value} "
-        f"severity={resolved.severity.value} retryable={resolved.retryable}"
-    )
-    steps.append(
-        f"recovery: {semantics.action.kind.value} ({semantics.action.description})"
-    )
-    steps.append(f"partial_output preserved: {len(resolved.partial_output)} chars")
-    return steps, resolved, result
+    recovery = {"recovery": default_semantics(resolved.category).action.kind.value}
+    return [to_wire(submit), to_wire(result), *documents, recovery], resolved, result
 
 
 def _cmd_demo_trace(args: argparse.Namespace) -> int:
-    steps, error, _ = demo_trace()
-    for step in steps:
-        print(step)
-    _print_wire(to_wire(error))
+    for step in demo_trace()[0]:
+        _print_wire(step)
     return EXIT_OK
 
 

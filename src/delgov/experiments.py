@@ -6,8 +6,8 @@ Three experiments, all seeded and reproducible:
   self_claimed, attested), N tasks each, summarized per condition with
   effect size and rank-test p-value against the blind baseline. Every
   delegate record carries both its self-reported claim and an
-  issuer-attested claim equal to its true quality, so the conditions
-  differ only in the router's minimum claim type.
+  issuer-attested claim equal to its true quality, except under
+  self_claimed, which routes over the self-reported claims alone.
 - Sensitivity grid: 36 cells over dishonest fraction x inflation level x
   pool size, averaged over a seed list, with a paradox flag per cell
   (self_claimed mean strictly below blind mean). A ``PoolConfig`` holds
@@ -18,7 +18,7 @@ Three experiments, all seeded and reproducible:
 
 The routing conditions and the grid run each pool through one runner. It
 builds the records each condition routes over (self_claimed gets records
-without attested claims, see ``records_for_pool``) and runs the three
+without attested claims, see ``_run_conditions``) and runs the three
 conditions in ``CONDITIONS`` order; the two experiments differ only in
 the seeds of their streams.
 
@@ -157,43 +157,32 @@ class RoutingRun:
     reports: tuple[ConditionReport, ...]
 
 
-def records_for_pool(
-    pool: Sequence[DelegateProfile],
-    with_attested_claims: bool = True,
-) -> list[DelegateRecord]:
+def records_for_pool(pool: Sequence[DelegateProfile]) -> list[DelegateRecord]:
     """Router-facing records for a simulated pool.
 
-    Every delegate advertises its self-reported quality. With
-    ``with_attested_claims`` each record additionally carries an
-    issuer-attested claim equal to the delegate's true quality: the issuer
-    measured it rather than taking the delegate's word. The self_claimed
-    experiment condition routes over records without attested claims,
-    modelling a deployment where no attestation exists yet; the router
-    itself always prefers the most trusted eligible claim, so leaving the
-    attested claims in would quietly upgrade the condition.
+    Every delegate advertises its self-reported quality first, then an
+    issuer-attested claim equal to its true quality: the issuer measured
+    it rather than taking the delegate's word.
     """
-    records = []
-    for profile in pool:
-        claims = [
-            QualityClaim(
-                skill=EXPERIMENT_SKILL,
-                value=profile.q_claimed,
-                claim_type=ClaimType.SELF_CLAIMED,
-            )
-        ]
-        if with_attested_claims:
-            claims.append(
+    return [
+        DelegateRecord(
+            delegate_id=profile.delegate_id,
+            claims=(
+                QualityClaim(
+                    skill=EXPERIMENT_SKILL,
+                    value=profile.q_claimed,
+                    claim_type=ClaimType.SELF_CLAIMED,
+                ),
                 QualityClaim(
                     skill=EXPERIMENT_SKILL,
                     value=profile.q_true,
                     claim_type=ClaimType.ISSUER_ATTESTED,
                     issuer=ATTESTATION_ISSUER,
-                )
-            )
-        records.append(
-            DelegateRecord(delegate_id=profile.delegate_id, claims=tuple(claims))
+                ),
+            ),
         )
-    return records
+        for profile in pool
+    ]
 
 
 def run_condition(
@@ -231,8 +220,10 @@ def _run_conditions(
 
     ``stream_seeds(condition)`` names the seeds of that condition's
     selection and noise streams. The self_claimed condition routes over
-    records without attested claims (see ``records_for_pool``); the others
-    route over the full records.
+    records without attested claims, modelling a deployment where no
+    attestation exists yet: the router always prefers the most trusted
+    eligible claim, so leaving the attested claims in would quietly
+    upgrade the condition. The others route over the full records.
     """
     full = records_for_pool(pool)
     # records_for_pool lists the self-reported claim first

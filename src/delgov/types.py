@@ -182,10 +182,8 @@ def _fields(cls: type) -> tuple[tuple[str, Any, bool, Any, bool, Optional[type],
         hint = args[0] if optional else hint
         if hint in _CHECKS:
             normal, check = _CHECKS[hint]
-        elif isinstance(hint, type):
-            normal, check = hint, hint if issubclass(hint, Enum) else _only(hint)
         else:
-            normal, check = hint, lambda value: value
+            normal, check = hint, hint if issubclass(hint, Enum) else _only(hint)
         required = f.default is MISSING and f.default_factory is MISSING
         out.append((f.name, hint, required, f.default, optional, normal, check))
     return tuple(out)

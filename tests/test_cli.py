@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from delgov import experiments
 from delgov.cli import demo_trace, main
 from delgov.types import (
     Budget,
@@ -21,7 +22,7 @@ from delgov.types import (
     PolicyEnvelope,
     TaskResult,
 )
-from delgov.wire import canonical_bytes, to_wire
+from delgov.wire import canonical_bytes, decode_message, to_wire
 
 UTC = timezone.utc
 DATA = Path(__file__).resolve().parent / "data"
@@ -476,4 +477,14 @@ def test_demo_trace_error_is_fully_typed():
     assert error.severity.value == "fatal"
     assert error.retryable is False
     assert error.partial_output == result.output
-    assert any("disposition: rejected" in step for step in steps)
+    assert any(step.get("disposition") == "rejected" for step in steps)
+
+
+def test_demo_trace_prints_the_lifecycle_as_canonical_wire_documents(capsys):
+    assert main(["demo-trace"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for line in lines:
+        assert canonical_bytes(json.loads(line)).decode("utf-8") == line
+    assert decode_message(lines[0]) == experiments.canonical_submit(True)
+    assert decode_message(lines[1]) == experiments.canonical_result(tokens_used=8200)
+    assert lines[-1] == '{"recovery":"escalate"}'

@@ -9,8 +9,9 @@ from random import Random
 import pytest
 
 from delgov import experiments
-from delgov.routing import NoEligibleDelegate, select
+from delgov.routing import DelegateRecord, NoEligibleDelegate, select
 from delgov.simulate import PoolConfig, build_pool_with_metadata, dishonest_count, execute_task
+from delgov.types import ClaimType
 
 
 def test_seed42_routing_exactness():
@@ -170,6 +171,11 @@ def test_summary_document_reports_both_effect_pairings():
     assert data == experiments.summary_bytes(experiments.routing_summary(runs))
 
 
+def _self_claimed_only(records):
+    # records_for_pool lists each delegate's self-reported claim first
+    return [DelegateRecord(r.delegate_id, r.claims[:1]) for r in records]
+
+
 def _routing_pool(seed):
     pool, _ = build_pool_with_metadata(experiments.ROUTING_POOL, Random(f"{seed}:e3:pool"))
     return pool
@@ -178,7 +184,9 @@ def _routing_pool(seed):
 @pytest.mark.parametrize("condition", ["self_claimed", "attested"])
 def test_by_claims_condition_matches_a_per_task_select_loop(condition):
     pool = _routing_pool(11)
-    records = experiments.records_for_pool(pool, with_attested_claims=condition == "attested")
+    records = experiments.records_for_pool(pool)
+    if condition == "self_claimed":
+        records = _self_claimed_only(records)
     select_rng = Random("select")
     state = select_rng.getstate()
     run = experiments.run_condition(pool, records, condition, select_rng, Random("noise"), 40)
@@ -198,7 +206,7 @@ def test_by_claims_condition_matches_a_per_task_select_loop(condition):
 
 def test_by_claims_condition_without_an_eligible_claim_raises():
     pool = _routing_pool(11)
-    self_only = experiments.records_for_pool(pool, with_attested_claims=False)
+    self_only = _self_claimed_only(experiments.records_for_pool(pool))
     with pytest.raises(NoEligibleDelegate):
         experiments.run_condition(pool, self_only, "attested", Random(0), Random(1), 5)
     # no task, no routing: nothing is raised
@@ -230,4 +238,10 @@ def test_each_condition_routes_over_the_records_for_its_pool(monkeypatch, config
         experiments._run_conditions(pool, lambda c: (f"{c}:select", f"{c}:noise"), 2)
         full = experiments.records_for_pool(pool)
         assert routed["blind"] == routed["attested"] == full
-        assert routed["self_claimed"] == experiments.records_for_pool(pool, with_attested_claims=False)
+        assert routed["self_claimed"] == [
+            DelegateRecord(
+                r.delegate_id,
+                tuple(c for c in r.claims if c.claim_type is ClaimType.SELF_CLAIMED),
+            )
+            for r in full
+        ]
