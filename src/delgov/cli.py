@@ -145,11 +145,11 @@ def _print_wire(obj: dict, file: Optional[TextIO] = None) -> None:
 
 def _resolve(
     contract: DelegationContract, result: TaskResult, received_at: datetime
-) -> tuple[list[dict], list[dict], Union[Accepted, LdpError]]:
+) -> tuple[list[dict], Union[Accepted, LdpError]]:
     """Check a result at receipt and apply the contract's failure policy.
 
-    Returns the violation records, the wire documents that report the
-    outcome (the disposition, then the error on a rejection) and the
+    Returns the wire documents that report the outcome (the disposition,
+    with its violation records, then the error on a rejection) and the
     resolution itself.
     """
     outcome = check_result(contract, result, received_at)
@@ -160,7 +160,7 @@ def _resolve(
     documents = [{"disposition": outcome.disposition.value, "violations": records}]
     if isinstance(resolved, LdpError):
         documents.append(to_wire(resolved))
-    return records, documents, resolved
+    return documents, resolved
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -202,8 +202,8 @@ def _cmd_check_contract(args: argparse.Namespace) -> int:
         print("invalid input: RESULT_FILE does not hold a task result", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
-    records, documents, resolved = _resolve(contract, message, received_at)
-    for record in records:
+    documents, resolved = _resolve(contract, message, received_at)
+    for record in documents[0]["violations"]:
         _print_wire(record, sys.stderr)
     for document in documents:
         _print_wire(document)
@@ -303,7 +303,7 @@ def demo_trace() -> tuple[list[dict], LdpError, TaskResult]:
     ]
     submit, result = map(decode_message, sent)
     received_at = datetime(2026, 3, 15, 17, 15, 0, tzinfo=timezone.utc)
-    _, documents, resolved = _resolve(submit.contract, result, received_at)
+    documents, resolved = _resolve(submit.contract, result, received_at)
     if not isinstance(resolved, LdpError):
         raise AssertionError("canonical over-budget trace must reject")
     recovery = {"recovery": default_semantics(resolved.category).action.kind.value}
