@@ -183,9 +183,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_contract(args: argparse.Namespace) -> int:
-    # A bad --received-at raises DecodeError, a ValueError: main reports
-    # it as bad arguments before any file is read.
-    if args.received_at:
+    # Only an absent --received-at means now. A bad one (empty too) raises DecodeError,
+    # a ValueError: main reports it as bad arguments before any file is read.
+    if args.received_at is not None:
         received_at = parse_timestamp(args.received_at, "received_at")
     else:
         received_at = datetime.now(timezone.utc)

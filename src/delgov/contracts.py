@@ -96,36 +96,32 @@ def check_result(
 
     Precondition: ``contract`` and ``result`` satisfy
     ``validate_invariants``, as every decoded value does. It is checked
-    only off the accepted path: once a limit is found broken, or when an
-    amount cannot be compared (``NaN``), a broken invariant raises
-    ``InvariantViolation``. A result that breaks an invariant but no limit,
-    such as a negative ``tokens_used``, is accepted. A ``received_at``
-    whose UTC form falls outside the years 1 to 9999 raises ``ValueError``.
+    only off the accepted path: once a limit is found broken, a broken
+    invariant raises ``InvariantViolation``. A result that breaks an
+    invariant but no limit, such as a negative ``tokens_used``, is
+    accepted. A ``received_at`` whose UTC form falls outside the years 1
+    to 9999 raises ``ValueError``.
     """
     received_at = _utc(received_at)
     policy = contract.policy
     budget = policy.budget
     # (rule, detail, observed, limit), the figures still exact
     found = []
-    try:
-        if budget is not None:
-            if budget.max_tokens is not None and result.tokens_used > budget.max_tokens:
-                found.append((
-                    ViolationRule.BUDGET_TOKENS,
-                    f"tokens_used {result.tokens_used} exceeds max_tokens {budget.max_tokens}",
-                    result.tokens_used,
-                    budget.max_tokens,
-                ))
-            if budget.max_cost_usd is not None and result.cost_usd > budget.max_cost_usd:
-                found.append((
-                    ViolationRule.BUDGET_COST,
-                    f"cost_usd {result.cost_usd} exceeds max_cost_usd {budget.max_cost_usd}",
-                    result.cost_usd,
-                    budget.max_cost_usd,
-                ))
-    except ArithmeticError:
-        _require_invariants(contract, result)
-        raise
+    if budget is not None:
+        if budget.max_tokens is not None and result.tokens_used > budget.max_tokens:
+            found.append((
+                ViolationRule.BUDGET_TOKENS,
+                f"tokens_used {result.tokens_used} exceeds max_tokens {budget.max_tokens}",
+                result.tokens_used,
+                budget.max_tokens,
+            ))
+        if budget.max_cost_usd is not None and result.cost_usd > budget.max_cost_usd:
+            found.append((
+                ViolationRule.BUDGET_COST,
+                f"cost_usd {result.cost_usd} exceeds max_cost_usd {budget.max_cost_usd}",
+                result.cost_usd,
+                budget.max_cost_usd,
+            ))
     deadline = contract.deadline
     if deadline is not None and received_at > deadline:
         found.append((

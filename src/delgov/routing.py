@@ -160,8 +160,10 @@ def eligible_claim(
 
     Claims must match the policy skill, sit at or above the minimum claim
     type, and be fresh enough when a staleness window is set. Claims with
-    no observation time pass only when no window is configured. Among the
-    survivors the highest trust level wins, whatever its value.
+    no observation time pass only when no window is configured. A claim
+    observed after ``now`` has a negative age, so it is fresh under any
+    window. Among the survivors the highest trust level wins, whatever its
+    value.
     """
     return next((claim for _, claim in _eligible((record,), policy, now)), None)
 

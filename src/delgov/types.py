@@ -10,11 +10,13 @@ refuses it. Other values of the wrong type raise ``TypeError``: a bool is
 never an integer or a number, money is a decimal string or a number, a
 timestamp a ``datetime``, a tuple field takes no bare string, and a field
 annotated with any other class (a wire type, a ``timedelta``) takes that
-type only. An unknown enum value (``None`` too), a money string outside the
-wire's one decimal grammar (ASCII digits; no ``_`` and no surrounding space)
-or a timestamp out of range in UTC raises ``ValueError``. Semantic
-rules live in ``delgov.wire.validate_invariants`` so that suspect input can
-be inspected and reported instead of lost to a constructor error.
+type only. An unknown enum value (``None`` too), a non-finite amount of money
+(``NaN``, ``sNaN`` or an infinity, as a string, a float or a ``Decimal``), a
+money string outside the wire's one decimal grammar (ASCII digits; no ``_``
+and no surrounding space) or a timestamp out of range in UTC raises
+``ValueError``. Semantic rules live in ``delgov.wire.validate_invariants``
+so that suspect input can be inspected and reported instead of lost to a
+constructor error.
 """
 
 from __future__ import annotations
@@ -99,16 +101,16 @@ _DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([Ee][+-]?\d+)?", re.ASCII)
 def _money(value: Any) -> Decimal:
     if isinstance(value, bool) or not isinstance(value, (str, int, float, Decimal)):
         raise TypeError("expected a decimal string or number")
-    if isinstance(value, float):
-        # repr() is the shortest faithful form, so 0.05 becomes "0.05", not
-        # its 55-digit binary expansion.
-        return Decimal(repr(value))
     try:
-        money = Decimal(value)
+        # repr() is the shortest faithful form of a float, so 0.05 becomes "0.05",
+        # not its 55-digit binary expansion; a Decimal comes back as itself
+        money = Decimal(repr(value) if isinstance(value, float) else value)
     except InvalidOperation:
         raise ValueError(f"invalid decimal {value!r}") from None
-    # a non-finite string ("NaN", " inf ") is left to the rules that refuse it
-    if isinstance(value, str) and money.is_finite() and _DECIMAL.fullmatch(value) is None:
+    # NaN, sNaN and the infinities parse, but no amount compares with them
+    if not money.is_finite():
+        raise ValueError(f"non-finite decimal {value!r}")
+    if isinstance(value, str) and _DECIMAL.fullmatch(value) is None:
         raise ValueError(f"invalid decimal {value!r}")
     return money
 
@@ -159,11 +161,11 @@ def _only(cls: type) -> Callable[[Any], Any]:
     return refuse
 
 
-# (normal type, check) of each plain annotation. A timestamp or a tuple of
-# strings has no normal type: its every value goes through the check.
+# (normal type, check) of each plain annotation. Money, a timestamp or a tuple
+# of strings has no normal type: its every value goes through the check.
 _CHECKS: dict[Any, tuple[Optional[type], Callable[[Any], Any]]] = {
     str: (str, _str), int: (int, _int), float: (float, _float), bool: (bool, _bool),
-    Decimal: (Decimal, _money), datetime: (None, _utc), tuple[str, ...]: (None, _strings),
+    Decimal: (None, _money), datetime: (None, _utc), tuple[str, ...]: (None, _strings),
 }
 
 

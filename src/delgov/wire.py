@@ -1,6 +1,6 @@
-"""Wire codec for protocol messages.
+"""Wire codec for protocol messages, and the one statement of the wire format.
 
-Format rules:
+Format rules (README "Wire format" sums them up):
 
 - UTF-8 JSON text. Object keys are emitted in sorted order with compact
   separators, so equal values always encode to identical bytes and byte
@@ -8,18 +8,29 @@ Format rules:
   (Python's ``sort_keys``), not by UTF-16 code unit as RFC 8785 (JCS)
   requires, so a key outside the Basic Multilingual Plane can sort
   differently than in JCS; the canonical form is delgov's own, not JCS.
+  The encoder refuses a NaN or infinite float, which is not JSON.
 - Absent optional fields are omitted entirely, never emitted as null.
   An empty list is equivalent to an absent one.
 - Timestamps are RFC 3339 UTC strings, e.g. ``"2026-03-15T18:00:00Z"``.
   The decoder reads one grammar on every Python, in ASCII digits:
   ``YYYY-MM-DD``, ``T`` or ``t``, ``HH:MM:SS``, optionally ``.`` and one to
   six digits (microseconds at most), then ``Z``, ``z`` or ``[+-]HH:MM``.
+  A timestamp without the offset is rejected as lacking one; any other
+  form (an ISO week date, the basic format, a comma fraction, a seventh
+  fractional digit, no seconds, a space for ``T``) is invalid.
 - Money is carried as a decimal string so roundtrips are exact on every
   platform; it is parsed to :class:`decimal.Decimal` internally. The
-  decoder and construction read one grammar (``types._DECIMAL``) in ASCII
-  digits: an optional sign, digits with an optional ``.`` and fraction (or
-  ``.`` and digits), then optionally ``e`` or ``E``, an optional sign and
-  digits. A JSON number is read as it is.
+  decoder and construction read it with one function, ``types._money``,
+  so both refuse the same amounts. A string follows one grammar
+  (``types._DECIMAL``) in ASCII digits: an optional sign, digits with an
+  optional ``.`` and fraction (or ``.`` and digits), then optionally
+  ``e`` or ``E``, an optional sign and digits, so ``"1_0"``, ``" 0.5 "``
+  and ``"\u0661"`` are invalid decimals. A JSON number is read as it is.
+  No spelling of NaN, sNaN or infinity is an amount.
+- Token counts (``tokens_used``, ``max_tokens``) and amounts of money
+  (``cost_usd``, ``max_cost_usd``) above 2**53 are invariant violations:
+  a contract violation reports its figures as floats, which then stay
+  finite, and exact for token counts.
 - Unknown object keys are ignored on decode (new fields never break old
   readers). Unknown enum values are rejected: trust semantics must never
   be guessed.
@@ -34,18 +45,14 @@ processing happens:
 
 Hostile input is malformed too, never a crash: JSON nested past the
 parser's recursion limit, an integer literal past the interpreter's digit
-limit, a non-finite money value (``NaN``, ``sNaN``, ``Infinity``), a
-timestamp whose UTC form falls outside the years 1 to 9999, a string
-anywhere in the document (keys included) holding an unpaired surrogate,
-by a ``\\ud800`` escape or, in ``str`` input, as itself, and an integer
-too large for a float in a float field each raise
-:class:`MalformedMessage`. A paired escape such as ``\\ud83d\\ude00``
-reads as its one character. A key that appears twice in one object is not
-rejected: the last occurrence wins, as in :func:`json.loads`. Rejecting it
-takes an ``object_pairs_hook`` with a length check, which parsed a
-``gateway`` benchmark document in 9.3 to 10.6 µs against 7.7 to 9.0 µs for
-plain :func:`json.loads` (medians of 15 passes over 4,085 documents, three
-sets, 2-vCPU x86-64, Python 3.11.7). A ``gateway`` round decodes two.
+limit, non-finite money, a timestamp whose UTC form falls outside the
+years 1 to 9999, a string anywhere in the document (keys included)
+holding an unpaired surrogate, by a ``\\ud800`` escape or, in ``str``
+input, as itself, and an integer too large for a float in a float field
+each raise :class:`MalformedMessage`. A paired escape such as
+``\\ud83d\\ude00`` reads as its one character. A key that appears twice
+in one object is not rejected: the last occurrence wins, as in
+:func:`json.loads`.
 
 A message without any governance fields (contract, claims, provenance)
 decodes exactly as the base protocol would read it; the governance keys
@@ -57,12 +64,12 @@ reads (``types._fields``): one flat row per field, in declaration order,
 holding the wire name (the attribute name), the encoder and decoder of the
 kind its annotation gives (``Optional[X]`` as ``X``), and whether it is
 required (has no default) and its default, both as ``_fields`` gives them.
-The kind of a ``str``, ``int``, ``float`` or ``bool`` field is
-construction's own check. The codec adds only what the wire needs: nested
-objects, enum values (an unknown one is an :class:`InvariantViolation`),
-RFC 3339 text, JSON lists of strings, and money that must be finite. It is
-the only per-type table: ``to_wire`` reads each row's encoder,
-``from_wire`` its decoder, requiredness and default, and
+The kind of a ``str``, ``int``, ``float``, ``bool`` or money field is
+construction's own check, money encoded as its decimal string. The codec
+adds only what the wire needs: nested objects, enum values (an unknown one
+is an :class:`InvariantViolation`), RFC 3339 text and JSON lists of
+strings. It is the only per-type table: ``to_wire`` reads each row's
+encoder, ``from_wire`` its decoder, requiredness and default, and
 ``validate_invariants`` which rows hold a nested object: it lists a
 value's own rules, then walks those objects in declaration order, each by
 its own rules. Decoding checks the fields in declaration order, each for
@@ -157,14 +164,6 @@ def parse_timestamp(raw: Any, path: str) -> datetime:
         raise MalformedMessage(f"{path}: timestamp {raw!r} is out of range in UTC") from None
 
 
-def _finite_money(raw: Any) -> Decimal:
-    value = _money(raw)
-    # NaN, sNaN and the infinities parse, but no amount compares with them
-    if not value.is_finite():
-        raise ValueError(f"non-finite decimal {raw!r}")
-    return value
-
-
 def _str_list(raw: Any, path: str, name: str) -> tuple[str, ...]:
     if not isinstance(raw, list):
         raise MalformedMessage(f"{path}.{name}: expected a list of strings")
@@ -202,7 +201,7 @@ def _scalar(check: Callable[[Any], Any], encode: Optional[Callable[[Any], Any]] 
 
 
 _STR_LIST: _Kind = (lambda items: list(items) or None, _str_list)
-_MONEY = _scalar(_finite_money, str)
+_MONEY = _scalar(_money, str)
 _TIMESTAMP: _Kind = (
     format_timestamp,
     lambda raw, path, name: parse_timestamp(raw, f"{path}.{name}"),
@@ -426,9 +425,7 @@ def decode_any(data: Union[bytes, str]) -> DomainType:
 # ---------------------------------------------------------------------------
 # invariant validation
 
-# Contract violations report their figures as floats. Token counts above
-# 2**53 have no exact float, and a large enough amount of money becomes an
-# infinite one, so both are bounded here.
+# the bound on counts and amounts that the module docstring's format rules give
 _MAX_TOKEN_COUNT = 2**53
 
 
@@ -444,10 +441,8 @@ def validate_invariants(msg: DomainType) -> list[str]:
 
 
 def _check_range(label: str, value: Union[int, Decimal], strict: bool, out: list[str]) -> None:
-    # a count or amount is finite, above 0 (or at 0 unless strict) and at most 2**53
-    if isinstance(value, Decimal) and not value.is_finite():
-        out.append(f"{label}: must be finite (got {value})")
-    elif value <= 0 if strict else value < 0:
+    # a count or amount is above 0 (or at 0 unless strict) and at most 2**53
+    if value <= 0 if strict else value < 0:
         out.append(f"{label}: must be {'strictly positive' if strict else '>= 0'} (got {value})")
     elif value > _MAX_TOKEN_COUNT:
         out.append(f"{label}: must be at most 2**53 (got {value})")

@@ -227,6 +227,9 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "bad arguments: received_at: invalid RFC 3339 timestamp 'yesterday'\n"
     )
+    # an empty value is a bad timestamp, not the absent flag's wall clock
+    assert main(["check-contract", "c.json", "r.json", "--received-at", ""]) == 2
+    assert capsys.readouterr().err == "bad arguments: received_at: invalid RFC 3339 timestamp ''\n"
     assert main(["e3", "--tasks", "0", "--out", str(tmp_path / "e.csv")]) == 2
     assert main(["bench", "--iterations", "10", "--out", str(tmp_path / "b.csv")]) == 2
     capsys.readouterr()

@@ -320,11 +320,9 @@ def test_check_result_skips_depth_without_lineage(provenance):
     "tokens, cost, message",
     [
         (10**400, Decimal("0.01"), f"TaskResult.tokens_used: must be at most 2**53 (got {10**400})"),
-        (1000, Decimal("NaN"), "TaskResult.cost_usd: must be finite (got NaN)"),
-        (1000, Decimal("sNaN"), "TaskResult.cost_usd: must be finite (got sNaN)"),
         (1000, Decimal("1e400"), "TaskResult.cost_usd: must be at most 2**53 (got 1E+400)"),
     ],
-    ids=["huge-tokens", "nan-cost", "snan-cost", "huge-cost"],
+    ids=["huge-tokens", "huge-cost"],
 )
 def test_check_result_raises_invariant_violation_on_out_of_range_results(tokens, cost, message):
     with pytest.raises(InvariantViolation) as info:
@@ -358,7 +356,7 @@ _any_provenance = st.none() | st.lists(st.sampled_from("abcdef"), max_size=6).ma
 # Valid figures, plus in-memory ones that break validate_invariants.
 _any_tokens = st.integers(0, 30000) | st.sampled_from([-5, 2**53 + 1, 10**400])
 _any_cost = st.integers(0, 2000).map(lambda c: Decimal(c) / 100) | st.sampled_from(
-    [Decimal(v) for v in ("-0.01", "9007199254740993", "1e400", "NaN", "sNaN", "Infinity")]
+    [Decimal(v) for v in ("-0.01", "9007199254740993", "1e400")]
 )
 _any_result = st.builds(
     lambda tokens, cost, provenance: replace(result(tokens=tokens, cost=cost), provenance=provenance),

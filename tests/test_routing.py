@@ -108,6 +108,18 @@ def test_stale_claims_are_excluded():
     assert chosen is fresh
 
 
+def test_a_claim_observed_after_now_counts_as_fresh():
+    # its age is negative, so it is inside any window; a claim update replayed at an
+    # earlier clock still routes
+    ahead = claim(0.6, ClaimType.SELF_CLAIMED, observed_at=NOW + timedelta(days=400))
+    behind = claim(0.9, ClaimType.SELF_CLAIMED, observed_at=NOW - timedelta(seconds=1))
+    pool = [DelegateRecord("d-a", (ahead,)), DelegateRecord("d-b", (behind,))]
+    for window in (timedelta(0), timedelta(seconds=1), timedelta(days=7)):
+        assert eligible_claim(pool[0], policy(max_staleness=window), NOW) is ahead
+    assert select(pool, policy(max_staleness=timedelta(0)), Random(0), NOW) == "d-a"
+    assert select(pool, policy(max_staleness=timedelta(seconds=1)), Random(0), NOW) == "d-b"
+
+
 def test_undated_claims_pass_only_without_a_staleness_window():
     record = DelegateRecord("d-a", (claim(0.8, ClaimType.SELF_CLAIMED),))
     assert eligible_claim(record, policy(), NOW) is not None

@@ -595,14 +595,83 @@ def test_money_past_2_53_is_an_invariant_violation():
         decode_contract(_with_budget_cost("1e400"))
 
 
-@pytest.mark.parametrize("amount", ["NaN", "sNaN", "-Infinity"])
-def test_non_finite_money_is_an_invariant_violation_not_a_crash(amount):
-    # the decoder refuses these, but in-memory values never went through it
-    result = TaskResult("t", "o", 1, Decimal(amount), datetime(2026, 1, 1, tzinfo=UTC))
-    assert validate_invariants(result) == [f"TaskResult.cost_usd: must be finite (got {amount})"]
-    assert validate_invariants(Budget(max_cost_usd=Decimal(amount))) == [
-        f"Budget.max_cost_usd: must be finite (got {amount})"
-    ]
+_NON_FINITE = ["NaN", "sNaN", "Infinity", "-Infinity"]
+
+
+@pytest.mark.parametrize(
+    "amount",
+    [
+        *(pytest.param(Decimal(v), id=f"Decimal-{v}") for v in _NON_FINITE),
+        *(pytest.param(v, id=f"str-{v}") for v in [*_NON_FINITE, " inf ", "-nan"]),
+        *(pytest.param(v, id=f"float-{v}") for v in [math.nan, math.inf, -math.inf]),
+    ],
+)
+def test_non_finite_money_is_refused_at_construction(amount):
+    # no amount compares with these, so none is built, as none decodes
+    message = f"^non-finite decimal {re.escape(repr(amount))}$"
+    with pytest.raises(ValueError, match=message):
+        Budget(max_cost_usd=amount)
+    with pytest.raises(ValueError, match=message):
+        TaskResult("t", "o", 1, amount, datetime(2026, 1, 1, tzinfo=UTC))
+
+
+def _case_variants(word):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c.lower() for c, u in zip(word, upper))
+    )
+
+
+# Money drawn wide: decimal strings and strings near the grammar, every
+# spelling of NaN and infinity, the strings the ASCII grammar refuses, and
+# numbers of every sort a caller may pass.
+_any_money = st.one_of(
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.text(alphabet="0123456789.+-eE_ ", max_size=8),
+    st.builds(
+        lambda pad, sign, word: f"{pad}{sign}{word}{pad}",
+        st.sampled_from(["", " ", "\t\n"]),
+        st.sampled_from(["", "+", "-"]),
+        st.sampled_from(["nan", "snan", "nan12", "inf", "infinity"]).flatmap(_case_variants),
+    ),
+    st.sampled_from(["1_0", " 0.5 ", "\u0661", "\uff11", "0.5\n", ""]),
+    st.floats(),
+    st.integers(),
+    st.booleans(),
+    st.decimals(),
+)
+
+
+def _built_budget(amount):
+    # (budget, None) when it constructs, else (None, the reason without the field name)
+    try:
+        return Budget(max_cost_usd=amount), None
+    except (TypeError, ValueError) as exc:
+        return None, str(exc).removeprefix("Budget.max_cost_usd: ")
+
+
+@settings(max_examples=500, deadline=None)
+@given(_any_money)
+@example("NaN")
+def test_construction_and_the_decoder_read_money_by_one_rule(amount):
+    if isinstance(amount, Decimal):
+        # a Decimal crosses the wire as its string, and builds as that string does
+        budget, _ = _built_budget(amount)
+        amount = str(amount)
+        again, _ = _built_budget(amount)
+        assert (budget is None) == (again is None)
+        assert budget is None or str(budget.max_cost_usd) == str(again.max_cost_usd)
+    budget, reason = _built_budget(amount)
+    try:
+        decoded = decode_contract(_with_budget_cost(amount)).policy.budget
+    except InvariantViolation as exc:
+        # read alike, then flagged by the budget's own rules, as in memory
+        assert budget is not None and validate_invariants(budget) == exc.violations
+    except MalformedMessage as exc:
+        assert budget is None
+        assert str(exc) == f"contract.policy.budget.max_cost_usd: {reason}"
+    else:
+        assert budget == decoded
+        assert str(budget.max_cost_usd) == str(decoded.max_cost_usd)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
