@@ -39,11 +39,12 @@ JSON summaries use ``dataclasses.asdict``.
 Routing cost: over the static pool of one condition, by_claims routing is
 a pure function of the pool and the policy, so ``run_condition`` selects
 once per condition and gives every task that delegate. Blind routing
-still draws once per task from its selection stream. Each record indexes
-its claims by skill and trust level when it is built, so a by_claims
-select looks each delegate's claim up instead of scanning its claims;
-the self_claimed records reuse the claim objects of the full records
-rather than building them again.
+still draws once per task from its selection stream, all of a condition's
+draws in one ``routing._blind`` batch, and the condition's tasks run as one
+``execute_tasks`` batch over its noise stream; both batches draw the same
+numbers as the per-task calls would. The self_claimed records reuse the
+claim objects of the full records rather than building them again (see
+``routing`` for how a select reads them).
 """
 
 from __future__ import annotations
@@ -57,14 +58,14 @@ from random import Random
 from typing import Callable, Sequence
 
 from .contracts import apply_policy, check_result
-from .routing import DelegateRecord, RoutingPolicy, Strategy, select
+from .routing import DelegateRecord, RoutingPolicy, Strategy, _blind, select
 from .simulate import (
     DelegateProfile,
     PoolConfig,
     PoolMetadata,
     best_delegate,
     build_pool_with_metadata,
-    execute_task,
+    execute_tasks,
 )
 from .stats import cohens_d, descriptive, mann_whitney_u
 from .types import (
@@ -200,14 +201,14 @@ def run_condition(
     task, and that delegate serves every task.
     """
     policy = CONDITIONS[condition]
-    by_id = {p.delegate_id: p for p in pool}
+    q_true = {p.delegate_id: p.q_true for p in pool}
     if policy.strategy is Strategy.BLIND:
-        selections = [select(records, policy, select_rng) for _ in range(tasks)]
+        selections = _blind(records, select_rng, tasks)
     elif tasks > 0:
         selections = [select(records, policy, select_rng)] * tasks
     else:
         selections = []
-    samples = [execute_task(by_id[d], noise_rng) for d in selections]
+    samples = execute_tasks([q_true[d] for d in selections], noise_rng)
     return ConditionRun(condition=condition, samples=tuple(samples), selections=tuple(selections))
 
 

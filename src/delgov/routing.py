@@ -16,7 +16,10 @@ router chooses among. ``select`` then draws: blind uniformly from its rng,
 by_claims the highest value in one pass over the filter, ties to the
 smallest id. The by_claims draw never touches the rng, so a caller routing
 many tasks over one static pool, policy and reference time may select once
-and reuse the answer.
+and reuse the answer. The blind draw is stated once, in the private
+``_blind(pool, rng, n)``: n draws of one ``randrange(len(pool))`` each. A
+blind ``select`` is ``_blind`` with n = 1, so a batch of n gives the ids
+and the rng state of n blind selects.
 
 Filtering is a hard minimum trust level, not a weighting: a router that
 requires issuer_attested or better never reads self-reported numbers, so
@@ -182,6 +185,12 @@ def rank(
     return [(claim.value, record.delegate_id) for record, claim in _eligible(pool, policy, now)]
 
 
+def _blind(pool: Sequence[DelegateRecord], rng: Random, n: int) -> list[str]:
+    """``n`` blind draws from a non-empty pool, one ``randrange(len(pool))`` each."""
+    randrange, size = rng.randrange, len(pool)
+    return [pool[randrange(size)].delegate_id for _ in range(n)]
+
+
 def select(
     pool: Sequence[DelegateRecord],
     policy: RoutingPolicy,
@@ -199,7 +208,7 @@ def select(
     if not pool:
         raise ValueError("select requires a non-empty pool")
     if policy.strategy is Strategy.BLIND:
-        return pool[rng.randrange(len(pool))].delegate_id
+        return _blind(pool, rng, 1)[0]
 
     winner = None
     for record, claim in _eligible(pool, policy, now):

@@ -21,11 +21,14 @@ Pool construction is fully deterministic given (config, seed):
 - Honest delegates report within 0.015 of their true quality (uniform
   jitter), comfortably inside the 0.02 honesty band.
 
-Task execution (``execute_task``) returns the output quality as a plain
-float: the delegate's true quality plus ``NOISE_SIGMA`` times a standard
-normal, clamped to [0, 1]. ``gaussian`` draws it by a local Box-Muller
-transform over ``random.Random`` uniforms so seeded runs reproduce
-across platforms and interpreter versions.
+Task execution returns the output quality as a plain float: the
+delegate's true quality plus ``NOISE_SIGMA`` times a standard normal,
+clamped to [0, 1]. ``_normals`` is the one statement of the draw, a basic
+Box-Muller transform over ``random.Random`` uniforms, so seeded runs
+reproduce across platforms and interpreter versions. ``execute_tasks``
+runs a batch of tasks over one such batch of normals. ``execute_task``
+and ``gaussian`` are the one-element views of the two batches, and a
+batch of n draws the same floats as n successive single calls.
 """
 
 from __future__ import annotations
@@ -85,15 +88,20 @@ def dishonest_count(pool_size: int, dishonest_fraction: float) -> int:
     return int(product.to_integral_value(rounding=ROUND_HALF_EVEN))
 
 
-def gaussian(rng: Random) -> float:
-    """One standard normal sample, N(0, 1), via the basic Box-Muller transform.
+def _normals(rng: Random, n: int) -> list[float]:
+    """``n`` standard normal samples, N(0, 1), via the basic Box-Muller transform.
 
-    Consumes exactly two uniforms per call and keeps no state, so the
-    draw sequence is a pure function of the rng stream.
+    Each sample consumes exactly two uniforms, u1 before u2, and no state is
+    kept, so the draw sequence is a pure function of the rng stream.
     """
-    u1 = 1.0 - rng.random()  # (0, 1], keeps the log finite
-    u2 = rng.random()
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    random, sqrt, log, cos, two_pi = rng.random, math.sqrt, math.log, math.cos, 2.0 * math.pi
+    # 1 - u1 lies in (0, 1], which keeps the log finite
+    return [sqrt(-2.0 * log(1.0 - random())) * cos(two_pi * random()) for _ in range(n)]
+
+
+def gaussian(rng: Random) -> float:
+    """One standard normal sample: ``_normals(rng, 1)[0]``."""
+    return _normals(rng, 1)[0]
 
 
 def _validate_config(config: PoolConfig) -> None:
@@ -157,12 +165,24 @@ def build_pool_with_metadata(
     return profiles, metadata
 
 
-def execute_task(profile: DelegateProfile, rng: Random) -> float:
-    """Output quality of one task: true quality plus gaussian noise, clamped to [0, 1].
+def execute_tasks(q_trues: Sequence[float], rng: Random) -> list[float]:
+    """Output quality of one task per true quality: q plus gaussian noise, clamped to [0, 1].
 
-    Draws exactly one standard normal from ``rng``, scaled by ``NOISE_SIGMA``.
+    Draws exactly one standard normal per task from ``rng``, scaled by
+    ``NOISE_SIGMA``. The clamp returns the same float as
+    ``min(max(x, 0.0), 1.0)`` for every x, -0.0 and NaN included.
     """
-    return min(max(profile.q_true + NOISE_SIGMA * gaussian(rng), 0.0), 1.0)
+    sigma = NOISE_SIGMA
+    return [
+        0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+        for q, z in zip(q_trues, _normals(rng, len(q_trues)))
+        for x in [q + sigma * z]
+    ]
+
+
+def execute_task(profile: DelegateProfile, rng: Random) -> float:
+    """Output quality of one task: ``execute_tasks((profile.q_true,), rng)[0]``."""
+    return execute_tasks((profile.q_true,), rng)[0]
 
 
 def best_delegate(pool: Sequence[DelegateProfile]) -> str:

@@ -17,6 +17,7 @@ from delgov.routing import (
     NoEligibleDelegate,
     RoutingPolicy,
     Strategy,
+    _blind,
     eligible_claim,
     rank,
     select,
@@ -269,6 +270,22 @@ def test_blind_uniformity_chi_squared():
     expected = draws / len(pool)
     stat = sum((n - expected) ** 2 / expected for n in counts.values())
     assert stat < CHI2_9_CRIT_01
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=0, max_value=2**64),
+    st.integers(min_value=0, max_value=50),
+)
+def test_a_blind_batch_is_successive_blind_selects(size, seed, n):
+    pool = _pool({f"d-{i}": 0.5 for i in range(size)})
+    rng, reference, by_hand = Random(seed), Random(seed), Random(seed)
+    batch = _blind(pool, rng, n)
+    assert batch == [select(pool, RoutingPolicy.blind(), reference, NOW) for _ in range(n)]
+    # each draw consumes exactly one randrange(len(pool))
+    assert batch == [pool[by_hand.randrange(size)].delegate_id for _ in range(n)]
+    assert rng.getstate() == reference.getstate() == by_hand.getstate()
 
 
 def test_attested_filter_is_immune_to_self_claim_perturbations():

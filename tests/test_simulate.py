@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import math
+import struct
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delgov.simulate import (
+    NOISE_SIGMA,
     BadConfig,
     PoolConfig,
     best_delegate,
     build_pool_with_metadata,
     dishonest_count,
     execute_task,
+    execute_tasks,
     gaussian,
 )
 
@@ -182,6 +187,41 @@ def test_gaussian_draw_sequence_is_reproducible():
     gaussian(rng1)
     rng2.random(), rng2.random()
     assert rng1.random() == rng2.random()
+
+
+def _bits(values):
+    return [struct.pack("<d", value) for value in values]
+
+
+def _box_muller(rng):
+    """The per-task draw written out step by step: u1, then u2."""
+    u1 = 1.0 - rng.random()
+    u2 = rng.random()
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            # near [0, 1], so noise lands on both sides of each clamp bound
+            st.floats(min_value=-0.2, max_value=1.2),
+            # anything, negatives, values above 1, -0.0, the infinities and NaN among them
+            st.floats(),
+            st.sampled_from([-0.0, 0.0, 1.0, math.inf, -math.inf, math.nan]),
+        ),
+        max_size=40,
+    ),
+    st.integers(min_value=0, max_value=2**64),
+)
+def test_a_noise_batch_is_bit_identical_to_per_task_draws(qs, seed):
+    reference, written_out, rng = Random(seed), Random(seed), Random(seed)
+    expected = [min(max(q + NOISE_SIGMA * gaussian(reference), 0.0), 1.0) for q in qs]
+    assert _bits(execute_tasks(qs, rng)) == _bits(expected)
+    assert rng.getstate() == reference.getstate()
+    # the per-task draw is itself the two-uniform transform, u1 before u2
+    by_hand = [min(max(q + NOISE_SIGMA * _box_muller(written_out), 0.0), 1.0) for q in qs]
+    assert _bits(expected) == _bits(by_hand)
 
 
 def test_best_delegate_argmax_and_ties():
