@@ -26,11 +26,11 @@ Randomness discipline: every stream is an independent ``random.Random``
 seeded with a readable string, so runs are reproducible byte for byte. In
 the routing-condition experiment each condition owns independent selection
 and noise streams, keeping the rank-test samples uncorrelated. The grid
-instead reuses one noise stream across the three conditions of a cell
-(common random numbers): noise cancels out of the comparison, which makes
-the attested-dominance property hold pointwise instead of merely in
-expectation. No cross-condition statistics are computed on the grid, so
-nothing needs the independence.
+instead runs the three conditions of a cell over one batch of normals,
+drawn once from one noise stream (common random numbers): noise cancels
+out of the comparison, which makes the attested-dominance property hold
+pointwise instead of merely in expectation. No cross-condition
+statistics are computed on the grid, so nothing needs the independence.
 
 Reports are frozen dataclasses, and each is described once: ``csv_bytes``
 takes its columns from the dataclass fields, in declaration order, and the
@@ -41,10 +41,11 @@ a pure function of the pool and the policy, so ``run_condition`` selects
 once per condition and gives every task that delegate. Blind routing
 still draws once per task from its selection stream, all of a condition's
 draws in one ``routing._blind`` batch, and the condition's tasks run as one
-``execute_tasks`` batch over its noise stream; both batches draw the same
-numbers as the per-task calls would. The self_claimed records reuse the
-claim objects of the full records rather than building them again (see
-``routing`` for how a select reads them).
+``execute_tasks`` batch over the normals of its noise stream, which
+``_run_conditions`` draws once per distinct noise seed; every batch draws
+the same numbers as the per-task calls would. The self_claimed records
+reuse the claim objects of the full records rather than building them
+again (see ``routing`` for how a select reads them).
 """
 
 from __future__ import annotations
@@ -63,11 +64,12 @@ from .simulate import (
     DelegateProfile,
     PoolConfig,
     PoolMetadata,
+    _normals,
     best_delegate,
     build_pool_with_metadata,
     execute_tasks,
 )
-from .stats import cohens_d, descriptive, mann_whitney_u
+from .stats import _pooled_d, cohens_d, descriptive, mann_whitney_u
 from .types import (
     Budget,
     ClaimType,
@@ -191,16 +193,16 @@ def run_condition(
     records: Sequence[DelegateRecord],
     condition: str,
     select_rng: Random,
-    noise_rng: Random,
-    tasks: int,
+    normals: Sequence[float],
 ) -> ConditionRun:
-    """Route and execute ``tasks`` tasks under one condition.
+    """Route and execute one task per standard normal in ``normals`` under one condition.
 
     Blind routing draws a delegate per task from ``select_rng``. by_claims
     routing never reads the rng, so it is resolved once, before the first
     task, and that delegate serves every task.
     """
     policy = CONDITIONS[condition]
+    tasks = len(normals)
     q_true = {p.delegate_id: p.q_true for p in pool}
     if policy.strategy is Strategy.BLIND:
         selections = _blind(records, select_rng, tasks)
@@ -208,7 +210,7 @@ def run_condition(
         selections = [select(records, policy, select_rng)] * tasks
     else:
         selections = []
-    samples = execute_tasks([q_true[d] for d in selections], noise_rng)
+    samples = execute_tasks([q_true[d] for d in selections], normals)
     return ConditionRun(condition=condition, samples=tuple(samples), selections=tuple(selections))
 
 
@@ -220,39 +222,39 @@ def _run_conditions(
     """Run every condition over one pool, in ``CONDITIONS`` order.
 
     ``stream_seeds(condition)`` names the seeds of that condition's
-    selection and noise streams. The self_claimed condition routes over
-    records without attested claims, modelling a deployment where no
-    attestation exists yet: the router always prefers the most trusted
-    eligible claim, so leaving the attested claims in would quietly
-    upgrade the condition. The others route over the full records.
+    selection and noise streams; the conditions that name one noise seed
+    share its batch of ``tasks`` normals. The self_claimed condition
+    routes over records without attested claims, modelling a deployment
+    where no attestation exists yet: the router always prefers the most
+    trusted eligible claim, so leaving the attested claims in would
+    quietly upgrade the condition. The others route over the full records.
     """
     full = records_for_pool(pool)
     # records_for_pool lists the self-reported claim first
     self_only = [DelegateRecord(r.delegate_id, r.claims[:1]) for r in full]
-    return tuple(
-        run_condition(
-            pool,
-            self_only if condition == "self_claimed" else full,
-            condition,
-            *map(Random, stream_seeds(condition)),
-            tasks,
-        )
-        for condition in CONDITIONS
-    )
+    batches: dict[str, list[float]] = {}
+    runs = []
+    for condition in CONDITIONS:
+        select_seed, noise_seed = stream_seeds(condition)
+        if noise_seed not in batches:
+            batches[noise_seed] = _normals(Random(noise_seed), tasks)
+        records = self_only if condition == "self_claimed" else full
+        normals = batches[noise_seed]
+        runs.append(run_condition(pool, records, condition, Random(select_seed), normals))
+    return tuple(runs)
 
 
 def _condition_report(
     run: ConditionRun,
+    summary: tuple[float, float],
     blind_samples: Sequence[float],
+    blind_summary: tuple[float, float],
     best_id: str,
     dishonest_ids: frozenset[str],
 ) -> ConditionReport:
+    """One condition's row; each summary is the (mean, std) of its samples."""
     n = len(run.samples)
-    if n >= 2:
-        mean, std = descriptive(run.samples)
-        std_defined = True
-    else:
-        mean, std, std_defined = run.samples[0], 0.0, False
+    mean, std = summary
     accuracy = 100.0 * sum(1 for s in run.selections if s == best_id) / n
     inflated = 100.0 * sum(1 for s in run.selections if s in dishonest_ids) / n
 
@@ -260,7 +262,7 @@ def _condition_report(
         d, p = 0.0, 1.0
     else:
         # every condition of one run has the same number of samples as blind
-        d = cohens_d(run.samples, blind_samples) if n >= 2 else math.nan
+        d = _pooled_d(n, mean, std, n, *blind_summary) if n >= 2 else math.nan
         p = mann_whitney_u(run.samples, blind_samples)[1] if n >= 3 else math.nan
     return ConditionReport(
         condition=run.condition,
@@ -270,7 +272,7 @@ def _condition_report(
         inflation_selected_pct=inflated,
         d_vs_blind=d,
         p_vs_blind=p,
-        std_defined=std_defined,
+        std_defined=n >= 2,
     )
 
 
@@ -286,8 +288,14 @@ def run_routing_conditions_detailed(seed: int, tasks_per_condition: int) -> Rout
     )
     best_id = best_delegate(pool)
     dishonest = frozenset(metadata.dishonest_ids)
+    # each sample is summarised once; one sample has a mean but no spread
+    summaries = [
+        descriptive(run.samples) if tasks_per_condition >= 2 else (run.samples[0], 0.0)
+        for run in runs
+    ]
     reports = tuple(
-        _condition_report(run, runs[0].samples, best_id, dishonest) for run in runs
+        _condition_report(run, summary, runs[0].samples, summaries[0], best_id, dishonest)
+        for run, summary in zip(runs, summaries)
     )
     return RoutingRun(
         seed=seed,

@@ -26,9 +26,11 @@ delegate's true quality plus ``NOISE_SIGMA`` times a standard normal,
 clamped to [0, 1]. ``_normals`` is the one statement of the draw, a basic
 Box-Muller transform over ``random.Random`` uniforms, so seeded runs
 reproduce across platforms and interpreter versions. ``execute_tasks``
-runs a batch of tasks over one such batch of normals. ``execute_task``
-and ``gaussian`` are the one-element views of the two batches, and a
-batch of n draws the same floats as n successive single calls.
+runs a batch of tasks over a batch of normals it is handed, one per
+task, so a caller that runs several batches over one noise stream draws
+it once. ``execute_task`` and ``gaussian`` are the one-element views of
+the two batches, and a batch of n draws the same floats as n successive
+single calls.
 """
 
 from __future__ import annotations
@@ -165,24 +167,25 @@ def build_pool_with_metadata(
     return profiles, metadata
 
 
-def execute_tasks(q_trues: Sequence[float], rng: Random) -> list[float]:
+def execute_tasks(q_trues: Sequence[float], normals: Sequence[float]) -> list[float]:
     """Output quality of one task per true quality: q plus gaussian noise, clamped to [0, 1].
 
-    Draws exactly one standard normal per task from ``rng``, scaled by
-    ``NOISE_SIGMA``. The clamp returns the same float as
+    Task i takes ``normals[i]``, a standard normal, scaled by
+    ``NOISE_SIGMA``; the two sequences must have the same length, or
+    ``ValueError`` is raised. The clamp returns the same float as
     ``min(max(x, 0.0), 1.0)`` for every x, -0.0 and NaN included.
     """
     sigma = NOISE_SIGMA
     return [
         0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-        for q, z in zip(q_trues, _normals(rng, len(q_trues)))
+        for q, z in zip(q_trues, normals, strict=True)
         for x in [q + sigma * z]
     ]
 
 
 def execute_task(profile: DelegateProfile, rng: Random) -> float:
-    """Output quality of one task: ``execute_tasks((profile.q_true,), rng)[0]``."""
-    return execute_tasks((profile.q_true,), rng)[0]
+    """Output quality of one task: ``execute_tasks((profile.q_true,), _normals(rng, 1))[0]``."""
+    return execute_tasks((profile.q_true,), _normals(rng, 1))[0]
 
 
 def best_delegate(pool: Sequence[DelegateProfile]) -> str:

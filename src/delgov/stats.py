@@ -51,9 +51,11 @@ def cohens_d(a: Sequence[float], b: Sequence[float]) -> float:
     """
     if len(a) < 2 or len(b) < 2:
         raise InsufficientData("cohens_d needs at least 2 samples per side")
-    mean_a, std_a = descriptive(a)
-    mean_b, std_b = descriptive(b)
-    n_a, n_b = len(a), len(b)
+    return _pooled_d(len(a), *descriptive(a), len(b), *descriptive(b))
+
+
+def _pooled_d(n_a: int, mean_a: float, std_a: float, n_b: int, mean_b: float, std_b: float) -> float:
+    """``cohens_d`` from the two samples' sizes and ``descriptive`` summaries."""
     pooled = math.sqrt(
         ((n_a - 1) * std_a**2 + (n_b - 1) * std_b**2) / (n_a + n_b - 2)
     )

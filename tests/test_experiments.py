@@ -4,13 +4,22 @@ from __future__ import annotations
 
 import math
 import statistics
+import struct
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delgov import experiments
+from delgov import experiments, stats
 from delgov.routing import DelegateRecord, NoEligibleDelegate, select
-from delgov.simulate import PoolConfig, build_pool_with_metadata, dishonest_count, execute_task
+from delgov.simulate import (
+    PoolConfig,
+    _normals,
+    build_pool_with_metadata,
+    dishonest_count,
+    execute_task,
+)
 from delgov.types import ClaimType
 
 
@@ -189,7 +198,7 @@ def test_by_claims_condition_matches_a_per_task_select_loop(condition):
         records = _self_claimed_only(records)
     select_rng = Random("select")
     state = select_rng.getstate()
-    run = experiments.run_condition(pool, records, condition, select_rng, Random("noise"), 40)
+    run = experiments.run_condition(pool, records, condition, select_rng, _normals(Random("noise"), 40))
     assert select_rng.getstate() == state
 
     policy = experiments.CONDITIONS[condition]
@@ -208,9 +217,9 @@ def test_by_claims_condition_without_an_eligible_claim_raises():
     pool = _routing_pool(11)
     self_only = _self_claimed_only(experiments.records_for_pool(pool))
     with pytest.raises(NoEligibleDelegate):
-        experiments.run_condition(pool, self_only, "attested", Random(0), Random(1), 5)
+        experiments.run_condition(pool, self_only, "attested", Random(0), _normals(Random(1), 5))
     # no task, no routing: nothing is raised
-    run = experiments.run_condition(pool, self_only, "attested", Random(0), Random(1), 0)
+    run = experiments.run_condition(pool, self_only, "attested", Random(0), _normals(Random(1), 0))
     assert run.samples == () and run.selections == ()
 
 
@@ -245,3 +254,79 @@ def test_each_condition_routes_over_the_records_for_its_pool(monkeypatch, config
             )
             for r in full
         ]
+
+
+def test_a_grid_cell_draws_one_noise_batch_and_e3_one_per_condition(monkeypatch):
+    batches = []
+
+    def spy(rng, n):
+        batches.append(n)
+        return normals(rng, n)
+
+    normals = experiments._normals
+    monkeypatch.setattr(experiments, "_normals", spy)
+    experiments.run_sensitivity([5], 100)
+    assert batches == [100] * 36
+    batches.clear()
+    experiments.run_routing_conditions_detailed(5, 100)
+    assert batches == [100] * 3
+
+
+def test_e3_summarises_each_sample_once(monkeypatch):
+    summarised = []
+
+    def spy(samples):
+        summarised.append(tuple(samples))
+        return descriptive(samples)
+
+    descriptive = stats.descriptive
+    # cohens_d would reach it through stats, the reports through experiments
+    monkeypatch.setattr(stats, "descriptive", spy)
+    monkeypatch.setattr(experiments, "descriptive", spy)
+    for seed in range(3):
+        summarised.clear()
+        run = experiments.run_routing_conditions_detailed(seed, 100)
+        assert summarised == [condition_run.samples for condition_run in run.runs]
+
+
+def _bits(values):
+    return [struct.pack("<d", value) for value in values]
+
+
+_pool_configs = st.builds(
+    lambda size, fraction, low, width: PoolConfig(size, fraction, (low, low + width)),
+    st.integers(2, 20),
+    st.floats(0.0, 1.0),
+    st.floats(0.01, 0.5),
+    st.floats(0.0, 0.2),
+)
+# three names for three conditions, so conditions often share a stream and sometimes do not
+_stream_names = st.tuples(*[st.sampled_from("abc")] * 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pool_configs, st.integers(0, 2**32), _stream_names, _stream_names, st.integers(1, 30))
+def test_conditions_naming_one_noise_seed_run_over_its_fresh_draw(
+    config, seed, select_names, noise_names, tasks
+):
+    pool, _ = build_pool_with_metadata(config, Random(seed))
+    seeds = {
+        condition: (f"{s}:select", f"{n}:noise")
+        for condition, s, n in zip(experiments.CONDITIONS, select_names, noise_names)
+    }
+    runs = experiments._run_conditions(pool, seeds.__getitem__, tasks)
+
+    full = experiments.records_for_pool(pool)
+    expected = [
+        experiments.run_condition(
+            pool,
+            _self_claimed_only(full) if condition == "self_claimed" else full,
+            condition,
+            Random(select_seed),
+            _normals(Random(noise_seed), tasks),
+        )
+        for condition, (select_seed, noise_seed) in seeds.items()
+    ]
+    assert [run.condition for run in runs] == list(experiments.CONDITIONS)
+    assert [run.selections for run in runs] == [run.selections for run in expected]
+    assert [_bits(run.samples) for run in runs] == [_bits(run.samples) for run in expected]

@@ -14,6 +14,7 @@ from delgov.simulate import (
     NOISE_SIGMA,
     BadConfig,
     PoolConfig,
+    _normals,
     best_delegate,
     build_pool_with_metadata,
     dishonest_count,
@@ -217,11 +218,17 @@ def _box_muller(rng):
 def test_a_noise_batch_is_bit_identical_to_per_task_draws(qs, seed):
     reference, written_out, rng = Random(seed), Random(seed), Random(seed)
     expected = [min(max(q + NOISE_SIGMA * gaussian(reference), 0.0), 1.0) for q in qs]
-    assert _bits(execute_tasks(qs, rng)) == _bits(expected)
+    assert _bits(execute_tasks(qs, _normals(rng, len(qs)))) == _bits(expected)
     assert rng.getstate() == reference.getstate()
     # the per-task draw is itself the two-uniform transform, u1 before u2
     by_hand = [min(max(q + NOISE_SIGMA * _box_muller(written_out), 0.0), 1.0) for q in qs]
     assert _bits(expected) == _bits(by_hand)
+
+
+@pytest.mark.parametrize("qs, normals", [([0.5, 0.5], [0.0]), ([0.5], [0.0, 0.0])])
+def test_execute_tasks_refuses_a_length_mismatch(qs, normals):
+    with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"):
+        execute_tasks(qs, normals)
 
 
 def test_best_delegate_argmax_and_ties():
