@@ -38,14 +38,14 @@ JSON summaries use ``dataclasses.asdict``.
 
 Routing cost: over the static pool of one condition, by_claims routing is
 a pure function of the pool and the policy, so ``run_condition`` selects
-once per condition and gives every task that delegate. Blind routing
-still draws once per task from its selection stream, all of a condition's
-draws in one ``routing._blind`` batch, and the condition's tasks run as one
-``execute_tasks`` batch over the normals of its noise stream, which
-``_run_conditions`` draws once per distinct noise seed; every batch draws
-the same numbers as the per-task calls would. The self_claimed records
-reuse the claim objects of the full records rather than building them
-again (see ``routing`` for how a select reads them).
+once per condition, gives every task that delegate and seeds no selection
+stream. Blind routing still draws once per task from its selection stream,
+all of a condition's draws in one ``routing._blind`` batch, and the
+condition's tasks run as one ``execute_tasks`` batch over the normals of
+its noise stream, which ``_run_conditions`` draws once per distinct noise
+seed; every batch draws the same numbers as the per-task calls would. The
+self_claimed records reuse the claim objects of the full records rather
+than building them again (see ``routing`` for how a select reads them).
 """
 
 from __future__ import annotations
@@ -192,22 +192,23 @@ def run_condition(
     pool: Sequence[DelegateProfile],
     records: Sequence[DelegateRecord],
     condition: str,
-    select_rng: Random,
+    select_seed: str,
     normals: Sequence[float],
 ) -> ConditionRun:
     """Route and execute one task per standard normal in ``normals`` under one condition.
 
-    Blind routing draws a delegate per task from ``select_rng``. by_claims
-    routing never reads the rng, so it is resolved once, before the first
-    task, and that delegate serves every task.
+    Blind routing draws a delegate per task from the selection stream
+    ``Random(select_seed)``. by_claims routing reads no rng, so it seeds
+    none: it is resolved once, before the first task, and that delegate
+    serves every task.
     """
     policy = CONDITIONS[condition]
     tasks = len(normals)
     q_true = {p.delegate_id: p.q_true for p in pool}
     if policy.strategy is Strategy.BLIND:
-        selections = _blind(records, select_rng, tasks)
+        selections = _blind(records, Random(select_seed), tasks)
     elif tasks > 0:
-        selections = [select(records, policy, select_rng)] * tasks
+        selections = [select(records, policy, None)] * tasks
     else:
         selections = []
     samples = execute_tasks([q_true[d] for d in selections], normals)
@@ -240,7 +241,7 @@ def _run_conditions(
             batches[noise_seed] = _normals(Random(noise_seed), tasks)
         records = self_only if condition == "self_claimed" else full
         normals = batches[noise_seed]
-        runs.append(run_condition(pool, records, condition, Random(select_seed), normals))
+        runs.append(run_condition(pool, records, condition, select_seed, normals))
     return tuple(runs)
 
 
@@ -255,8 +256,8 @@ def _condition_report(
     """One condition's row; each summary is the (mean, std) of its samples."""
     n = len(run.samples)
     mean, std = summary
-    accuracy = 100.0 * sum(1 for s in run.selections if s == best_id) / n
-    inflated = 100.0 * sum(1 for s in run.selections if s in dishonest_ids) / n
+    accuracy = 100.0 * run.selections.count(best_id) / n
+    inflated = 100.0 * sum(map(dishonest_ids.__contains__, run.selections)) / n
 
     if run.condition == "blind":
         d, p = 0.0, 1.0

@@ -14,9 +14,10 @@ type only. An unknown enum value (``None`` too), a non-finite amount of money
 (``NaN``, ``sNaN`` or an infinity, as a string, a float or a ``Decimal``), a
 money string outside the wire's one decimal grammar (ASCII digits; no ``_``
 and no surrounding space) or a timestamp out of range in UTC raises
-``ValueError``. Semantic rules live in ``delgov.wire.validate_invariants``
-so that suspect input can be inspected and reported instead of lost to a
-constructor error.
+``ValueError``. Either error names the class and field it came from, as in
+``Budget.max_cost_usd: non-finite decimal 'NaN'``. Semantic rules live in
+``delgov.wire.validate_invariants`` so that suspect input can be inspected
+and reported instead of lost to a constructor error.
 """
 
 from __future__ import annotations
@@ -204,8 +205,9 @@ class _Normalized:
             if type(value) is not normal_type and (value is not None or not optional):
                 try:
                     normal = check(value)
-                except TypeError as exc:
-                    raise TypeError(f"{type(self).__name__}.{name}: {exc}") from None
+                except (TypeError, ValueError) as exc:
+                    kind = TypeError if isinstance(exc, TypeError) else ValueError
+                    raise kind(f"{type(self).__name__}.{name}: {exc}") from None
                 if normal is not value:
                     object.__setattr__(self, name, normal)
 

@@ -196,10 +196,7 @@ def test_by_claims_condition_matches_a_per_task_select_loop(condition):
     records = experiments.records_for_pool(pool)
     if condition == "self_claimed":
         records = _self_claimed_only(records)
-    select_rng = Random("select")
-    state = select_rng.getstate()
-    run = experiments.run_condition(pool, records, condition, select_rng, _normals(Random("noise"), 40))
-    assert select_rng.getstate() == state
+    run = experiments.run_condition(pool, records, condition, "select", _normals(Random("noise"), 40))
 
     policy = experiments.CONDITIONS[condition]
     by_id = {p.delegate_id: p for p in pool}
@@ -217,9 +214,9 @@ def test_by_claims_condition_without_an_eligible_claim_raises():
     pool = _routing_pool(11)
     self_only = _self_claimed_only(experiments.records_for_pool(pool))
     with pytest.raises(NoEligibleDelegate):
-        experiments.run_condition(pool, self_only, "attested", Random(0), _normals(Random(1), 5))
+        experiments.run_condition(pool, self_only, "attested", "0", _normals(Random(1), 5))
     # no task, no routing: nothing is raised
-    run = experiments.run_condition(pool, self_only, "attested", Random(0), _normals(Random(1), 0))
+    run = experiments.run_condition(pool, self_only, "attested", "0", _normals(Random(1), 0))
     assert run.samples == () and run.selections == ()
 
 
@@ -272,6 +269,22 @@ def test_a_grid_cell_draws_one_noise_batch_and_e3_one_per_condition(monkeypatch)
     assert batches == [100] * 3
 
 
+def test_only_blind_conditions_seed_a_selection_stream(monkeypatch):
+    seeded = []
+
+    def spy(seed):
+        seeded.append(seed)
+        return Random(seed)
+
+    monkeypatch.setattr(experiments, "Random", spy)
+    experiments.run_routing_conditions_detailed(5, 100)
+    assert [s for s in seeded if "select" in s] == ["5:e3:blind:select"]
+    seeded.clear()
+    experiments.run_sensitivity([5], 100)
+    selects = [s for s in seeded if "select" in s]
+    assert len(selects) == 36 and all(s.endswith(":select:blind") for s in selects)
+
+
 def test_e3_summarises_each_sample_once(monkeypatch):
     summarised = []
 
@@ -322,7 +335,7 @@ def test_conditions_naming_one_noise_seed_run_over_its_fresh_draw(
             pool,
             _self_claimed_only(full) if condition == "self_claimed" else full,
             condition,
-            Random(select_seed),
+            select_seed,
             _normals(Random(noise_seed), tasks),
         )
         for condition, (select_seed, noise_seed) in seeds.items()

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import struct
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -43,6 +46,28 @@ def exact_two_sided_p(a, b) -> float:
         if abs(exact_u(chosen, rest) - mu) >= observed - 1e-12:
             hits += 1
     return hits / total
+
+
+def bisect_mann_whitney_u(a, b) -> tuple[float, float]:
+    """Oracle: the rank test with one bisect pair per value of a.
+
+    Each value x of a has the midrank (bisect_left(x) + bisect_right(x) + 1) / 2
+    in the sorted pooled sample, and the tie sizes are the counts of equal values.
+    The arithmetic after the rank sum is ``mann_whitney_u``'s, step for step.
+    """
+    n_a, n_b = len(a), len(b)
+    pooled = sorted([*a, *b])
+    r_a = sum(bisect_left(pooled, x) + bisect_right(pooled, x) + 1 for x in a) / 2
+    u_a = r_a - n_a * (n_a + 1) / 2.0
+    n = n_a + n_b
+    tie_term = sum(t**3 - t for t in Counter(pooled).values())
+    variance = (n_a * n_b / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
+    if variance <= 0.0:
+        return u_a, 1.0
+    diff = u_a - n_a * n_b / 2.0
+    correction = 0.5 * (1 if diff > 0 else -1 if diff < 0 else 0)
+    z = (diff - correction) / math.sqrt(variance)
+    return u_a, min(1.0, 2.0 * (0.5 * math.erfc(abs(z) / math.sqrt(2.0))))
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +203,34 @@ def test_p_decreases_as_separation_grows():
         _, p = mann_whitney_u([x + shift for x in base], base)
         assert p <= previous + 1e-12
         previous = p
+
+
+def _sample_pairs(values):
+    return st.tuples(*[st.lists(values, min_size=3, max_size=150)] * 2)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        # signed zeros tie with each other, so a tie group can mix them
+        _sample_pairs(st.sampled_from([0.0, -0.0, 1.0, 0.5])),
+        _sample_pairs(_FINITE),
+        _sample_pairs(st.integers()),
+        st.builds(
+            lambda x, n_a, n_b: ([x] * n_a, [x] * n_b),
+            _FINITE,
+            st.integers(3, 150),
+            st.integers(3, 150),
+        ),
+    )
+)
+def test_rank_test_matches_the_bisect_form_bit_for_bit(samples):
+    a, b = samples
+    got, expected = mann_whitney_u(a, b), bisect_mann_whitney_u(a, b)
+    assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", x) for x in expected]
 
 
 @settings(max_examples=200, deadline=None)

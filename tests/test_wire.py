@@ -140,10 +140,10 @@ def test_float_money_is_read_by_its_shortest_repr():
 @pytest.mark.parametrize("amount", ["abc", "", "1_0", " 0.5 ", "\u0661"])
 def test_non_numeric_money_string_raises_value_error_in_memory(amount):
     # construction reads the decoder's money grammar: "1_0" is not Decimal("10")
-    message = f"^invalid decimal {re.escape(repr(amount))}$"
-    with pytest.raises(ValueError, match=message):
+    message = f"invalid decimal {re.escape(repr(amount))}$"
+    with pytest.raises(ValueError, match=rf"^Budget\.max_cost_usd: {message}"):
         Budget(max_cost_usd=amount)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=rf"^TaskResult\.cost_usd: {message}"):
         TaskResult("t-1", "x", 5, amount, datetime(2026, 1, 1, tzinfo=timezone.utc))
 
 
@@ -608,10 +608,10 @@ _NON_FINITE = ["NaN", "sNaN", "Infinity", "-Infinity"]
 )
 def test_non_finite_money_is_refused_at_construction(amount):
     # no amount compares with these, so none is built, as none decodes
-    message = f"^non-finite decimal {re.escape(repr(amount))}$"
-    with pytest.raises(ValueError, match=message):
+    message = f"non-finite decimal {re.escape(repr(amount))}$"
+    with pytest.raises(ValueError, match=rf"^Budget\.max_cost_usd: {message}"):
         Budget(max_cost_usd=amount)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=rf"^TaskResult\.cost_usd: {message}"):
         TaskResult("t", "o", 1, amount, datetime(2026, 1, 1, tzinfo=UTC))
 
 
