@@ -43,7 +43,6 @@ from .simulate import (
     best_delegate,
     build_pool_with_metadata,
     execute_task,
-    gaussian,
 )
 from .stats import (
     InsufficientData,
@@ -123,7 +122,6 @@ __all__ = [
     "eligible_claim",
     "encode_message",
     "execute_task",
-    "gaussian",
     "make_contract_violation",
     "mann_whitney_u",
     "rank",

@@ -139,6 +139,22 @@ def _write_all(files: Sequence[tuple[Path, bytes]]) -> None:
             temp.unlink(missing_ok=True)
 
 
+def _write_reports(
+    out: Path, rows: Sequence[object], summary: dict, *extra: tuple[str, bytes]
+) -> str:
+    """Write an experiment's report files through ``_write_all``, all or nothing.
+
+    The CSV of ``rows`` goes to ``out``, the JSON ``summary`` beside it with
+    the suffix ``.json``, and each ``(suffix, data)`` of ``extra`` beside it
+    with its suffix. Returns the ``wrote`` line that names them in that order.
+    """
+    files = [(out, experiments.csv_bytes(rows))]
+    files += [(out.with_suffix(".json"), experiments.summary_bytes(summary))]
+    files += [(out.with_suffix(suffix), data) for suffix, data in extra]
+    _write_all(files)
+    return "wrote " + ", ".join(str(path) for path, _ in files)
+
+
 def _print_wire(obj: dict, file: Optional[TextIO] = None) -> None:
     print(canonical_bytes(obj).decode("utf-8"), file=file)
 
@@ -215,17 +231,8 @@ def _cmd_e3(args: argparse.Namespace) -> int:
     # the summary needs more samples than the run does: build it before
     # writing anything, so a bad --tasks leaves no partial output
     summary = experiments.routing_summary([run])
-    out = args.out
-    _write_all(
-        [
-            (out, experiments.csv_bytes(run.reports)),
-            (out.with_suffix(".json"), experiments.summary_bytes(summary)),
-            (
-                out.with_suffix(".pool.jsonl"),
-                b"".join(canonical_bytes(asdict(profile)) + b"\n" for profile in run.pool),
-            ),
-        ]
-    )
+    pool = b"".join(experiments.summary_bytes(asdict(profile)) for profile in run.pool)
+    wrote = _write_reports(args.out, run.reports, summary, (".pool.jsonl", pool))
     print(f"{'condition':<14}{'quality':>18}{'accuracy%':>11}{'inflated%':>11}{'d':>9}{'p':>12}")
     for report in run.reports:
         quality = f"{report.quality_mean:.3f} +/- {report.quality_std:.3f}"
@@ -234,13 +241,12 @@ def _cmd_e3(args: argparse.Namespace) -> int:
             f"{report.inflation_selected_pct:>11.1f}{report.d_vs_blind:>9.2f}"
             f"{report.p_vs_blind:>12.2g}"
         )
-    print(f"wrote {out}, {out.with_suffix('.json')}, {out.with_suffix('.pool.jsonl')}")
+    print(wrote)
     return EXIT_OK
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     cells = experiments.run_sensitivity(args.seeds, args.tasks)
-    out = args.out
     paradox_cells = [c for c in cells if c.paradox]
     summary = {
         "experiment": "sensitivity",
@@ -249,12 +255,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
         "cells": [asdict(cell) for cell in cells],
         "paradox_count": len(paradox_cells),
     }
-    _write_all(
-        [
-            (out, experiments.csv_bytes(cells)),
-            (out.with_suffix(".json"), experiments.summary_bytes(summary)),
-        ]
-    )
+    wrote = _write_reports(args.out, cells, summary)
     print(f"{len(cells)} cells, paradox in {len(paradox_cells)}")
     for cell in paradox_cells:
         print(
@@ -262,27 +263,21 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
             f"inflation={cell.inflation_level} pool={cell.pool_size} "
             f"(self {cell.self_claimed_mean:.3f} < blind {cell.blind_mean:.3f})"
         )
-    print(f"wrote {out}, {out.with_suffix('.json')}")
+    print(wrote)
     return EXIT_OK
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     report = experiments.run_overhead(args.iterations)
-    out = args.out
     summary = {"experiment": "overhead", "iterations": args.iterations, **asdict(report)}
-    _write_all(
-        [
-            (out, experiments.csv_bytes([report])),
-            (out.with_suffix(".json"), experiments.summary_bytes(summary)),
-        ]
-    )
+    wrote = _write_reports(args.out, [report], summary)
     delta = report.bytes_with_contract - report.bytes_without_contract
     pct = 100.0 * delta / report.bytes_without_contract
     print(f"message bytes: {report.bytes_without_contract} bare, "
           f"{report.bytes_with_contract} with contract (+{delta}, +{pct:.0f}%)")
     print(f"validation:    {report.validation_ns_mean / 1000.0:.2f} us/result")
     print(f"serialization: {report.serialization_ns_mean / 1000.0:.2f} us/message")
-    print(f"wrote {out}, {out.with_suffix('.json')}")
+    print(wrote)
     return EXIT_OK
 
 

@@ -145,7 +145,9 @@ def check_result(
 
     if not found:
         return _ACCEPTED
-    _require_invariants(contract, result)
+    broken = validate_invariants(contract) + validate_invariants(result)
+    if broken:
+        raise InvariantViolation(broken)
     violations = tuple(
         Violation(rule, detail, float(observed), float(limit))
         for rule, detail, observed, limit in found
@@ -153,12 +155,6 @@ def check_result(
     if policy.failure_policy is FailurePolicy.FAIL_CLOSED:
         return ValidationOutcome(violations, Disposition.REJECTED)
     return ValidationOutcome(violations, Disposition.ACCEPTED_WITH_LOG)
-
-
-def _require_invariants(contract: DelegationContract, result: TaskResult) -> None:
-    broken = validate_invariants(contract) + validate_invariants(result)
-    if broken:
-        raise InvariantViolation(broken)
 
 
 def apply_policy(

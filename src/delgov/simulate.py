@@ -13,13 +13,15 @@ Pool construction is fully deterministic given (config, seed):
 - Dishonest delegates occupy the lower-middle of the quality order
   (positions 1..k). Each inflates its claim by a uniform draw from
   ``inflation_range``, capped at 1.0. When the dishonest block has a
-  unique middle member (odd count of three or more), that delegate takes
-  the top of the range instead of a draw, so the largest inflated claim
-  lands on a mid-quality inflator rather than drifting to whichever one
-  sits highest; blocks without a unique middle draw all offsets uniformly.
+  unique middle member (odd count of three or more), that designated
+  delegate takes the top of the range instead of a draw: it claims
+  ``q + high``. It holds the top inflated claim only when no other
+  inflator can claim as much: one above it in quality may draw past it,
+  and one below it that also reaches the 1.0 cap ties it and wins on its
+  smaller id. Blocks without a unique middle draw all offsets uniformly.
   Claims stay fixed for the life of the pool.
-- Honest delegates report within 0.015 of their true quality (uniform
-  jitter), comfortably inside the 0.02 honesty band.
+- Honest delegates report within ``HONEST_JITTER`` (0.015) of their true
+  quality (uniform jitter), comfortably inside the 0.02 honesty band.
 
 Task execution returns the output quality as a plain float: the
 delegate's true quality plus ``NOISE_SIGMA`` times a standard normal,
@@ -28,9 +30,8 @@ Box-Muller transform over ``random.Random`` uniforms, so seeded runs
 reproduce across platforms and interpreter versions. ``execute_tasks``
 runs a batch of tasks over a batch of normals it is handed, one per
 task, so a caller that runs several batches over one noise stream draws
-it once. ``execute_task`` and ``gaussian`` are the one-element views of
-the two batches, and a batch of n draws the same floats as n successive
-single calls.
+it once. ``execute_task`` is its one-element view, and a batch of n
+draws the same floats as n successive single calls.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ class DelegateProfile:
 
 Q_TRUE_RANGE = (0.45, 0.95)
 NOISE_SIGMA = 0.05
+HONEST_JITTER = 0.015
 
 
 @dataclass(frozen=True)
@@ -73,10 +75,17 @@ class PoolConfig:
 class PoolMetadata:
     """Audit facts about a constructed pool.
 
+    ``designated_top_id`` is the dishonest block's middle member, which
+    claims the top of the inflation range (see the module docstring), or
+    None when the block has no unique middle. It need not hold the pool's
+    top claim.
+
     ``dominance_guaranteed`` records whether the configuration forces the
-    top dishonest claim above every possible honest claim: true when the
-    inflation floor exceeds the gap between the quality ceiling and the
-    best dishonest delegate's true quality.
+    top claim onto a dishonest delegate, whatever the draws: true when the
+    best inflator's lowest possible claim, ``min(q + low, 1.0)``, exceeds
+    the highest claim any honest delegate can make, ``min(q +
+    HONEST_JITTER, 1.0)`` for the best honest one. With no honest
+    delegate it is true whenever an inflator exists.
     """
 
     dishonest_ids: tuple[str, ...]
@@ -99,11 +108,6 @@ def _normals(rng: Random, n: int) -> list[float]:
     random, sqrt, log, cos, two_pi = rng.random, math.sqrt, math.log, math.cos, 2.0 * math.pi
     # 1 - u1 lies in (0, 1], which keeps the log finite
     return [sqrt(-2.0 * log(1.0 - random())) * cos(two_pi * random()) for _ in range(n)]
-
-
-def gaussian(rng: Random) -> float:
-    """One standard normal sample: ``_normals(rng, 1)[0]``."""
-    return _normals(rng, 1)[0]
 
 
 def _validate_config(config: PoolConfig) -> None:
@@ -130,7 +134,7 @@ def build_pool_with_metadata(
     lo, hi = Q_TRUE_RANGE
     low, high = config.inflation_range
 
-    k = min(dishonest_count(n, config.dishonest_fraction), n)
+    k = dishonest_count(n, config.dishonest_fraction)
     if k <= n - 1:
         dishonest_idx = list(range(1, k + 1))
     else:
@@ -152,13 +156,16 @@ def build_pool_with_metadata(
                 )
             profiles.append(DelegateProfile(delegate_id, q_true, q_claimed, honest=False))
         else:
-            jitter = rng.uniform(-0.015, 0.015)
+            jitter = rng.uniform(-HONEST_JITTER, HONEST_JITTER)
             q_claimed = min(max(q_true + jitter, 0.0), 1.0)
             profiles.append(DelegateProfile(delegate_id, q_true, q_claimed, honest=True))
 
     dishonest_ids = tuple(profiles[i].delegate_id for i in dishonest_idx)
-    top_dishonest_q = max((profiles[i].q_true for i in dishonest_idx), default=None)
-    dominance = top_dishonest_q is not None and low > (hi - top_dishonest_q)
+    # the best inflator's lowest claim against the best honest delegate's highest;
+    # q_true rises with position, so each is the last of its kind
+    top_q = profiles[dishonest_idx[-1]].q_true if dishonest_idx else None
+    honest_q = next((p.q_true for p in reversed(profiles) if p.honest), -math.inf)
+    dominance = top_q is not None and min(top_q + low, 1.0) > min(honest_q + HONEST_JITTER, 1.0)
     metadata = PoolMetadata(
         dishonest_ids=dishonest_ids,
         designated_top_id=profiles[designated].delegate_id if designated is not None else None,

@@ -8,7 +8,7 @@ import struct
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delgov import experiments, stats
@@ -16,6 +16,7 @@ from delgov.routing import DelegateRecord, NoEligibleDelegate, select
 from delgov.simulate import (
     PoolConfig,
     _normals,
+    best_delegate,
     build_pool_with_metadata,
     dishonest_count,
     execute_task,
@@ -306,12 +307,14 @@ def _bits(values):
     return [struct.pack("<d", value) for value in values]
 
 
+# any fraction and any inflation range a pool can be built from: a floor above zero, so every
+# inflator's claim rises above its true quality
 _pool_configs = st.builds(
     lambda size, fraction, low, width: PoolConfig(size, fraction, (low, low + width)),
-    st.integers(2, 20),
+    st.integers(2, 30),
     st.floats(0.0, 1.0),
-    st.floats(0.01, 0.5),
-    st.floats(0.0, 0.2),
+    st.floats(1e-6, 1.0),
+    st.floats(0.0, 1.0),
 )
 # three names for three conditions, so conditions often share a stream and sometimes do not
 _stream_names = st.tuples(*[st.sampled_from("abc")] * 3)
@@ -343,3 +346,32 @@ def test_conditions_naming_one_noise_seed_run_over_its_fresh_draw(
     assert [run.condition for run in runs] == list(experiments.CONDITIONS)
     assert [run.selections for run in runs] == [run.selections for run in expected]
     assert [_bits(run.samples) for run in runs] == [_bits(run.samples) for run in expected]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pool_configs, st.integers(0, 2**32))
+# the old rule's counterexample: the inflator d1 claims 0.9575, the honest d2 0.9616
+@example(PoolConfig(3, 0.1967, (0.2522, 0.2716)), 3846)
+def test_a_guaranteed_dominance_hands_the_self_claimed_pick_to_an_inflator(config, seed):
+    pool, metadata = build_pool_with_metadata(config, Random(seed))
+    self_only = _self_claimed_only(experiments.records_for_pool(pool))
+    picked = select(self_only, experiments.CONDITIONS["self_claimed"], None)
+    # the argmax of the claims, ties to the smallest id
+    assert picked == min(pool, key=lambda p: (-p.q_claimed, p.delegate_id)).delegate_id
+    if metadata.dominance_guaranteed:
+        assert picked in metadata.dishonest_ids
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pool_configs, st.integers(0, 2**32), st.integers(1, 30))
+def test_attested_takes_the_best_and_never_trails_on_any_task_of_a_cell_seed(
+    config, seed, tasks
+):
+    pool, _ = build_pool_with_metadata(config, Random(f"{seed}:pool"))
+    # the grid's stream shape: one selection stream per condition, one noise stream for all
+    runs = experiments._run_conditions(
+        pool, lambda c: (f"{seed}:select:{c}", f"{seed}:noise"), tasks
+    )
+    assert set(runs[2].selections) == {best_delegate(pool)}
+    blind, self_claimed, attested = (run.samples for run in runs)
+    assert all(a >= max(b, s) for a, b, s in zip(attested, blind, self_claimed, strict=True))

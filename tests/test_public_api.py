@@ -57,7 +57,6 @@ PUBLIC_NAMES = [
     "eligible_claim",
     "encode_message",
     "execute_task",
-    "gaussian",
     "make_contract_violation",
     "mann_whitney_u",
     "rank",
@@ -80,9 +79,9 @@ def test_every_public_name_imports():
 
 # Removed without aliases: each only forwarded or had no caller outside the
 # tests. check_result does the work of the first two; use ClaimType(x).level,
-# descriptive/cohens_d/mann_whitney_u and str for the next four, and a
+# descriptive/cohens_d/mann_whitney_u and str for the next four, a
 # constructor such as Budget(max_cost_usd=raw), then validate_invariants, for
-# parse_money.
+# parse_money, and simulate._normals(rng, 1)[0] for gaussian.
 @pytest.mark.parametrize(
     ("owner", "name"),
     [
@@ -93,6 +92,7 @@ def test_every_public_name_imports():
         ("stats", "ComparisonStats"),
         ("wire", "format_money"),
         ("wire", "parse_money"),
+        ("simulate", "gaussian"),
     ],
 )
 def test_removed_names_stay_removed(owner, name):

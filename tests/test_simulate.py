@@ -20,7 +20,6 @@ from delgov.simulate import (
     dishonest_count,
     execute_task,
     execute_tasks,
-    gaussian,
 )
 
 CANONICAL = PoolConfig(
@@ -165,10 +164,15 @@ def test_noise_scale_in_the_unclamped_region():
     assert all(0.0 <= x <= 1.0 for x in outcomes)
 
 
+def _gaussian(rng):
+    """One standard normal sample, the one-element view of the batch."""
+    return _normals(rng, 1)[0]
+
+
 def test_gaussian_moments_pass_a_normality_check():
     rng = Random(123)
     n = 100000
-    samples = [gaussian(rng) for _ in range(n)]
+    samples = [_gaussian(rng) for _ in range(n)]
     mean = sum(samples) / n
     var = sum((x - mean) ** 2 for x in samples) / n
     skew = sum((x - mean) ** 3 for x in samples) / n / var**1.5
@@ -180,12 +184,12 @@ def test_gaussian_moments_pass_a_normality_check():
 
 
 def test_gaussian_draw_sequence_is_reproducible():
-    a = [gaussian(Random(5)) for _ in range(3)]
-    b = [gaussian(Random(5)) for _ in range(3)]
+    a = [_gaussian(Random(5)) for _ in range(3)]
+    b = [_gaussian(Random(5)) for _ in range(3)]
     assert a[0] == b[0]
     # one call consumes exactly two uniforms
     rng1, rng2 = Random(9), Random(9)
-    gaussian(rng1)
+    _gaussian(rng1)
     rng2.random(), rng2.random()
     assert rng1.random() == rng2.random()
 
@@ -217,7 +221,7 @@ def _box_muller(rng):
 )
 def test_a_noise_batch_is_bit_identical_to_per_task_draws(qs, seed):
     reference, written_out, rng = Random(seed), Random(seed), Random(seed)
-    expected = [min(max(q + NOISE_SIGMA * gaussian(reference), 0.0), 1.0) for q in qs]
+    expected = [min(max(q + NOISE_SIGMA * _gaussian(reference), 0.0), 1.0) for q in qs]
     assert _bits(execute_tasks(qs, _normals(rng, len(qs)))) == _bits(expected)
     assert rng.getstate() == reference.getstate()
     # the per-task draw is itself the two-uniform transform, u1 before u2
@@ -245,3 +249,19 @@ def test_best_delegate_argmax_and_ties():
     assert best_delegate(two) == "d-b"
     with pytest.raises(ValueError, match="^best_delegate requires a non-empty pool$"):
         best_delegate([])
+
+
+@pytest.mark.parametrize(
+    ("config", "guaranteed"),
+    [
+        # its inflator claims 0.9522 at the least, its best honest delegate 0.965 at most
+        (PoolConfig(3, 0.1967, (0.2522, 0.2716)), False),
+        # grid cell (0.5, medium, 20): 0.9632 at the least, against 0.965 at most
+        (PoolConfig(20, 0.5, (0.25, 0.35)), False),
+        # no honest delegate is left to outbid the inflators
+        (PoolConfig(4, 1.0, (0.1, 0.2)), True),
+    ],
+)
+def test_dominance_is_guaranteed_only_above_every_possible_honest_claim(config, guaranteed):
+    for seed in range(5):
+        assert build_pool_with_metadata(config, Random(seed))[1].dominance_guaranteed is guaranteed
