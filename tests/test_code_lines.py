@@ -36,7 +36,7 @@ def test_docstrings_comments_and_blanks_are_not_code():
 
 
 def test_the_package_is_counted_per_module_and_in_total(capsys):
-    assert code_lines.main([]) == 0
+    assert code_lines.main() == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[0].split() == ["module", "lines", "code"]
     modules = [row.split() for row in rows[1:-1]]

@@ -121,6 +121,7 @@ def test_rounded_to_zero_dishonest_gives_an_honest_pool():
 def test_fraction_one_makes_every_delegate_dishonest():
     pool, metadata = build_pool_with_metadata(PoolConfig(4, 1.0, (0.1, 0.2)), Random(0))
     assert metadata.dishonest_ids == ("d0", "d1", "d2", "d3")
+    assert metadata.dominance_guaranteed is True
     assert not any(p.honest for p in pool)
 
 
@@ -252,16 +253,14 @@ def test_best_delegate_argmax_and_ties():
 
 
 @pytest.mark.parametrize(
-    ("config", "guaranteed"),
+    "config",
     [
         # its inflator claims 0.9522 at the least, its best honest delegate 0.965 at most
-        (PoolConfig(3, 0.1967, (0.2522, 0.2716)), False),
+        PoolConfig(3, 0.1967, (0.2522, 0.2716)),
         # grid cell (0.5, medium, 20): 0.9632 at the least, against 0.965 at most
-        (PoolConfig(20, 0.5, (0.25, 0.35)), False),
-        # no honest delegate is left to outbid the inflators
-        (PoolConfig(4, 1.0, (0.1, 0.2)), True),
+        PoolConfig(20, 0.5, (0.25, 0.35)),
     ],
 )
-def test_dominance_is_guaranteed_only_above_every_possible_honest_claim(config, guaranteed):
+def test_dominance_is_not_guaranteed_when_an_honest_claim_can_outbid(config):
     for seed in range(5):
-        assert build_pool_with_metadata(config, Random(seed))[1].dominance_guaranteed is guaranteed
+        assert build_pool_with_metadata(config, Random(seed))[1].dominance_guaranteed is False

@@ -1,4 +1,4 @@
-"""Count the lines of each module of a package, and how many of them are code.
+"""Count the lines of each module of ``src/delgov``, and how many of them are code.
 
 A code line is one that is not blank, not a comment and not part of a
 docstring: the string literal that opens a module, class or function body,
@@ -6,10 +6,9 @@ found with ``ast``. A line is code when any token on it is code, so a
 statement with a trailing comment counts, and every line of a multi-line
 statement or of a string that is not a docstring counts.
 
-    python tools/code_lines.py [PACKAGE_DIR]
+    python tools/code_lines.py
 
-``PACKAGE_DIR`` defaults to ``src/delgov`` of this checkout. One line per
-module, then the total; nothing is gated on the figures.
+One line per module, then the total; nothing is gated on the figures.
 """
 
 from __future__ import annotations
@@ -46,15 +45,11 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - docstrings)
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "delgov"
-    modules = sorted(package.glob("*.py"))
-    if not modules:
-        print(f"no modules in {package}", file=sys.stderr)
-        return 1
+def main() -> int:
+    package = Path(__file__).resolve().parent.parent / "src" / "delgov"
     print(f"{'module':<16}{'lines':>7}{'code':>7}")
     totals = [0, 0]
-    for module in modules:
+    for module in sorted(package.glob("*.py")):
         lines, code = count(module.read_text(encoding="utf-8"))
         totals[0] += lines
         totals[1] += code
@@ -64,4 +59,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
