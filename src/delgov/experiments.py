@@ -2,12 +2,10 @@
 
 Three experiments, all seeded and reproducible:
 
-- Routing conditions: one pool, three routing strategies (blind,
-  self_claimed, attested), N tasks each, summarized per condition with
-  effect size and rank-test p-value against the blind baseline. Every
-  delegate record carries both its self-reported claim and an
-  issuer-attested claim equal to its true quality, except under
-  self_claimed, which routes over the self-reported claims alone.
+- Routing conditions: one pool, the three routing conditions of
+  ``CONDITIONS`` (blind, self_claimed, attested), N tasks each, summarized
+  per condition with effect size and rank-test p-value against the blind
+  baseline.
 - Sensitivity grid: 36 cells over dishonest fraction x inflation level x
   pool size, averaged over a seed list, with a paradox flag per cell
   (self_claimed mean strictly below blind mean). A ``PoolConfig`` holds
@@ -16,11 +14,10 @@ Three experiments, all seeded and reproducible:
 - Overhead: canonical message byte sizes with and without a contract, and
   mean wall time for contract validation and message serialization.
 
-The routing conditions and the grid run each pool through one runner. It
-builds the records each condition routes over (self_claimed gets records
-without attested claims, see ``_run_conditions``) and runs the three
-conditions in ``CONDITIONS`` order; the two experiments differ only in
-the seeds of their streams.
+The routing conditions and the grid run each pool through one runner,
+``_run_conditions``, which builds the records each condition routes over
+and runs the three conditions in ``CONDITIONS`` order; the two
+experiments differ only in the seeds of their streams.
 
 Randomness discipline: every stream is an independent ``random.Random``
 seeded with a readable string, so runs are reproducible byte for byte. In
@@ -36,16 +33,17 @@ Reports are frozen dataclasses, and each is described once: ``csv_bytes``
 takes its columns from the dataclass fields, in declaration order, and the
 JSON summaries use ``dataclasses.asdict``.
 
-Routing cost: over the static pool of one condition, by_claims routing is
-a pure function of the pool and the policy, so ``run_condition`` selects
-once per condition, gives every task that delegate and seeds no selection
-stream. Blind routing still draws once per task from its selection stream,
-all of a condition's draws in one ``routing._blind`` batch, and the
-condition's tasks run as one ``execute_tasks`` batch over the normals of
-its noise stream, which ``_run_conditions`` draws once per distinct noise
-seed; every batch draws the same numbers as the per-task calls would. The
-self_claimed records reuse the claim objects of the full records rather
-than building them again (see ``routing`` for how a select reads them).
+Routing cost: ``run_condition`` selects once per by_claims condition and
+seeds no selection stream, as a by_claims select reads no rng (see
+``routing``); a blind condition draws all its selections in one
+``routing._blind`` batch. A condition's tasks run as one ``execute_tasks``
+batch over the normals of its noise stream, which ``_run_conditions``
+draws once per distinct noise seed. Pool set-up builds only what depends
+on the seed. The ids and true qualities of a pool size come from
+``simulate``'s shared layout. Each attested claim, whose value is the
+true quality, is a shared immutable ``QualityClaim`` from a cache of at
+most 64 true qualities; the grid and ``e3`` use 31. The self_claimed
+records reuse the claim objects of the full records.
 """
 
 from __future__ import annotations
@@ -55,6 +53,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from decimal import Decimal
+from functools import lru_cache
 from random import Random
 from typing import Callable, Sequence
 
@@ -160,31 +159,35 @@ class RoutingRun:
     reports: tuple[ConditionReport, ...]
 
 
+@lru_cache(maxsize=64)
+def _attested(q_true: float) -> QualityClaim:
+    return QualityClaim(EXPERIMENT_SKILL, q_true, ClaimType.ISSUER_ATTESTED, ATTESTATION_ISSUER)
+
+
 def records_for_pool(pool: Sequence[DelegateProfile]) -> list[DelegateRecord]:
     """Router-facing records for a simulated pool.
 
     Every delegate advertises its self-reported quality first, then an
     issuer-attested claim equal to its true quality: the issuer measured
-    it rather than taking the delegate's word.
+    it rather than taking the delegate's word. Only the self-reported
+    claim is built per call. The attested claim depends on the true
+    quality alone, so every record of one float true quality shares one
+    immutable claim, from a cache of at most 64 values (the grid and
+    ``e3`` use 31). A shared claim is the claim a fresh build would give,
+    to the value's bits: a zero, whose sign an equality test cannot see,
+    or a value of another type is built fresh.
     """
     return [
         DelegateRecord(
-            delegate_id=profile.delegate_id,
-            claims=(
-                QualityClaim(
-                    skill=EXPERIMENT_SKILL,
-                    value=profile.q_claimed,
-                    claim_type=ClaimType.SELF_CLAIMED,
-                ),
-                QualityClaim(
-                    skill=EXPERIMENT_SKILL,
-                    value=profile.q_true,
-                    claim_type=ClaimType.ISSUER_ATTESTED,
-                    issuer=ATTESTATION_ISSUER,
-                ),
+            profile.delegate_id,
+            (
+                QualityClaim(EXPERIMENT_SKILL, profile.q_claimed, ClaimType.SELF_CLAIMED),
+                # only a float keys the cache, and not a zero: 0.0 == -0.0
+                _attested(q) if type(q) is float and q else _attested.__wrapped__(q),
             ),
         )
         for profile in pool
+        for q in [profile.q_true]
     ]
 
 

@@ -7,7 +7,10 @@ Pool construction is fully deterministic given (config, seed):
 
 - True qualities are evenly spaced across ``Q_TRUE_RANGE``; with n
   delegates, delegate i gets ``lo + i * (hi - lo) / (n - 1)``. Delegate ids
-  are zero-padded so lexicographic order equals quality order.
+  are zero-padded so lexicographic order equals quality order. The ids
+  and true qualities depend on the pool size alone, so each size's
+  layout is built once and shared, from a cache of at most 8 sizes (the
+  grid uses 3): the same strings and floats a fresh build would give.
 - The dishonest count is ``round(pool_size * dishonest_fraction)`` with
   banker's rounding, computed in decimal so 5 * 0.3 lands on 1.5 exactly.
 - Dishonest delegates occupy the lower-middle of the quality order
@@ -39,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
+from functools import lru_cache
 from random import Random
 from typing import Optional, Sequence
 
@@ -120,6 +124,14 @@ def _validate_config(config: PoolConfig) -> None:
         raise BadConfig(f"inflation_range must satisfy 0 <= low <= high (got {config.inflation_range})")
 
 
+@lru_cache(maxsize=8)
+def _layout(n: int) -> tuple[tuple[str, float], ...]:
+    """``(delegate_id, q_true)`` per position of a pool of ``n``, built once per size."""
+    lo, hi = Q_TRUE_RANGE
+    width = len(str(n - 1))
+    return tuple((f"d{i:0{width}d}", lo + i * (hi - lo) / (n - 1)) for i in range(n))
+
+
 def build_pool_with_metadata(
     config: PoolConfig,
     rng: Random,
@@ -131,7 +143,6 @@ def build_pool_with_metadata(
     """
     _validate_config(config)
     n = config.pool_size
-    lo, hi = Q_TRUE_RANGE
     low, high = config.inflation_range
 
     k = dishonest_count(n, config.dishonest_fraction)
@@ -141,11 +152,8 @@ def build_pool_with_metadata(
         dishonest_idx = list(range(n))
     designated = dishonest_idx[(k - 1) // 2] if k >= 3 and k % 2 == 1 else None
 
-    width = len(str(n - 1))
     profiles: list[DelegateProfile] = []
-    for i in range(n):
-        q_true = lo + i * (hi - lo) / (n - 1)
-        delegate_id = f"d{i:0{width}d}"
+    for i, (delegate_id, q_true) in enumerate(_layout(n)):
         if i in dishonest_idx:
             offset = high if i == designated else rng.uniform(low, high)
             q_claimed = min(q_true + offset, 1.0)

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
 import statistics
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 from delgov import experiments, stats
 from delgov.routing import DelegateRecord, NoEligibleDelegate, select
 from delgov.simulate import (
+    DelegateProfile,
     PoolConfig,
     _normals,
     best_delegate,
@@ -21,7 +26,7 @@ from delgov.simulate import (
     dishonest_count,
     execute_task,
 )
-from delgov.types import ClaimType
+from delgov.types import ClaimType, QualityClaim
 
 
 def test_seed42_routing_exactness():
@@ -375,3 +380,100 @@ def test_attested_takes_the_best_and_never_trails_on_any_task_of_a_cell_seed(
     assert set(runs[2].selections) == {best_delegate(pool)}
     blind, self_claimed, attested = (run.samples for run in runs)
     assert all(a >= max(b, s) for a, b, s in zip(attested, blind, self_claimed, strict=True))
+
+
+def _explicit_records(pool):
+    return [
+        DelegateRecord(
+            delegate_id=p.delegate_id,
+            claims=(
+                QualityClaim(
+                    skill=experiments.EXPERIMENT_SKILL,
+                    value=p.q_claimed,
+                    claim_type=ClaimType.SELF_CLAIMED,
+                ),
+                QualityClaim(
+                    skill=experiments.EXPERIMENT_SKILL,
+                    value=p.q_true,
+                    claim_type=ClaimType.ISSUER_ATTESTED,
+                    issuer=experiments.ATTESTATION_ISSUER,
+                ),
+            ),
+        )
+        for p in pool
+    ]
+
+
+def _outcome(build, pool):
+    """The records with their repr and value bits, or the exception's type and message."""
+    try:
+        records = build(pool)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return records, repr(records), [c.value.hex() for r in records for c in r.claims]
+
+
+def _profile(q_true, q_claimed=0.5):
+    return DelegateProfile("d0", q_true, q_claimed, True)
+
+
+# true qualities that a cache keyed on the value alone would confuse: the two zeros, NaN,
+# an int or bool equal to a float, a number too large for a float, and non-numbers
+_q_trues = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, 1.0, 1, True, 0, False, 0.5, 2**1024, None, "0.5", [0.5]]),
+    st.floats(),
+    st.integers(),
+)
+_pools = st.lists(
+    st.builds(DelegateProfile, st.sampled_from(["d0", "d1"]), _q_trues, st.floats(), st.booleans()),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pools, _pools)
+@example([_profile(0.0)], [_profile(-0.0)])
+@example([_profile(1.0)], [_profile(True)])
+@example([_profile(1.0)], [_profile(1)])
+def test_shared_attested_claims_are_the_claims_a_fresh_build_gives(first, second):
+    # both orders in one process, so each pool also meets a cache the other warmed
+    for pool in (first, second, second, first):
+        assert _outcome(experiments.records_for_pool, pool) == _outcome(_explicit_records, pool)
+
+
+def test_a_second_grid_seed_builds_only_self_reported_claims(monkeypatch):
+    built = []
+
+    def spy(*args, **kwargs):
+        claim = QualityClaim(*args, **kwargs)
+        built.append(claim.claim_type)
+        return claim
+
+    experiments.run_sensitivity([1], 5)
+    monkeypatch.setattr(experiments, "QualityClaim", spy)
+    experiments.run_sensitivity([2], 5)
+    # twelve cells per pool size, one self-reported claim per delegate of each
+    assert built == [ClaimType.SELF_CLAIMED] * (12 * sum(experiments.GRID_POOL_SIZES))
+
+
+_SEEDED_REPRS = (
+    "from delgov import experiments; "
+    "print(repr(experiments.run_sensitivity([1, 2], 50))); "
+    "print(repr(experiments.run_routing_conditions_detailed(42, 100)))"
+)
+
+
+def test_seeded_runs_do_not_depend_on_what_ran_before_them():
+    def reprs():
+        return (
+            f"{experiments.run_sensitivity([1, 2], 50)!r}\n"
+            f"{experiments.run_routing_conditions_detailed(42, 100)!r}\n"
+        )
+
+    # a fresh interpreter starts with every cache cold; this process has run the same before
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    cold = subprocess.run(
+        [sys.executable, "-c", _SEEDED_REPRS], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    reprs()
+    assert reprs() == cold

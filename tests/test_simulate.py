@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from delgov.simulate import (
     NOISE_SIGMA,
+    Q_TRUE_RANGE,
     BadConfig,
     PoolConfig,
     _normals,
@@ -70,6 +71,22 @@ def test_true_qualities_are_evenly_spaced():
     assert pool[-1].q_true == pytest.approx(0.95)
     for profile, q in zip(pool, expected):
         assert profile.q_true == pytest.approx(q)
+
+
+@pytest.mark.parametrize("size", [2, 10, 11, 100, 101])
+def test_ids_and_true_qualities_at_the_id_width_boundaries(size):
+    config = PoolConfig(size, 0.3, (0.1, 0.2))
+    pool, metadata = build_pool_with_metadata(config, Random(size))
+    width = len(str(size - 1))
+    ids = [p.delegate_id for p in pool]
+    assert ids == [f"d{i:0{width}d}" for i in range(size)]
+    assert sorted(ids) == ids
+    lo, hi = Q_TRUE_RANGE
+    assert [p.q_true.hex() for p in pool] == [(lo + i * (hi - lo) / (size - 1)).hex() for i in range(size)]
+    assert build_pool_with_metadata(config, Random(size)) == (pool, metadata)
+    # the layout does not depend on the seed
+    other = build_pool_with_metadata(config, Random(size + 1))[0]
+    assert [(p.delegate_id, p.q_true.hex()) for p in other] == [(p.delegate_id, p.q_true.hex()) for p in pool]
 
 
 def test_honest_claims_stay_inside_the_honesty_band():
