@@ -248,38 +248,6 @@ def _run_conditions(
     return tuple(runs)
 
 
-def _condition_report(
-    run: ConditionRun,
-    summary: tuple[float, float],
-    blind_samples: Sequence[float],
-    blind_summary: tuple[float, float],
-    best_id: str,
-    dishonest_ids: frozenset[str],
-) -> ConditionReport:
-    """One condition's row; each summary is the (mean, std) of its samples."""
-    n = len(run.samples)
-    mean, std = summary
-    accuracy = 100.0 * run.selections.count(best_id) / n
-    inflated = 100.0 * sum(map(dishonest_ids.__contains__, run.selections)) / n
-
-    if run.condition == "blind":
-        d, p = 0.0, 1.0
-    else:
-        # every condition of one run has the same number of samples as blind
-        d = _pooled_d(n, mean, std, n, *blind_summary) if n >= 2 else math.nan
-        p = mann_whitney_u(run.samples, blind_samples)[1] if n >= 3 else math.nan
-    return ConditionReport(
-        condition=run.condition,
-        quality_mean=mean,
-        quality_std=std,
-        accuracy_pct=accuracy,
-        inflation_selected_pct=inflated,
-        d_vs_blind=d,
-        p_vs_blind=p,
-        std_defined=n >= 2,
-    )
-
-
 def run_routing_conditions_detailed(seed: int, tasks_per_condition: int) -> RoutingRun:
     """Run the three routing conditions on one seeded pool, keeping raw data."""
     if tasks_per_condition < 1:
@@ -292,22 +260,36 @@ def run_routing_conditions_detailed(seed: int, tasks_per_condition: int) -> Rout
     )
     best_id = best_delegate(pool)
     dishonest = frozenset(metadata.dishonest_ids)
-    # each sample is summarised once; one sample has a mean but no spread
-    summaries = [
-        descriptive(run.samples) if tasks_per_condition >= 2 else (run.samples[0], 0.0)
-        for run in runs
-    ]
-    reports = tuple(
-        _condition_report(run, summary, runs[0].samples, summaries[0], best_id, dishonest)
-        for run, summary in zip(runs, summaries)
-    )
+    n = tasks_per_condition
+    reports = []
+    for run in runs:
+        # each sample is summarised once; one sample has a mean but no spread
+        mean, std = descriptive(run.samples) if n >= 2 else (run.samples[0], 0.0)
+        # blind comes first in CONDITIONS, so its summary is read before any other row
+        if run.condition == "blind":
+            blind, d, p = (mean, std), 0.0, 1.0
+        else:
+            d = _pooled_d(n, mean, std, n, *blind) if n >= 2 else math.nan
+            p = mann_whitney_u(run.samples, runs[0].samples)[1] if n >= 3 else math.nan
+        reports.append(
+            ConditionReport(
+                condition=run.condition,
+                quality_mean=mean,
+                quality_std=std,
+                accuracy_pct=100.0 * run.selections.count(best_id) / n,
+                inflation_selected_pct=100.0 * sum(map(dishonest.__contains__, run.selections)) / n,
+                d_vs_blind=d,
+                p_vs_blind=p,
+                std_defined=n >= 2,
+            )
+        )
     return RoutingRun(
         seed=seed,
         tasks_per_condition=tasks_per_condition,
         pool=tuple(pool),
         metadata=metadata,
         runs=runs,
-        reports=reports,
+        reports=tuple(reports),
     )
 
 

@@ -1,30 +1,24 @@
 """Trust-aware delegate selection.
 
-Two strategies:
-
-- ``blind``: uniform random choice over the pool, the uninformed baseline.
-- ``by_claims``: deterministic argmax over quality-claim values, after
-  filtering claims by skill, minimum claim type on the trust scale, and
-  freshness. Delegates without an eligible claim are excluded entirely.
+Two strategies: ``blind``, a uniform random choice over the pool and the
+uninformed baseline, and ``by_claims``, the deterministic argmax over the
+claims a policy admits. The routing rules (the trust scale, the skill,
+level and freshness filter, the naive ``now``, the tie rule, and what a
+minimum trust level does and does not guard against) are stated once, in
+README "Claimed vs. attested quality".
 
 Each ``DelegateRecord`` indexes its claims by skill and trust level when
 it is built. One private filter, ``_eligible``, looks each delegate's claim
-up, reading the policy and the clock once per call (a naive ``now`` as
-UTC, as ``check_result`` does). ``eligible_claim`` applies it to one record
-and ``rank`` to a pool, listing the ``(value, delegate_id)`` pairs the
-router chooses among. ``select`` then draws: blind uniformly from its rng,
-by_claims the highest value in one pass over the filter, ties to the
-smallest id. The by_claims draw never touches the rng, so a caller routing
-many tasks over one static pool, policy and reference time may select once
-and reuse the answer. The blind draw is stated once, in the private
+up, reading the policy and the clock once per call. ``eligible_claim``
+applies it to one record and ``rank`` to a pool, listing the
+``(value, delegate_id)`` pairs the router chooses among. ``select`` then
+draws: blind uniformly from its rng, by_claims in one pass over the
+filter. The by_claims draw never touches the rng, so a caller routing
+many tasks over one static pool, policy and reference time may select
+once and reuse the answer. The blind draw is stated once, in the private
 ``_blind(pool, rng, n)``: n draws of one ``randrange(len(pool))`` each. A
 blind ``select`` is ``_blind`` with n = 1, so a batch of n gives the ids
 and the rng state of n blind selects.
-
-Filtering is a hard minimum trust level, not a weighting: a router that
-requires issuer_attested or better never reads self-reported numbers, so
-inflating claims built in process cannot move it. Wire claims can, as any
-non-empty issuer passes: a delegate may label its own claim attested.
 """
 
 from __future__ import annotations

@@ -14,17 +14,19 @@ Pool construction is fully deterministic given (config, seed):
 - The dishonest count is ``round(pool_size * dishonest_fraction)`` with
   banker's rounding, computed in decimal so 5 * 0.3 lands on 1.5 exactly.
 - Dishonest delegates occupy the lower-middle of the quality order
-  (positions 1..k). Each inflates its claim by a uniform draw from
-  ``inflation_range``, capped at 1.0. When the dishonest block has a
-  unique middle member (odd count of three or more), that designated
-  delegate takes the top of the range instead of a draw: it claims
-  ``q + high``. It holds the top inflated claim only when no other
-  inflator can claim as much: one above it in quality may draw past it,
-  and one below it that also reaches the 1.0 cap ties it and wins on its
-  smaller id. Blocks without a unique middle draw all offsets uniformly.
-  Claims stay fixed for the life of the pool.
+  (positions 1..k), or every position when k is the pool size. Each
+  inflates its claim by a uniform draw from ``inflation_range``, capped
+  at 1.0. When the dishonest block has a unique middle member (odd count
+  of three or more), that designated delegate takes the top of the range
+  instead of a draw: it claims ``q + high``. It holds the top inflated
+  claim only when no other inflator can claim as much: one above it in
+  quality may draw past it, and one below it that also reaches the 1.0
+  cap ties it and wins on its smaller id. Blocks without a unique middle
+  draw all offsets uniformly. Claims stay fixed for the life of the pool.
 - Honest delegates report within ``HONEST_JITTER`` (0.015) of their true
   quality (uniform jitter), comfortably inside the 0.02 honesty band.
+  Their claims need no clamp: every true quality lies in
+  ``Q_TRUE_RANGE``, so an honest claim lies in [0.435, 0.965].
 
 Task execution returns the output quality as a plain float: the
 delegate's true quality plus ``NOISE_SIGMA`` times a standard normal,
@@ -146,15 +148,15 @@ def build_pool_with_metadata(
     low, high = config.inflation_range
 
     k = dishonest_count(n, config.dishonest_fraction)
-    if k <= n - 1:
-        dishonest_idx = list(range(1, k + 1))
-    else:
-        dishonest_idx = list(range(n))
-    designated = dishonest_idx[(k - 1) // 2] if k >= 3 and k % 2 == 1 else None
+    dishonest = range(1, k + 1) if k < n else range(n)
+    designated = dishonest[k // 2] if k >= 3 and k % 2 == 1 else None
 
     profiles: list[DelegateProfile] = []
     for i, (delegate_id, q_true) in enumerate(_layout(n)):
-        if i in dishonest_idx:
+        honest = i not in dishonest
+        if honest:
+            q_claimed = q_true + rng.uniform(-HONEST_JITTER, HONEST_JITTER)
+        else:
             offset = high if i == designated else rng.uniform(low, high)
             q_claimed = min(q_true + offset, 1.0)
             if q_claimed <= q_true:
@@ -162,16 +164,12 @@ def build_pool_with_metadata(
                     f"delegate {delegate_id} cannot inflate: q_true {q_true} "
                     f"with inflation_range {config.inflation_range}"
                 )
-            profiles.append(DelegateProfile(delegate_id, q_true, q_claimed, honest=False))
-        else:
-            jitter = rng.uniform(-HONEST_JITTER, HONEST_JITTER)
-            q_claimed = min(max(q_true + jitter, 0.0), 1.0)
-            profiles.append(DelegateProfile(delegate_id, q_true, q_claimed, honest=True))
+        profiles.append(DelegateProfile(delegate_id, q_true, q_claimed, honest))
 
-    dishonest_ids = tuple(profiles[i].delegate_id for i in dishonest_idx)
+    dishonest_ids = tuple(profiles[i].delegate_id for i in dishonest)
     # the best inflator's lowest claim against the best honest delegate's highest;
     # q_true rises with position, so each is the last of its kind
-    top_q = profiles[dishonest_idx[-1]].q_true if dishonest_idx else None
+    top_q = profiles[dishonest[-1]].q_true if dishonest else None
     honest_q = next((p.q_true for p in reversed(profiles) if p.honest), -math.inf)
     dominance = top_q is not None and min(top_q + low, 1.0) > min(honest_q + HONEST_JITTER, 1.0)
     metadata = PoolMetadata(

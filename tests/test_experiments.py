@@ -27,6 +27,7 @@ from delgov.simulate import (
     execute_task,
 )
 from delgov.types import ClaimType, QualityClaim
+from test_simulate import pool_configs
 
 
 def test_seed42_routing_exactness():
@@ -312,21 +313,38 @@ def _bits(values):
     return [struct.pack("<d", value) for value in values]
 
 
-# any fraction and any inflation range a pool can be built from: a floor above zero, so every
-# inflator's claim rises above its true quality
-_pool_configs = st.builds(
-    lambda size, fraction, low, width: PoolConfig(size, fraction, (low, low + width)),
-    st.integers(2, 30),
-    st.floats(0.0, 1.0),
-    st.floats(1e-6, 1.0),
-    st.floats(0.0, 1.0),
-)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6))
+def test_each_e3_row_equals_its_definition(seed, tasks):
+    run = experiments.run_routing_conditions_detailed(seed, tasks)
+    blind = run.runs[0].samples
+    best_id = best_delegate(run.pool)
+    assert [r.condition for r in run.reports] == [r.condition for r in run.runs]
+    for condition_run, report in zip(run.runs, run.reports, strict=True):
+        samples, selections = condition_run.samples, condition_run.selections
+        summary = stats.descriptive(samples) if tasks >= 2 else (samples[0], 0.0)
+        if report.condition == "blind":
+            d, p = 0.0, 1.0
+        else:
+            # Cohen's d needs two samples a side and the rank test three: NaN below that
+            d = stats.cohens_d(samples, blind) if tasks >= 2 else math.nan
+            p = stats.mann_whitney_u(samples, blind)[1] if tasks >= 3 else math.nan
+        assert _bits([report.quality_mean, report.quality_std]) == _bits(summary)
+        assert _bits([report.d_vs_blind, report.p_vs_blind]) == _bits([d, p])
+        assert report.std_defined is (tasks >= 2)
+        best = sum(1 for s in selections if s == best_id)
+        inflated = sum(1 for s in selections if s in run.metadata.dishonest_ids)
+        assert _bits([report.accuracy_pct, report.inflation_selected_pct]) == _bits(
+            [100.0 * best / tasks, 100.0 * inflated / tasks]
+        )
+
+
 # three names for three conditions, so conditions often share a stream and sometimes do not
 _stream_names = st.tuples(*[st.sampled_from("abc")] * 3)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_pool_configs, st.integers(0, 2**32), _stream_names, _stream_names, st.integers(1, 30))
+@given(pool_configs, st.integers(0, 2**32), _stream_names, _stream_names, st.integers(1, 30))
 def test_conditions_naming_one_noise_seed_run_over_its_fresh_draw(
     config, seed, select_names, noise_names, tasks
 ):
@@ -354,7 +372,7 @@ def test_conditions_naming_one_noise_seed_run_over_its_fresh_draw(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_pool_configs, st.integers(0, 2**32))
+@given(pool_configs, st.integers(0, 2**32))
 # the old rule's counterexample: the inflator d1 claims 0.9575, the honest d2 0.9616
 @example(PoolConfig(3, 0.1967, (0.2522, 0.2716)), 3846)
 def test_a_guaranteed_dominance_hands_the_self_claimed_pick_to_an_inflator(config, seed):
@@ -368,7 +386,7 @@ def test_a_guaranteed_dominance_hands_the_self_claimed_pick_to_an_inflator(confi
 
 
 @settings(max_examples=100, deadline=None)
-@given(_pool_configs, st.integers(0, 2**32), st.integers(1, 30))
+@given(pool_configs, st.integers(0, 2**32), st.integers(1, 30))
 def test_attested_takes_the_best_and_never_trails_on_any_task_of_a_cell_seed(
     config, seed, tasks
 ):

@@ -136,7 +136,7 @@ def test_freshness_window_without_a_reference_time_raises():
 
 def test_eligible_claim_rejects_blind_policies():
     record = DelegateRecord("d-a", (claim(0.8, ClaimType.SELF_CLAIMED),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^eligible_claim applies only to by_claims policies$"):
         eligible_claim(record, RoutingPolicy.blind(), NOW)
 
 
@@ -251,12 +251,13 @@ def test_delegates_without_eligible_claims_are_excluded():
 
 def test_no_eligible_delegate_raises():
     pool = _pool({"d-a": 0.99, "d-b": 0.5})
-    with pytest.raises(NoEligibleDelegate):
+    message = "^no delegate has an eligible 'reasoning' claim at 'issuer_attested' or above$"
+    with pytest.raises(NoEligibleDelegate, match=message):
         select(pool, policy(ClaimType.ISSUER_ATTESTED), Random(0), NOW)
 
 
 def test_empty_pool_is_a_precondition_failure():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^select requires a non-empty pool$"):
         select([], RoutingPolicy.blind(), Random(0), NOW)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import struct
 from random import Random
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delgov.simulate import (
+    HONEST_JITTER,
     NOISE_SIGMA,
     Q_TRUE_RANGE,
     BadConfig,
@@ -89,14 +91,40 @@ def test_ids_and_true_qualities_at_the_id_width_boundaries(size):
     assert [(p.delegate_id, p.q_true.hex()) for p in other] == [(p.delegate_id, p.q_true.hex()) for p in pool]
 
 
-def test_honest_claims_stay_inside_the_honesty_band():
-    for seed in range(20):
-        for profile in build_pool_with_metadata(CANONICAL, Random(seed))[0]:
-            if profile.honest:
-                assert abs(profile.q_claimed - profile.q_true) < 0.02
-            else:
-                assert profile.q_claimed > profile.q_true
-                assert profile.q_claimed <= 1.0
+# any fraction and any inflation range a pool can be built from: a floor above zero, so every
+# inflator's claim rises above its true quality
+pool_configs = st.builds(
+    lambda size, fraction, low, width: PoolConfig(size, fraction, (low, low + width)),
+    st.integers(2, 30),
+    st.floats(0.0, 1.0),
+    st.floats(1e-6, 1.0),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_configs, st.integers(0, 2**32))
+def test_honest_claims_stay_inside_the_honesty_band(config, seed):
+    pool, metadata = build_pool_with_metadata(config, Random(seed))
+    n = config.pool_size
+    k = dishonest_count(n, config.dishonest_fraction)
+    # the lower-middle block 1..k, or the whole pool when every delegate inflates
+    block = list(range(n)) if k == n else list(range(1, k + 1))
+    assert [i for i, p in enumerate(pool) if not p.honest] == block
+    assert metadata.dishonest_ids == tuple(pool[i].delegate_id for i in block)
+    for profile in pool:
+        if profile.honest:
+            # unclamped, and inside [0, 1] all the same: Q_TRUE_RANGE leaves room for the jitter
+            assert profile.q_true - HONEST_JITTER <= profile.q_claimed <= profile.q_true + HONEST_JITTER
+            assert 0.0 <= profile.q_claimed <= 1.0
+        else:
+            assert profile.q_true < profile.q_claimed <= 1.0
+    if k >= 3 and k % 2 == 1:
+        middle = pool[block[k // 2]]
+        assert metadata.designated_top_id == middle.delegate_id
+        assert middle.q_claimed == min(middle.q_true + config.inflation_range[1], 1.0)
+    else:
+        assert metadata.designated_top_id is None
 
 
 def test_designated_middle_inflator_holds_the_top_claim():
@@ -142,20 +170,20 @@ def test_fraction_one_makes_every_delegate_dishonest():
     assert not any(p.honest for p in pool)
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        PoolConfig(1, 0.3, (0.35, 0.45)),
-        PoolConfig(10, -0.1, (0.35, 0.45)),
-        PoolConfig(10, 1.2, (0.35, 0.45)),
-        PoolConfig(10, 0.3, (0.45, 0.35)),
-        PoolConfig(10, 0.3, (-0.1, 0.45)),
-        # valid fields, but some inflator's claim cannot rise above its q_true
-        PoolConfig(3, 0.5, (0.0, 0.0)),
-    ],
-)
+BAD_CONFIGS = {
+    PoolConfig(1, 0.3, (0.35, 0.45)): "pool_size must be >= 2 (got 1)",
+    PoolConfig(10, -0.1, (0.35, 0.45)): "dishonest_fraction must be within [0, 1] (got -0.1)",
+    PoolConfig(10, 1.2, (0.35, 0.45)): "dishonest_fraction must be within [0, 1] (got 1.2)",
+    PoolConfig(10, 0.3, (0.45, 0.35)): "inflation_range must satisfy 0 <= low <= high (got (0.45, 0.35))",
+    PoolConfig(10, 0.3, (-0.1, 0.45)): "inflation_range must satisfy 0 <= low <= high (got (-0.1, 0.45))",
+    # valid fields, but some inflator's claim cannot rise above its q_true
+    PoolConfig(3, 0.5, (0.0, 0.0)): "delegate d1 cannot inflate: q_true 0.7 with inflation_range (0.0, 0.0)",
+}
+
+
+@pytest.mark.parametrize("config", list(BAD_CONFIGS))
 def test_bad_configs_are_rejected(config):
-    with pytest.raises(BadConfig):
+    with pytest.raises(BadConfig, match=f"^{re.escape(BAD_CONFIGS[config])}$"):
         build_pool_with_metadata(config, Random(0))[0]
 
 
