@@ -38,12 +38,13 @@ seeds no selection stream, as a by_claims select reads no rng (see
 ``routing``); a blind condition draws all its selections in one
 ``routing._blind`` batch. A condition's tasks run as one ``execute_tasks``
 batch over the normals of its noise stream, which ``_run_conditions``
-draws once per distinct noise seed. Pool set-up builds only what depends
-on the seed. The ids and true qualities of a pool size come from
-``simulate``'s shared layout. Each attested claim, whose value is the
-true quality, is a shared immutable ``QualityClaim`` from a cache of at
-most 64 true qualities; the grid and ``e3`` use 31. The self_claimed
-records reuse the claim objects of the full records.
+draws once per distinct noise seed. Each condition routes over only the
+claims its policy reads (see ``_run_conditions``), and pool set-up builds
+only what depends on the seed. The ids and true qualities of a pool size
+come from ``simulate``'s shared layout, and the records the blind and
+attested conditions share are built once per pool size, from a cache of
+at most 8 sizes (the grid and ``e3`` use 3). A seed builds only the
+self_claimed records: one self-reported claim per delegate.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .simulate import (
     DelegateProfile,
     PoolConfig,
     PoolMetadata,
+    _layout,
     _normals,
     best_delegate,
     build_pool_with_metadata,
@@ -159,9 +161,18 @@ class RoutingRun:
     reports: tuple[ConditionReport, ...]
 
 
-@lru_cache(maxsize=64)
-def _attested(q_true: float) -> QualityClaim:
+def _self_claim(q_claimed: float) -> QualityClaim:
+    return QualityClaim(EXPERIMENT_SKILL, q_claimed, ClaimType.SELF_CLAIMED)
+
+
+def _attested_claim(q_true: float) -> QualityClaim:
     return QualityClaim(EXPERIMENT_SKILL, q_true, ClaimType.ISSUER_ATTESTED, ATTESTATION_ISSUER)
+
+
+@lru_cache(maxsize=8)
+def _attested_records(n: int) -> tuple[DelegateRecord, ...]:
+    """A record per delegate of a pool of ``n``, with its attested claim alone; once per size."""
+    return tuple(DelegateRecord(d, (_attested_claim(q),)) for d, q in _layout(n))
 
 
 def records_for_pool(pool: Sequence[DelegateProfile]) -> list[DelegateRecord]:
@@ -169,25 +180,14 @@ def records_for_pool(pool: Sequence[DelegateProfile]) -> list[DelegateRecord]:
 
     Every delegate advertises its self-reported quality first, then an
     issuer-attested claim equal to its true quality: the issuer measured
-    it rather than taking the delegate's word. Only the self-reported
-    claim is built per call. The attested claim depends on the true
-    quality alone, so every record of one float true quality shares one
-    immutable claim, from a cache of at most 64 values (the grid and
-    ``e3`` use 31). A shared claim is the claim a fresh build would give,
-    to the value's bits: a zero, whose sign an equality test cannot see,
-    or a value of another type is built fresh.
+    it rather than taking the delegate's word. The experiments route each
+    condition over only the claims its policy reads (see
+    ``_run_conditions``), and pick what they would pick over these
+    records.
     """
     return [
-        DelegateRecord(
-            profile.delegate_id,
-            (
-                QualityClaim(EXPERIMENT_SKILL, profile.q_claimed, ClaimType.SELF_CLAIMED),
-                # only a float keys the cache, and not a zero: 0.0 == -0.0
-                _attested(q) if type(q) is float and q else _attested.__wrapped__(q),
-            ),
-        )
-        for profile in pool
-        for q in [profile.q_true]
+        DelegateRecord(p.delegate_id, (_self_claim(p.q_claimed), _attested_claim(p.q_true)))
+        for p in pool
     ]
 
 
@@ -203,18 +203,20 @@ def run_condition(
     Blind routing draws a delegate per task from the selection stream
     ``Random(select_seed)``. by_claims routing reads no rng, so it seeds
     none: it is resolved once, before the first task, and that delegate
-    serves every task.
+    and its true quality serve every task.
     """
     policy = CONDITIONS[condition]
     tasks = len(normals)
     q_true = {p.delegate_id: p.q_true for p in pool}
     if policy.strategy is Strategy.BLIND:
         selections = _blind(records, Random(select_seed), tasks)
-    elif tasks > 0:
-        selections = [select(records, policy, None)] * tasks
+        q_trues = [q_true[d] for d in selections]
     else:
-        selections = []
-    samples = execute_tasks([q_true[d] for d in selections], normals)
+        # no task, no routing
+        chosen = [select(records, policy, None)] if tasks else []
+        selections = chosen * tasks
+        q_trues = [q_true[d] for d in chosen] * tasks
+    samples = execute_tasks(q_trues, normals)
     return ConditionRun(condition=condition, samples=tuple(samples), selections=tuple(selections))
 
 
@@ -225,24 +227,31 @@ def _run_conditions(
 ) -> tuple[ConditionRun, ...]:
     """Run every condition over one pool, in ``CONDITIONS`` order.
 
+    ``pool`` comes from ``build_pool_with_metadata``, so its ids and true
+    qualities are ``simulate._layout(len(pool))``.
     ``stream_seeds(condition)`` names the seeds of that condition's
     selection and noise streams; the conditions that name one noise seed
-    share its batch of ``tasks`` normals. The self_claimed condition
-    routes over records without attested claims, modelling a deployment
-    where no attestation exists yet: the router always prefers the most
-    trusted eligible claim, so leaving the attested claims in would
-    quietly upgrade the condition. The others route over the full records.
+    share its batch of ``tasks`` normals.
+
+    Each condition routes over the claims its policy reads, and picks what
+    it would pick over ``records_for_pool(pool)``. The self_claimed
+    condition routes over records without attested claims, modelling a
+    deployment where no attestation exists yet: the router always prefers
+    the most trusted eligible claim, so leaving the attested claims in
+    would quietly upgrade the condition. Its records are built per pool.
+    The attested policy reads no claim below its issuer-attested floor,
+    and a blind draw reads only the ids, so both route over the shared
+    attested records of the pool's size.
     """
-    full = records_for_pool(pool)
-    # records_for_pool lists the self-reported claim first
-    self_only = [DelegateRecord(r.delegate_id, r.claims[:1]) for r in full]
+    attested = _attested_records(len(pool))
+    self_claimed = [DelegateRecord(p.delegate_id, (_self_claim(p.q_claimed),)) for p in pool]
     batches: dict[str, list[float]] = {}
     runs = []
     for condition in CONDITIONS:
         select_seed, noise_seed = stream_seeds(condition)
         if noise_seed not in batches:
             batches[noise_seed] = _normals(Random(noise_seed), tasks)
-        records = self_only if condition == "self_claimed" else full
+        records = self_claimed if condition == "self_claimed" else attested
         normals = batches[noise_seed]
         runs.append(run_condition(pool, records, condition, select_seed, normals))
     return tuple(runs)

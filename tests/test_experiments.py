@@ -236,6 +236,13 @@ _CONFIGS = [experiments.ROUTING_POOL] + [
 ]
 
 
+def _claims_of_type(records, claim_type):
+    return [
+        DelegateRecord(r.delegate_id, tuple(c for c in r.claims if c.claim_type is claim_type))
+        for r in records
+    ]
+
+
 @pytest.mark.parametrize("config", _CONFIGS)
 def test_each_condition_routes_over_the_records_for_its_pool(monkeypatch, config):
     routed = {}
@@ -248,16 +255,19 @@ def test_each_condition_routes_over_the_records_for_its_pool(monkeypatch, config
     monkeypatch.setattr(experiments, "run_condition", spy)
     for seed in range(3):
         pool, _ = build_pool_with_metadata(config, Random(f"{seed}:records"))
-        experiments._run_conditions(pool, lambda c: (f"{c}:select", f"{c}:noise"), 2)
+        streams = {c: (f"{seed}:{c}:select", f"{seed}:{c}:noise") for c in experiments.CONDITIONS}
+        runs = experiments._run_conditions(pool, streams.__getitem__, 20)
         full = experiments.records_for_pool(pool)
-        assert routed["blind"] == routed["attested"] == full
-        assert routed["self_claimed"] == [
-            DelegateRecord(
-                r.delegate_id,
-                tuple(c for c in r.claims if c.claim_type is ClaimType.SELF_CLAIMED),
-            )
-            for r in full
-        ]
+        # blind and attested share one tuple per pool size, holding the attested claims alone
+        assert routed["blind"] is routed["attested"] is experiments._attested_records(len(pool))
+        assert list(routed["attested"]) == _claims_of_type(full, ClaimType.ISSUER_ATTESTED)
+        assert routed["self_claimed"] == _claims_of_type(full, ClaimType.SELF_CLAIMED)
+        # and every condition picks what it picks over the full records
+        for run in runs:
+            select_seed, noise_seed = streams[run.condition]
+            records = _self_claimed_only(full) if run.condition == "self_claimed" else full
+            normals = _normals(Random(noise_seed), 20)
+            assert run == run_condition(pool, records, run.condition, select_seed, normals)
 
 
 def test_a_grid_cell_draws_one_noise_batch_and_e3_one_per_condition(monkeypatch):
@@ -460,18 +470,27 @@ def test_shared_attested_claims_are_the_claims_a_fresh_build_gives(first, second
 
 
 def test_a_second_grid_seed_builds_only_self_reported_claims(monkeypatch):
-    built = []
+    built, records = [], []
 
     def spy(*args, **kwargs):
         claim = QualityClaim(*args, **kwargs)
         built.append(claim.claim_type)
         return claim
 
+    def record_spy(*args, **kwargs):
+        record = DelegateRecord(*args, **kwargs)
+        records.append([c.claim_type for c in record.claims])
+        return record
+
     experiments.run_sensitivity([1], 5)
     monkeypatch.setattr(experiments, "QualityClaim", spy)
+    monkeypatch.setattr(experiments, "DelegateRecord", record_spy)
     experiments.run_sensitivity([2], 5)
-    # twelve cells per pool size, one self-reported claim per delegate of each
-    assert built == [ClaimType.SELF_CLAIMED] * (12 * sum(experiments.GRID_POOL_SIZES))
+    # twelve cells per pool size, one self-reported claim per delegate of each, in a record
+    # of its own: the attested records of each size were built by the first seed
+    per_seed = 12 * sum(experiments.GRID_POOL_SIZES)
+    assert built == [ClaimType.SELF_CLAIMED] * per_seed
+    assert records == [[ClaimType.SELF_CLAIMED]] * per_seed
 
 
 _SEEDED_REPRS = (

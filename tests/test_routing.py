@@ -410,6 +410,26 @@ def test_rank_is_the_eligible_claim_filter_and_select_its_argmax(pool, pol):
     assert rng.getstate() == state
 
 
+@settings(max_examples=150, deadline=None)
+@given(_pools, _policies, st.integers(0, 2**32), st.integers(0, 30))
+def test_a_by_claims_policy_reads_no_claim_below_its_floor(pool, pol, seed, n):
+    floor = pol.min_claim_type.level
+    kept = [
+        DelegateRecord(r.delegate_id, tuple(c for c in r.claims if c.claim_type.level >= floor))
+        for r in pool
+    ]
+    for record, trimmed in zip(pool, kept):
+        assert eligible_claim(trimmed, pol, NOW) is eligible_claim(record, pol, NOW)
+    assert rank(kept, pol, NOW) == rank(pool, pol, NOW)
+    assert _outcome(lambda: select(kept, pol, Random(0), NOW)) == _outcome(
+        lambda: select(pool, pol, Random(0), NOW)
+    )
+    # a blind draw reads the ids alone: the same ids in the same order draw the same
+    rng, reference = Random(seed), Random(seed)
+    assert _blind(kept, rng, n) == _blind(pool, reference, n)
+    assert rng.getstate() == reference.getstate()
+
+
 def _outcome(call):
     try:
         return call()
