@@ -16,7 +16,6 @@ from .contracts import (
     ViolationRule,
     apply_policy,
     check_result,
-    violation_record,
 )
 from .errors import (
     CONTRACT_VIOLATED,
@@ -127,5 +126,4 @@ __all__ = [
     "rank",
     "select",
     "validate_invariants",
-    "violation_record",
 ]

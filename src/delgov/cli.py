@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Optional, Sequence, TextIO, Union
 
 from . import experiments
-from .contracts import Accepted, apply_policy, check_result, violation_record
+from .contracts import Accepted, apply_policy, check_result
 from .errors import default_semantics
 from .types import DelegationContract, LdpError, TaskResult
 from .wire import (
@@ -166,12 +166,12 @@ def _resolve(
 
     Returns the wire documents that report the outcome (the disposition,
     with its violation records, then the error on a rejection) and the
-    resolution itself.
+    resolution itself. A violation record is the ``Violation``'s fields,
+    the rule as its value, plus the contract and task ids.
     """
     outcome = check_result(contract, result, received_at)
-    records = [
-        violation_record(v, contract.contract_id, result.task_id) for v in outcome.violations
-    ]
+    ids = {"contract_id": contract.contract_id, "task_id": result.task_id}
+    records = [{**asdict(v), "rule": v.rule.value, **ids} for v in outcome.violations]
     resolved = apply_policy(outcome, result)
     documents = [{"disposition": outcome.disposition.value, "violations": records}]
     if isinstance(resolved, LdpError):
@@ -297,10 +297,7 @@ def demo_trace() -> tuple[list[dict], LdpError, TaskResult]:
         encode_message(experiments.canonical_result(tokens_used=8200)),
     ]
     submit, result = map(decode_message, sent)
-    received_at = datetime(2026, 3, 15, 17, 15, 0, tzinfo=timezone.utc)
-    documents, resolved = _resolve(submit.contract, result, received_at)
-    if not isinstance(resolved, LdpError):
-        raise AssertionError("canonical over-budget trace must reject")
+    documents, resolved = _resolve(submit.contract, result, experiments.CANONICAL_RECEIVED_AT)
     recovery = {"recovery": default_semantics(resolved.category).action.kind.value}
     return [to_wire(submit), to_wire(result), *documents, recovery], resolved, result
 

@@ -30,7 +30,7 @@ an adversarial guarantee.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from typing import Union
@@ -175,16 +175,3 @@ def apply_policy(
         )
     return Accepted(result=result, log=outcome.violations)
 
-
-def violation_record(
-    violation: Violation,
-    contract_id: str,
-    task_id: str,
-) -> dict:
-    """Wire-format log record for one violation, ready for the log stream."""
-    return {
-        **asdict(violation),
-        "rule": violation.rule.value,
-        "contract_id": contract_id,
-        "task_id": task_id,
-    }

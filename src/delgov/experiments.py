@@ -212,10 +212,9 @@ def run_condition(
         selections = _blind(records, Random(select_seed), tasks)
         q_trues = [q_true[d] for d in selections]
     else:
-        # no task, no routing
-        chosen = [select(records, policy, None)] if tasks else []
-        selections = chosen * tasks
-        q_trues = [q_true[d] for d in chosen] * tasks
+        chosen = select(records, policy, None)
+        selections = [chosen] * tasks
+        q_trues = [q_true[chosen]] * tasks
     samples = execute_tasks(q_trues, normals)
     return ConditionRun(condition=condition, samples=tuple(samples), selections=tuple(selections))
 
@@ -243,6 +242,8 @@ def _run_conditions(
     and a blind draw reads only the ids, so both route over the shared
     attested records of the pool's size.
     """
+    if tasks < 1:
+        raise ValueError("tasks_per_condition must be >= 1")
     attested = _attested_records(len(pool))
     self_claimed = [DelegateRecord(p.delegate_id, (_self_claim(p.q_claimed),)) for p in pool]
     batches: dict[str, list[float]] = {}
@@ -259,8 +260,6 @@ def _run_conditions(
 
 def run_routing_conditions_detailed(seed: int, tasks_per_condition: int) -> RoutingRun:
     """Run the three routing conditions on one seeded pool, keeping raw data."""
-    if tasks_per_condition < 1:
-        raise ValueError("tasks_per_condition must be >= 1")
     pool, metadata = build_pool_with_metadata(ROUTING_POOL, Random(f"{seed}:e3:pool"))
     runs = _run_conditions(
         pool,
@@ -309,8 +308,6 @@ def run_sensitivity(
     """Run all 36 grid cells, averaging each condition mean over the seeds."""
     if not seeds:
         raise ValueError("run_sensitivity requires at least one seed")
-    if tasks_per_condition < 1:
-        raise ValueError("tasks_per_condition must be >= 1")
     cells: list[GridCellReport] = []
     for fraction in GRID_FRACTIONS:
         for level, inflation in GRID_INFLATION:
@@ -405,6 +402,10 @@ def canonical_result(tokens_used: int = 5400) -> TaskResult:
     )
 
 
+# the delegator's receipt clock for the canonical result: after its completion, before the deadline
+CANONICAL_RECEIVED_AT = datetime(2026, 3, 15, 17, 15, 0, tzinfo=timezone.utc)
+
+
 def _time_loop(fn: Callable[[], object], warmup: int, iterations: int) -> float:
     for _ in range(warmup):
         fn()
@@ -430,11 +431,10 @@ def run_overhead(iterations: int) -> OverheadReport:
 
     contract = canonical_contract()
     result = canonical_result()
-    received_at = datetime(2026, 3, 15, 17, 15, 0, tzinfo=timezone.utc)
     warmup = max(iterations // 10, 100)
 
     validation_ns = _time_loop(
-        lambda: apply_policy(check_result(contract, result, received_at), result),
+        lambda: apply_policy(check_result(contract, result, CANONICAL_RECEIVED_AT), result),
         warmup,
         iterations,
     )

@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delgov.contracts import (
@@ -17,8 +17,8 @@ from delgov.contracts import (
     ViolationRule,
     apply_policy,
     check_result,
-    violation_record,
 )
+from delgov.cli import _resolve
 from delgov.errors import CONTRACT_VIOLATED
 from delgov.types import (
     Budget,
@@ -30,7 +30,7 @@ from delgov.types import (
     TaskResult,
     VerificationStatus,
 )
-from delgov.wire import InvariantViolation, validate_invariants
+from delgov.wire import InvariantViolation, canonical_bytes, decode_any, validate_invariants
 
 UTC = timezone.utc
 DEADLINE = datetime(2026, 3, 15, 18, 0, 0, tzinfo=UTC)
@@ -226,20 +226,6 @@ def test_absent_limit_means_no_depth_check():
     assert depth_violations(None, with_lineage(*"abcdefgh")) == ()
 
 
-def test_violation_record_shape():
-    out = result(tokens=8200)
-    outcome = check_result(contract(), out, BEFORE)
-    record = violation_record(outcome.violations[0], "ctr-1", out.task_id)
-    assert record == {
-        "rule": "budget_tokens",
-        "detail": "tokens_used 8200 exceeds max_tokens 6000",
-        "observed": 8200.0,
-        "limit": 6000.0,
-        "contract_id": "ctr-1",
-        "task_id": "t-1",
-    }
-
-
 # ---------------------------------------------------------------------------
 # properties
 
@@ -409,3 +395,27 @@ def test_check_result_matches_its_restatement(ctr, out, received):
     assert all(type(v.observed) is float and type(v.limit) is float for v in outcome.violations)
     assert isinstance(outcome.violations, tuple)
     assert outcome.disposition is disposition
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_contract, _any_result, _any_receipt)
+@example(contract(), result(tokens=8200), BEFORE)
+def test_lifecycle_documents_report_the_outcome_and_decode_again(ctr, out, received):
+    try:
+        outcome = check_result(ctr, out, received)
+    except InvariantViolation:
+        return
+    documents, resolved = _resolve(ctr, out, received)
+    records = [
+        {"rule": v.rule.value, "detail": v.detail, "observed": v.observed, "limit": v.limit,
+         "contract_id": ctr.contract_id, "task_id": out.task_id}
+        for v in outcome.violations
+    ]
+    assert documents[0] == {"disposition": outcome.disposition.value, "violations": records}
+    rejected = outcome.disposition is Disposition.REJECTED
+    assert len(documents) == 1 + rejected
+    assert isinstance(resolved, LdpError) is rejected
+    # every document is canonical JSON, so no float in it is NaN or infinite
+    data = [canonical_bytes(document) for document in documents]
+    if rejected:
+        assert decode_any(data[1]) == resolved

@@ -217,14 +217,17 @@ def test_by_claims_condition_matches_a_per_task_select_loop(condition):
     assert run.samples == tuple(samples)
 
 
+@pytest.mark.parametrize("tasks", [0, -1])
+def test_routing_conditions_reject_a_run_without_tasks(tasks):
+    with pytest.raises(ValueError, match="^tasks_per_condition must be >= 1$"):
+        experiments.run_routing_conditions_detailed(42, tasks)
+
+
 def test_by_claims_condition_without_an_eligible_claim_raises():
     pool = _routing_pool(11)
     self_only = _self_claimed_only(experiments.records_for_pool(pool))
     with pytest.raises(NoEligibleDelegate):
         experiments.run_condition(pool, self_only, "attested", "0", _normals(Random(1), 5))
-    # no task, no routing: nothing is raised
-    run = experiments.run_condition(pool, self_only, "attested", "0", _normals(Random(1), 0))
-    assert run.samples == () and run.selections == ()
 
 
 # the e3 pool and the grid's corner fractions and inflation levels, at every pool size
@@ -445,8 +448,9 @@ def _profile(q_true, q_claimed=0.5):
     return DelegateProfile("d0", q_true, q_claimed, True)
 
 
-# true qualities that a cache keyed on the value alone would confuse: the two zeros, NaN,
-# an int or bool equal to a float, a number too large for a float, and non-numbers
+# true qualities that compare equal but differ in type, sign or bits, or that the claim's
+# constructor converts or rejects: the two zeros, NaN, an int or bool equal to a float, a
+# number too large for a float, and non-numbers
 _q_trues = st.one_of(
     st.sampled_from([0.0, -0.0, math.nan, 1.0, 1, True, 0, False, 0.5, 2**1024, None, "0.5", [0.5]]),
     st.floats(),
@@ -463,8 +467,8 @@ _pools = st.lists(
 @example([_profile(0.0)], [_profile(-0.0)])
 @example([_profile(1.0)], [_profile(True)])
 @example([_profile(1.0)], [_profile(1)])
-def test_shared_attested_claims_are_the_claims_a_fresh_build_gives(first, second):
-    # both orders in one process, so each pool also meets a cache the other warmed
+def test_records_for_pool_matches_an_explicit_two_claim_build(first, second):
+    # equal in ==, repr, value bits and exception text, with the pools in both orders
     for pool in (first, second, second, first):
         assert _outcome(experiments.records_for_pool, pool) == _outcome(_explicit_records, pool)
 

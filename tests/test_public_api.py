@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -62,7 +64,6 @@ PUBLIC_NAMES = [
     "rank",
     "select",
     "validate_invariants",
-    "violation_record",
 ]
 
 
@@ -81,7 +82,8 @@ def test_every_public_name_imports():
 # tests. check_result does the work of the first two; use ClaimType(x).level,
 # descriptive/cohens_d/mann_whitney_u and str for the next four, a
 # constructor such as Budget(max_cost_usd=raw), then validate_invariants, for
-# parse_money, and simulate._normals(rng, 1)[0] for gaussian.
+# parse_money, simulate._normals(rng, 1)[0] for gaussian, and the records
+# cli._resolve builds for violation_record.
 @pytest.mark.parametrize(
     ("owner", "name"),
     [
@@ -93,6 +95,7 @@ def test_every_public_name_imports():
         ("wire", "format_money"),
         ("wire", "parse_money"),
         ("simulate", "gaussian"),
+        ("contracts", "violation_record"),
     ],
 )
 def test_removed_names_stay_removed(owner, name):
@@ -118,3 +121,40 @@ def test_the_package_imports_only_the_standard_library():
             for module in modules:
                 top = module.partition(".")[0]
                 assert top in sys.stdlib_module_names, f"{source.name} imports {module}"
+
+
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+_MODULES = {info.name for info in pkgutil.iter_modules(delgov.__path__)}
+
+
+def _missing(names):
+    return [
+        f"{module}.{name}"
+        for module, name in names
+        if not hasattr(importlib.import_module(f"delgov.{module}"), name)
+    ]
+
+
+def test_every_name_the_benchmark_traces_exists(monkeypatch):
+    # the tracer imports only the standard library; loading it leaves no bytecode behind
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.SPANNED and tracer.COUNTED
+    assert _missing(tracer.SPANNED + tracer.COUNTED) == []
+
+
+def test_every_name_the_benchmark_reads_off_a_module_exists():
+    # perfbench reaches delgov through its modules: lib.wire.decode_message, or a local
+    # bound to one (wire = lib.wire) and then wire.decode_message
+    names = set()
+    for source in sorted(_PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"), str(source))):
+            if isinstance(node, ast.Attribute):
+                owner = node.value
+                module = getattr(owner, "id", None) or getattr(owner, "attr", None)
+                if module in _MODULES:
+                    names.add((module, node.attr))
+    assert ("wire", "decode_message") in names
+    assert _missing(sorted(names)) == []
