@@ -7,18 +7,19 @@ level and freshness filter, the naive ``now``, the tie rule, and what a
 minimum trust level does and does not guard against) are stated once, in
 README "Claimed vs. attested quality".
 
-Each ``DelegateRecord`` indexes its claims by skill and trust level when
-it is built. One private filter, ``_eligible``, looks each delegate's claim
-up, reading the policy and the clock once per call. ``eligible_claim``
-applies it to one record and ``rank`` to a pool, listing the
-``(value, delegate_id)`` pairs the router chooses among. ``select`` then
-draws: blind uniformly from its rng, by_claims in one pass over the
-filter. The by_claims draw never touches the rng, so a caller routing
-many tasks over one static pool, policy and reference time may select
-once and reuse the answer. The blind draw is stated once, in the private
-``_blind(pool, rng, n)``: n draws of one ``randrange(len(pool))`` each. A
-blind ``select`` is ``_blind`` with n = 1, so a batch of n gives the ids
-and the rng state of n blind selects.
+Each ``DelegateRecord`` indexes its claims when it is built: per skill, the
+``(level, claim)`` pairs of the claims it holds, highest trust level first.
+One private filter, ``_eligible``, walks each delegate's pairs of the
+policy skill from the top down to the policy's floor, reading the policy
+and the clock once per call. ``eligible_claim`` applies it to one record
+and ``rank`` to a pool, listing the ``(value, delegate_id)`` pairs the
+router chooses among. ``select`` then draws: blind uniformly from its
+rng, by_claims in one pass over the filter. The by_claims draw never
+touches the rng, so a caller routing many tasks over one static pool,
+policy and reference time may select once and reuse the answer. The blind
+draw is stated once, in the private ``_blind(pool, rng, n)``: n draws of
+one ``randrange(len(pool))`` each. A blind ``select`` is ``_blind`` with
+n = 1, so a batch of n gives the ids and the rng state of n blind selects.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ from random import Random
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .types import ClaimType, QualityClaim, _Normalized, _utc
-
-
-_LEVELS = len(ClaimType)
 
 
 class Strategy(str, Enum):
@@ -94,49 +92,46 @@ class DelegateRecord:
         if type(claims) is not tuple:
             claims = tuple(claims)
             object.__setattr__(self, "claims", claims)
-        # the routing index: per skill, one claim slot per ClaimType.level; a plain
-        # attribute, not a field, so equality, hashing and repr read the claims alone
-        by_skill: dict[str, list[Optional[QualityClaim]]] = {}
+        # the routing index: per skill, (ClaimType.level, claim) pairs, highest level first;
+        # a plain attribute, not a field, so equality, hashing and repr read the claims alone
+        by_skill: dict[str, tuple[tuple[int, QualityClaim], ...]] = {}
         for claim in claims:
-            slots = by_skill.get(claim.skill)
-            if slots is None:
-                slots = by_skill[claim.skill] = [None] * _LEVELS
-            level = claim.claim_type.level
-            if slots[level] is not None:
-                raise ValueError(
-                    f"delegate {self.delegate_id!r} has duplicate claim for "
-                    f"skill {claim.skill!r} at type {claim.claim_type.value!r}"
-                )
+            level, pairs = claim.claim_type.level, by_skill.get(claim.skill)
+            for held, _ in pairs or ():
+                if held == level:
+                    raise ValueError(
+                        f"delegate {self.delegate_id!r} has duplicate claim for "
+                        f"skill {claim.skill!r} at type {claim.claim_type.value!r}"
+                    )
             if claim.value != claim.value:
                 raise ValueError(
                     f"delegate {self.delegate_id!r} has a NaN claim for skill {claim.skill!r}"
                 )
-            slots[level] = claim
+            # a skill's first claim, the simulator's every record, needs no sort; the levels
+            # of one skill differ, so the sort never compares two claims
+            pair = (level, claim)
+            by_skill[claim.skill] = (pair,) if pairs is None else tuple(sorted((*pairs, pair), reverse=True))
         object.__setattr__(self, "_by_skill", by_skill)
 
 
 def _eligible(
     pool: Iterable[DelegateRecord], policy: RoutingPolicy, now: Optional[datetime]
 ) -> Iterator[tuple[DelegateRecord, QualityClaim]]:
-    """``(record, eligible_claim)`` per record that has one. Each record's claims of the
-    policy skill are looked up by level, from the top down to the floor, and the first that
-    passes the freshness test wins: with one claim per (skill, type) no lower one can."""
+    """``(record, eligible_claim)`` per record that has one. Each record's pairs of the
+    policy skill are walked from the highest level down, stopping at the first below the
+    floor, and the first claim that passes the freshness test wins: with one claim per
+    (skill, type) no lower one can."""
     if policy.strategy is not Strategy.BY_CLAIMS:
         raise ValueError("eligible_claim applies only to by_claims policies")
     if policy.skill is None or policy.min_claim_type is None:
         raise ValueError("by_claims policy requires both skill and min_claim_type")
-    skill, window = policy.skill, policy.max_staleness
-    levels = range(_LEVELS - 1, policy.min_claim_type.level - 1, -1)
+    skill, window, floor = policy.skill, policy.max_staleness, policy.min_claim_type.level
     if window is not None and now is not None:
         now = _utc(now)
     for record in pool:
-        slots = record._by_skill.get(skill)
-        if slots is None:
-            continue
-        for level in levels:
-            claim = slots[level]
-            if claim is None:
-                continue
+        for level, claim in record._by_skill.get(skill, ()):
+            if level < floor:
+                break
             if window is not None:
                 if claim.observed_at is None:
                     continue

@@ -68,18 +68,24 @@ The kind of a ``str``, ``int``, ``float``, ``bool`` or money field is
 construction's own check, money encoded as its decimal string. The codec
 adds only what the wire needs: nested objects, enum values (an unknown one
 is an :class:`InvariantViolation`), RFC 3339 text and JSON lists of
-strings. It is the only per-type table: ``to_wire`` reads each row's
-encoder, ``from_wire`` its decoder, requiredness and default, and
-``validate_invariants`` which rows hold a nested object: it lists a
-value's own rules, then walks those objects in declaration order, each by
-its own rules. Decoding checks the fields in declaration order, each for
-presence and then for type, and reports the first fault. It then
-builds the value without the dataclass ``__init__``, so construction's
-checks do not run a second time. That is safe because each kind already
-gives what construction would keep: a scalar passes construction's own
-check, an enum value becomes its member, a nested object is built as its
-exact type, a list becomes a tuple of strings, a timestamp aware UTC and
-money a finite ``Decimal``. An absent optional field takes the row's default.
+strings. Each row ends with the field's normal type from ``types._CHECKS``:
+``str``, ``int``, ``float`` or ``bool``, else None. It is the only per-type
+table: ``to_wire`` reads each row's encoder, ``from_wire`` its decoder,
+requiredness, default and normal type, and ``validate_invariants`` which
+rows hold a nested object: it lists a value's own rules, then walks those
+objects in declaration order, each by its own rules. Decoding checks the
+fields in declaration order, each for presence and then for type, and
+reports the first fault. A JSON value whose type is exactly the field's
+normal type is kept without calling the decoder, as construction keeps
+it; any other value goes through the decoder, so an integer in a float
+field still becomes its float and a boolean in an integer field is still
+refused. It then builds the value without the dataclass ``__init__``, so
+construction's checks do not run a second time. That is safe because each
+kind already gives what construction would keep: a scalar passes
+construction's own check, an enum value becomes its member, a nested
+object is built as its exact type, a list becomes a tuple of strings, a
+timestamp aware UTC and money a finite ``Decimal``. An absent optional
+field takes the row's default.
 """
 
 from __future__ import annotations
@@ -185,7 +191,9 @@ def _str_list(raw: Any, path: str, name: str) -> tuple[str, ...]:
 # FIELDS, which the per-field loops unpack: a plain tuple unpacks faster
 # than a NamedTuple.
 _Kind = tuple[Optional[Callable[[Any], Any]], Callable[[Any, str, str], Any]]
-_Row = tuple[str, Optional[Callable[[Any], Any]], Callable[[Any, str, str], Any], bool, Any]
+_Row = tuple[
+    str, Optional[Callable[[Any], Any]], Callable[[Any, str, str], Any], bool, Any, Optional[type]
+]
 
 
 def _scalar(check: Callable[[Any], Any], encode: Optional[Callable[[Any], Any]] = None) -> _Kind:
@@ -221,7 +229,7 @@ def to_wire(value: DomainType) -> dict:
     if fields is None:
         raise TypeError(f"not a wire type: {type(value).__name__}")
     out: dict[str, Any] = {}
-    for name, encode, _, _, _ in fields:
+    for name, encode, _, _, _, _ in fields:
         item = getattr(value, name)
         if item is not None and encode is not None:
             item = encode(item)
@@ -235,35 +243,40 @@ def from_wire(cls: type, raw: Any, path: str) -> Any:
 
     Each row is checked for presence, then for type; the first fault is
     raised as :class:`MalformedMessage` (an unknown enum value as
-    :class:`InvariantViolation`) with ``path`` naming where it sits. The
-    value is built from the checked fields without ``__init__``, and its
-    invariants are left to ``validate_invariants``.
+    :class:`InvariantViolation`) with ``path`` naming where it sits. A
+    value of exactly the row's normal type is kept as it is, and any other
+    goes through the row's decoder. The value is built from the checked
+    fields without ``__init__``, and its invariants are left to
+    ``validate_invariants``.
     """
     if not isinstance(raw, dict):
         raise MalformedMessage(f"{path}: expected an object")
     value = object.__new__(cls)
-    for name, _, decode, required, default in FIELDS[cls]:
+    for name, _, decode, required, default, normal in FIELDS[cls]:
         if required:
             if name not in raw:
                 raise MalformedMessage(f"{path}: missing required key {name!r}")
-            item = decode(raw[name], path, name)
+            item = raw[name]
         else:
             item = raw.get(name)
-            item = default if item is None else decode(item, path, name)
-        _set(value, name, item)
+            if item is None:
+                _set(value, name, default)
+                continue
+        _set(value, name, item if type(item) is normal else decode(item, path, name))
     return value
 
 
 def _enum(cls: type) -> _Kind:
+    # a lookup costs a fraction of calling the enum; a str member hashes and compares as its value
+    members = {member.value: member for member in cls}
+
     def decode(raw: Any, path: str, name: str) -> Any:
         if not isinstance(raw, str):
             raise MalformedMessage(f"{path}.{name}: expected a string")
-        try:
-            return cls(raw)
-        except ValueError:
-            raise InvariantViolation(
-                [f"{path}.{name}: unknown {cls.__name__} value {raw!r}"]
-            ) from None
+        member = members.get(raw)
+        if member is None:
+            raise InvariantViolation([f"{path}.{name}: unknown {cls.__name__} value {raw!r}"])
+        return member
 
     return attrgetter("value"), decode
 
@@ -283,7 +296,9 @@ _KINDS.update({tuple[str, ...]: _STR_LIST, Decimal: _MONEY, datetime: _TIMESTAMP
 
 
 def _rows(cls: type) -> tuple[_Row, ...]:
-    """(name, encode, decode, required, default) per dataclass field, in declaration order."""
+    """(name, encode, decode, required, default, normal type) per dataclass field, in
+    declaration order. Only a plain annotation has a normal type on the wire: a JSON value
+    is never a wire type or an enum member, and money, a timestamp and a list have none."""
     rows = []
     for name, hint, required, default, *_ in _fields(cls):
         if hint in _WIRE_TYPES:
@@ -294,13 +309,15 @@ def _rows(cls: type) -> tuple[_Row, ...]:
             kind = _KINDS[hint]
         else:
             raise TypeError(f"{cls.__name__}.{name}: no wire kind for {hint!r}")
-        rows.append((name, *kind, required, default))
+        rows.append((name, *kind, required, default, _CHECKS.get(hint, (None,))[0]))
     return tuple(rows)
 
 
 FIELDS: dict[type, tuple[_Row, ...]] = {cls: _rows(cls) for cls in _WIRE_TYPES}
 # The fields of each wire type that hold a nested wire object, in declaration order.
 _NESTED = {cls: tuple(row[0] for row in rows if row[1] is to_wire) for cls, rows in FIELDS.items()}
+# Not value.__dict__[name] = item: a filled __dict__ is faster to write, but it makes every
+# later attribute read of a decoded value slower than one of a constructed value.
 _set = object.__setattr__
 
 
@@ -344,6 +361,10 @@ def _checked(value: DomainType) -> Any:
     return value
 
 
+# The \u escape of a surrogate, U+D800 to U+DFFF, in either case of hex digit.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def _load_object(data: Union[bytes, str]) -> dict:
     # UTF-8 decoding refuses surrogates, so decoded text can bring one in
     # only by a \u escape; a non-ASCII str can also hold one as it is
@@ -364,7 +385,8 @@ def _load_object(data: Union[bytes, str]) -> dict:
         raise MalformedMessage("message: invalid JSON (integer too long)") from None
     if not isinstance(parsed, dict):
         raise MalformedMessage("message: top-level value must be an object")
-    if suspect or "\\" in data:
+    # an escaped backslash before "ud800" also matches, and only costs the re-encode
+    if suspect or "\\" in data and _SURROGATE_ESCAPE.search(data):
         # UTF-8 has no form for U+D800 to U+DFFF (RFC 3629), so encoding the
         # parsed value fails on an unpaired surrogate in any string, keys
         # included; a paired escape was parsed as its one character. With

@@ -1,4 +1,4 @@
-"""The side-by-side timer in tools/: it compares seeded outputs before it times."""
+"""The side-by-side timer in tools/: it compares seeded and layer outputs before it times."""
 
 from __future__ import annotations
 
@@ -18,15 +18,53 @@ def test_one_tree_against_itself_is_timed_per_experiment(capsys):
     assert ab_timeit.main([SRC, SRC, "--rounds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "seeded outputs identical for seeds [0, 1, 2, 3]"
-    assert [line.split(":")[0] for line in lines[1:]] == list(ab_timeit.EXPERIMENTS)
+    assert lines[1] == (
+        "layer outputs identical for decode_message submit, decode_message submit \\n, "
+        "decode_message result, decode_message result \\n, encode_message result, "
+        "select 50 records"
+    )
+    rows = [*ab_timeit.EXPERIMENTS, *ab_timeit.LAYERS]
+    assert [line.split(":")[0] for line in lines[2:]] == [
+        label for row in rows for label in (row, f"{row} A/A")
+    ]
+    assert rows[:2] == ["grid", "e3"]
+    assert all(" change/parent median " in line for line in lines[2::2])
+    assert all(" parent again/parent median " in line for line in lines[3::2])
 
 
-def test_trees_whose_seeded_outputs_differ_are_not_timed(tmp_path, capsys):
+def _copy_of_src(tmp_path: Path) -> Path:
     shutil.copytree(
         _ROOT / "src" / "delgov", tmp_path / "delgov", ignore=shutil.ignore_patterns("__pycache__")
     )
-    module = tmp_path / "delgov" / "experiments.py"
+    return tmp_path / "delgov"
+
+
+def _edit(module: Path, old: str, new: str) -> None:
     source = module.read_text(encoding="utf-8")
-    module.write_text(source.replace(':e3:pool"', ':e3:other-pool"'), encoding="utf-8")
+    assert old in source
+    module.write_text(source.replace(old, new), encoding="utf-8")
+
+
+def test_trees_whose_seeded_outputs_differ_are_not_timed(tmp_path, capsys):
+    _edit(_copy_of_src(tmp_path) / "experiments.py", ':e3:pool"', ':e3:other-pool"')
     assert ab_timeit.main([SRC, str(tmp_path), "--rounds", "1"]) == 1
     assert capsys.readouterr().out == "seeded outputs differ for seeds [0, 1, 2, 3]\n"
+
+
+def test_trees_whose_layer_outputs_differ_are_not_timed(tmp_path, capsys):
+    # the canonical result's token count feeds the result rows, not the seeded experiments
+    _edit(_copy_of_src(tmp_path) / "experiments.py", "tokens_used: int = 5400", "tokens_used: int = 5401")
+    assert ab_timeit.main([SRC, str(tmp_path), "--rounds", "1"]) == 1
+    assert capsys.readouterr().out == (
+        "seeded outputs identical for seeds [0, 1, 2, 3]\n"
+        "decode_message result: the trees' outputs differ\n"
+    )
+
+
+def test_a_tree_without_a_layer_is_not_timed(tmp_path, capsys):
+    _edit(_copy_of_src(tmp_path) / "experiments.py", "def canonical_result(", "def canonical_reply(")
+    assert ab_timeit.main([str(tmp_path), SRC, "--rounds", "1"]) == 1
+    assert capsys.readouterr().out == (
+        "seeded outputs identical for seeds [0, 1, 2, 3]\n"
+        "decode_message result: the parent tree lacks this layer\n"
+    )

@@ -43,6 +43,11 @@ def policy(min_claim_type=ClaimType.SELF_CLAIMED, skill="reasoning", max_stalene
     return RoutingPolicy.by_claims(skill, min_claim_type, max_staleness)
 
 
+# the full texts of DelegateRecord's two errors, as regular expressions
+_DUPLICATE = "^delegate '{}' has duplicate claim for skill '{}' at type '{}'$"
+_NAN = "^delegate '{}' has a NaN claim for skill '{}'$"
+
+
 def test_plain_string_claim_type_is_normalized_and_routes():
     claim_a = QualityClaim("reasoning", 0.9, "self_claimed")
     assert claim_a.claim_type is ClaimType.SELF_CLAIMED
@@ -52,7 +57,7 @@ def test_plain_string_claim_type_is_normalized_and_routes():
     ]
     assert select(pool, policy(), Random(0), NOW) == "d-a"
     assert select(pool, policy(ClaimType.ISSUER_ATTESTED), Random(0), NOW) == "d-b"
-    with pytest.raises(ValueError, match="duplicate claim"):
+    with pytest.raises(ValueError, match=_DUPLICATE.format("d-c", "reasoning", "self_claimed")):
         DelegateRecord("d-c", (claim_a, QualityClaim("reasoning", 0.2, "self_claimed")))
 
 
@@ -152,17 +157,91 @@ def test_by_claims_policy_needs_a_skill_and_a_floor(partial):
 
 
 def test_duplicate_claim_per_skill_and_type_is_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_DUPLICATE.format("d-a", "reasoning", "self_claimed")):
         DelegateRecord(
             "d-a",
             (claim(0.8, ClaimType.SELF_CLAIMED), claim(0.9, ClaimType.SELF_CLAIMED)),
         )
 
 
+_NAN_VALUE = float("nan")
+
+
+@pytest.mark.parametrize(
+    "claims, message",
+    [
+        pytest.param(
+            (
+                claim(0.5, ClaimType.SELF_CLAIMED),
+                claim(_NAN_VALUE, ClaimType.RUNTIME_OBSERVED),
+                claim(0.7, ClaimType.SELF_CLAIMED),
+            ),
+            _NAN.format("d-a", "reasoning"),
+            id="nan-before-duplicate",
+        ),
+        pytest.param(
+            (
+                claim(0.5, ClaimType.EXTERNALLY_BENCHMARKED, skill="code"),
+                claim(0.6, ClaimType.EXTERNALLY_BENCHMARKED, skill="code"),
+                claim(_NAN_VALUE, ClaimType.RUNTIME_OBSERVED),
+            ),
+            _DUPLICATE.format("d-a", "code", "externally_benchmarked"),
+            id="duplicate-before-nan",
+        ),
+        pytest.param(
+            (claim(0.5, ClaimType.ISSUER_ATTESTED), claim(_NAN_VALUE, ClaimType.ISSUER_ATTESTED)),
+            _DUPLICATE.format("d-a", "reasoning", "issuer_attested"),
+            id="a-duplicate-nan-is-a-duplicate",
+        ),
+        pytest.param(
+            (claim(_NAN_VALUE, ClaimType.SELF_CLAIMED, skill="search"),),
+            _NAN.format("d-a", "search"),
+            id="nan-first-claim-of-a-skill",
+        ),
+    ],
+)
+def test_the_first_offending_claim_in_order_names_the_error(claims, message):
+    # each claim is tested for a duplicate, then for NaN, before the next claim is read
+    with pytest.raises(ValueError, match=message):
+        DelegateRecord("d-a", claims)
+
+
+# all four levels of one skill, out of order: the two highest are stale under a week's window
+_FOUR_LEVELS = (
+    claim(0.6, ClaimType.RUNTIME_OBSERVED, observed_at=NOW - timedelta(days=2)),
+    claim(0.5, ClaimType.EXTERNALLY_BENCHMARKED, observed_at=NOW - timedelta(days=40)),
+    claim(0.9, ClaimType.SELF_CLAIMED, observed_at=NOW - timedelta(days=1)),
+    claim(0.7, ClaimType.ISSUER_ATTESTED),
+)
+_EXTERNAL, _RUNTIME = _FOUR_LEVELS[1], _FOUR_LEVELS[0]
+
+
+@pytest.mark.parametrize(
+    "floor, window, expected",
+    [
+        (ClaimType.SELF_CLAIMED, None, _EXTERNAL),
+        (ClaimType.RUNTIME_OBSERVED, None, _EXTERNAL),
+        (ClaimType.ISSUER_ATTESTED, None, _EXTERNAL),
+        (ClaimType.EXTERNALLY_BENCHMARKED, None, _EXTERNAL),
+        (ClaimType.SELF_CLAIMED, timedelta(days=7), _RUNTIME),
+        (ClaimType.RUNTIME_OBSERVED, timedelta(days=7), _RUNTIME),
+        (ClaimType.ISSUER_ATTESTED, timedelta(days=7), None),
+        (ClaimType.EXTERNALLY_BENCHMARKED, timedelta(days=7), None),
+    ],
+)
+def test_a_record_of_all_four_levels_reads_the_highest_fresh_claim_at_its_floor(
+    floor, window, expected
+):
+    for claims in (_FOUR_LEVELS, _FOUR_LEVELS[::-1]):
+        record = DelegateRecord("d-a", claims)
+        assert eligible_claim(record, policy(floor, max_staleness=window), NOW) is expected
+        assert eligible_claim(record, policy(floor, skill="code", max_staleness=window), NOW) is None
+
+
 def test_nan_claim_is_rejected_when_the_record_is_built():
     # NaN has no order, so routing over it would follow pool order
     a = DelegateRecord("a", (claim(0.5, ClaimType.SELF_CLAIMED),))
-    with pytest.raises(ValueError, match="delegate 'b' has a NaN claim for skill 'reasoning'"):
+    with pytest.raises(ValueError, match=_NAN.format("b", "reasoning")):
         DelegateRecord("b", (claim(float("nan"), ClaimType.SELF_CLAIMED),))
     # other out-of-range values are left to validate_invariants and still route by value
     b = DelegateRecord("b", (claim(1.5, ClaimType.SELF_CLAIMED),))

@@ -52,6 +52,7 @@ from delgov.wire import (
     to_wire,
     validate_invariants,
 )
+from delgov.wire import _load_object
 from delgov.wire import _rows as build_rows
 
 UTC = timezone.utc
@@ -737,7 +738,7 @@ def test_field_table_has_one_row_per_dataclass_field_in_declaration_order():
             (f.name, f.default is MISSING and f.default_factory is MISSING, f.default)
             for f in dataclasses.fields(cls)
         ]
-        assert [(name, required, default) for name, _, _, required, default in rows] == expected
+        assert [(name, required, default) for name, _, _, required, default, _ in rows] == expected
     assert sum(len(rows) for rows in FIELDS.values()) == 34
 
 
@@ -1231,3 +1232,179 @@ def test_canonical_keys_sort_by_code_point_not_utf16():
     assert canonical_bytes({"\U0001F600": 1, "\uFF61": 2}) == (
         '{"\uFF61":2,"\U0001F600":1}'.encode("utf-8")
     )
+
+
+# ---------------------------------------------------------------------------
+# from_wire against the decoder it replaced
+
+
+def _reference_from_wire(cls, raw, path):
+    """from_wire as it read before values of a field's normal type skipped the decoder:
+    every row's decoder runs, an enum is called on its value, a nested object recurses here,
+    and each field is set with object.__setattr__."""
+    if not isinstance(raw, dict):
+        raise MalformedMessage(f"{path}: expected an object")
+    value = object.__new__(cls)
+    for (name, _, decode, required, default, _), (_, hint, *_) in zip(FIELDS[cls], _fields(cls)):
+        if required and name not in raw:
+            raise MalformedMessage(f"{path}: missing required key {name!r}")
+        item = raw.get(name)
+        if item is None and not required:
+            item = default
+        elif hint in FIELDS:
+            item = _reference_from_wire(hint, item, name if path == "message" else f"{path}.{name}")
+        elif isinstance(hint, type) and issubclass(hint, Enum):
+            if not isinstance(item, str):
+                raise MalformedMessage(f"{path}.{name}: expected a string")
+            try:
+                item = hint(item)
+            except ValueError:
+                unknown = f"{path}.{name}: unknown {hint.__name__} value {item!r}"
+                raise InvariantViolation([unknown]) from None
+        else:
+            item = decode(item, path, name)
+        object.__setattr__(value, name, item)
+    return value
+
+
+def _decoded(decode, cls, raw, path):
+    try:
+        return decode(cls, raw, path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same(got, expected):
+    assert type(got) is type(expected)
+    assert got == expected and repr(got) == repr(expected)
+    if type(got) in FIELDS:
+        assert list(vars(got)) == list(vars(expected))
+        for name in vars(expected):
+            _assert_same(getattr(got, name), getattr(expected, name))
+
+
+_ABSENT = object()
+
+
+def _patched(doc, changes, extras):
+    doc = {**doc, **extras}
+    for name, item in changes.items():
+        if item is _ABSENT:
+            doc.pop(name, None)
+        else:
+            doc[name] = item
+    return doc
+
+
+def _drawn_document(cls, depth=0):
+    """A valid wire object of ``cls`` with up to three fields dropped or set to drawn JSON:
+    ints, floats and bools of any field, huge ints, nulls, enum values known and unknown, and
+    nested objects of any wire type, drawn the same way; plus unknown keys."""
+    nested = st.sampled_from(_CLASSES).flatmap(lambda c: _drawn_document(c, depth + 1))
+    item = st.one_of(st.just(_ABSENT), _schema_json, *([nested] if depth < 2 else []))
+    names = [row[0] for row in FIELDS[cls]]
+    return st.builds(
+        _patched,
+        _TABLE_VALUES[cls].map(to_wire),
+        st.dictionaries(st.sampled_from(names), item, max_size=3),
+        st.dictionaries(_unknown_key, _json_value, max_size=2),
+    )
+
+
+_CLASSES = sorted(FIELDS, key=lambda cls: cls.__name__)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(_CLASSES).flatmap(lambda cls: st.tuples(st.just(cls), _drawn_document(cls))),
+    st.sampled_from(["message", "claim"]),
+)
+@example((QualityClaim, {"skill": "s", "value": 1, "claim_type": "self_claimed"}), "message")
+@example((QualityClaim, {"skill": "s", "value": 10**400, "claim_type": "self_claimed"}), "claim")
+@example((QualityClaim, {"skill": "s", "value": 0.5, "claim_type": "peer_reviewed"}), "claim")
+@example((Budget, {"max_tokens": True}), "message")
+@example((Budget, {"max_tokens": 10**30, "max_cost_usd": 1}), "message")
+@example((LdpError, {"category": "runtime", "severity": "error", "retryable": 1, "code": "c",
+                     "message": "m"}), "message")
+# not JSON, but a caller's dict: a ready-built object is still refused, a member still read
+@example((PolicyEnvelope, {"failure_policy": "fail_open", "budget": Budget(max_tokens=1)}), "message")
+@example((PolicyEnvelope, {"failure_policy": FailurePolicy.FAIL_OPEN}), "message")
+def test_from_wire_decodes_as_the_decoder_it_replaced(drawn, path):
+    cls, raw = drawn
+    got, expected = _decoded(from_wire, cls, raw, path), _decoded(_reference_from_wire, cls, raw, path)
+    _assert_same(got, expected)
+
+
+def test_a_ready_built_object_in_a_dict_is_not_an_object():
+    with pytest.raises(MalformedMessage, match=r"^budget: expected an object$"):
+        from_wire(PolicyEnvelope, {"failure_policy": "fail_open", "budget": Budget(1)}, "message")
+
+
+# ---------------------------------------------------------------------------
+# the unpaired-surrogate test runs only when a text can hold a surrogate
+
+
+def _always_reencoded(data):
+    """_load_object's surrogate rule as it read before the escape test: every parsed
+    document is re-encoded, whatever its text holds. For texts of JSON objects only."""
+    parsed = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    try:
+        json.dumps(parsed, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise MalformedMessage("message: a string holds an unpaired surrogate") from None
+    return parsed
+
+
+def _loaded(load, data):
+    try:
+        return load(data)
+    except MalformedMessage as exc:
+        return str(exc)
+
+
+# lone and paired surrogates, the literal text of an escape in both cases, and other text
+_PIECES = [
+    "\ud800", "\udbff", "\udc00", "\udfff", "\ud83d\ude00", "\U0001F600",
+    "\\ud800", "\\uDC00", "\\u00e9", "\n", "\\", "é", "報",
+]
+_piece_text = st.lists(
+    st.one_of(st.text(alphabet='ab u"\\', max_size=3), st.sampled_from(_PIECES)), max_size=4
+).map("".join)
+_escape_json = st.recursive(
+    st.one_of(_piece_text, st.integers(), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(_piece_text, inner, max_size=3)
+    ),
+    max_leaves=10,
+)
+
+
+def _dumped(doc, form, upper):
+    """JSON text of ``doc``: every non-ASCII character escaped ("ascii"), none ("raw"), or
+    only surrogates ("surrogates"); with ``upper``, every escape's hex digits upper case."""
+    text = json.dumps(doc, ensure_ascii=form == "ascii")
+    if form == "surrogates":
+        text = re.sub("[\ud800-\udfff]", lambda m: f"\\u{ord(m.group()):04x}", text)
+    if upper:
+        text = re.sub(r"\\u([0-9a-f]{4})", lambda m: "\\u" + m.group(1).upper(), text)
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.dictionaries(_piece_text, _escape_json, max_size=4),
+    st.sampled_from(["ascii", "raw", "surrogates"]),
+    st.booleans(),
+)
+@example({"a": "\ud800"}, "ascii", True)
+@example({"\udc00": ["x", ["😀"]]}, "surrogates", False)
+@example({"a": ["\\ud800"]}, "raw", False)
+def test_the_surrogate_verdict_is_the_always_reencode_verdict(doc, form, upper):
+    text = _dumped(doc, form, upper)
+    inputs = [text]
+    try:
+        inputs.append(text.encode("utf-8"))
+    except UnicodeEncodeError:
+        pass  # a raw surrogate has no UTF-8 form, so only str input can carry one
+    for data in inputs:
+        assert _loaded(_load_object, data) == _loaded(_always_reencoded, data)

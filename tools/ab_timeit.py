@@ -3,27 +3,47 @@
     python tools/ab_timeit.py PARENT_SRC CHANGE_SRC [--rounds N]
 
 Each ``*_SRC`` is a directory holding a ``delgov`` package, such as the
-``src`` of two checkouts. Both are imported side by side. The script
-first checks that the two trees give the same seeded results: the reprs
-of ``run_sensitivity([s], 100)`` and ``run_routing_conditions_detailed(s,
-100)`` for a few seeds. It exits 1 if they differ. It then warms both
-trees and runs N timed rounds that alternate which tree goes first, and
-prints, per experiment, each tree's median round time, the median of the
-rounds' change/parent time ratios and the rounds the change won.
+``src`` of two checkouts. Both are imported side by side, and the parent
+a second time as an A/A control. The script first checks that the two
+trees give the same seeded results: the reprs of ``run_sensitivity([s],
+100)`` and ``run_routing_conditions_detailed(s, 100)`` for a few seeds. It
+then checks each layer row: both trees must have the layer and give equal
+bytes or reprs from it. It exits 1, naming what differs, if either check
+fails.
+
+The rows are the two experiments and these layers, each tree building
+its inputs from its own ``experiments.canonical_*``:
+
+- ``decode_message`` on the encoded canonical submit (with its contract)
+  and result, each plain and with one ``\\n`` in its text;
+- ``encode_message`` of the canonical result;
+- by_claims ``select`` over a fixed 50-record pool of dated claims, with a
+  48 h window at a fixed clock.
+
+It then warms every tree and runs N timed rounds. A round times each row
+once on each of the three trees, rotating which tree goes first. Per row
+it prints the quartiles of the rounds' change/parent time ratios, the
+rounds the change won and each tree's median time per call, then the A/A
+row: the same ratios of the parent's second copy against the parent.
 
 Rounds in one process share the interpreter, the allocator and the clock,
 so the ratio is steadier than that of two benchmark runs; it measures the
-library calls alone, not the benchmark's end-to-end metrics.
+library calls alone, not the benchmark's end-to-end metrics. A change
+ratio inside the A/A quartiles is noise.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import statistics
 import sys
 import time
+from datetime import datetime, timedelta, timezone
+from functools import partial
 from pathlib import Path
+from random import Random
 
 CHECKED_SEEDS = range(4)
 TASKS = 100
@@ -32,22 +52,80 @@ EXPERIMENTS = {
     "grid": (lambda e, seed: e.run_sensitivity([seed], TASKS), range(3)),
     "e3": (lambda e, seed: e.run_routing_conditions_detailed(seed, TASKS), range(40)),
 }
+# calls of a layer per round
+CALLS = 500
+POOL_SIZE = 50
+CLOCK = datetime(2026, 3, 1, tzinfo=timezone.utc)
+
+
+def _decode(kind: str, text: str):
+    def build(delgov):
+        e, wire = delgov.experiments, delgov.wire
+        msg = e.canonical_submit(True) if kind == "submit" else e.canonical_result()
+        field = "payload" if kind == "submit" else "output"
+        data = wire.encode_message(dataclasses.replace(msg, **{field: getattr(msg, field) + text}))
+        return repr(wire.decode_message(data)), lambda: wire.decode_message(data)
+
+    return build
+
+
+def _encode_result(delgov):
+    wire, result = delgov.wire, delgov.experiments.canonical_result()
+    return wire.encode_message(result), lambda: wire.encode_message(result)
+
+
+def _select(delgov):
+    routing, types = delgov.routing, delgov.types
+    rng, levels = Random(0), list(types.ClaimType)
+    pool = []
+    for i in range(POOL_SIZE):
+        held = [level for level in levels if rng.random() < 0.5] or [rng.choice(levels)]
+        claims = [
+            types.QualityClaim(
+                "summarize", round(rng.uniform(0.3, 0.99), 3), level, "issuer-0",
+                CLOCK - timedelta(seconds=rng.randrange(72 * 3600)),
+            )
+            for level in held
+        ]
+        pool.append(routing.DelegateRecord(f"d{i:02d}", tuple(claims)))
+    policy = routing.RoutingPolicy.by_claims(
+        "summarize", types.ClaimType.ISSUER_ATTESTED, timedelta(hours=48)
+    )
+    rng = Random(0)
+    return routing.select(pool, policy, rng, CLOCK), lambda: routing.select(pool, policy, rng, CLOCK)
+
+
+LAYERS = {
+    "decode_message submit": _decode("submit", ""),
+    "decode_message submit \\n": _decode("submit", "\n"),
+    "decode_message result": _decode("result", ""),
+    "decode_message result \\n": _decode("result", "\n"),
+    "encode_message result": _encode_result,
+    "select 50 records": _select,
+}
 
 
 def load(src: str):
-    """Import ``delgov.experiments`` from ``src``, leaving ``sys.modules`` free for another tree."""
+    """Import the ``delgov`` package of ``src``, leaving ``sys.modules`` free for another tree.
+
+    ``delgov.experiments`` is imported before the unload, so every module and
+    field table is built while ``sys.modules`` still holds this tree:
+    ``types._fields`` resolves annotations through it on first use.
+    """
     if not (Path(src) / "delgov" / "__init__.py").is_file():
         raise SystemExit(f"{src}: no delgov package")
     saved = {name: sys.modules.pop(name) for name in list(sys.modules) if name.split(".")[0] == "delgov"}
     sys.path.insert(0, str(Path(src).resolve()))
     try:
-        from delgov import experiments
+        import delgov.experiments
+
+        package = sys.modules["delgov"]
     finally:
         sys.path.pop(0)
         for name in [name for name in sys.modules if name.split(".")[0] == "delgov"]:
             del sys.modules[name]
         sys.modules.update(saved)
-    return experiments
+    return package
 
 
 def outputs(experiments) -> list[str]:
@@ -58,17 +136,42 @@ def outputs(experiments) -> list[str]:
     ]
 
 
-def time_round(experiments, run, seeds) -> float:
-    """Seconds one tree takes over ``seeds``, with the collector off, as ``timeit`` runs."""
+def time_round(batch, calls: int) -> float:
+    """Seconds per call of one ``batch`` of ``calls`` calls, with the collector off, as ``timeit`` runs."""
     gc.collect()
     gc.disable()
     try:
         start = time.perf_counter()
-        for seed in seeds:
-            run(experiments, seed)
-        return time.perf_counter() - start
+        batch()
+        return (time.perf_counter() - start) / calls
     finally:
         gc.enable()
+
+
+def _run_seeds(run, experiments, seeds) -> None:
+    for seed in seeds:
+        run(experiments, seed)
+
+
+def _repeated(call):
+    def batch() -> None:
+        for _ in range(CALLS):
+            call()
+
+    return batch
+
+
+def _per_call(seconds: float) -> str:
+    return f"{seconds * 1e3:.2f} ms" if seconds >= 1e-3 else f"{seconds * 1e6:.2f} µs"
+
+
+def _ratios(base: list[float], other: list[float]) -> str:
+    """The quartiles of the per-round other/base ratios, and the rounds ``other`` won."""
+    # the ratio within each round, so a host that slows mid-run moves both sides
+    ratios = [o / b for b, o in zip(base, other)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
+    wins = sum(o < b for b, o in zip(base, other))
+    return f"median {median:.3f} (q1 {q1:.3f}, q3 {q3:.3f}), faster in {wins} of {len(ratios)}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -79,31 +182,53 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
-    parent, change = load(args.parent_src), load(args.change_src)
+    trees = {
+        "parent": load(args.parent_src),
+        "parent again": load(args.parent_src),
+        "change": load(args.change_src),
+    }
 
-    if outputs(parent) != outputs(change):
+    if outputs(trees["parent"].experiments) != outputs(trees["change"].experiments):
         print(f"seeded outputs differ for seeds {list(CHECKED_SEEDS)}")
         return 1
     print(f"seeded outputs identical for seeds {list(CHECKED_SEEDS)}")
 
+    # row -> (what one call is, calls per round, tree -> one round's batch)
+    rows: dict[str, tuple[str, int, dict]] = {}
     for name, (run, seeds) in EXPERIMENTS.items():
-        times: dict[str, list[float]] = {"parent": [], "change": []}
-        sides = [("parent", parent), ("change", change)]
-        for side, experiments in sides:
-            time_round(experiments, run, seeds)
-        for i in range(args.rounds):
-            for side, experiments in sides if i % 2 == 0 else sides[::-1]:
-                times[side].append(time_round(experiments, run, seeds))
-        pairs = list(zip(times["parent"], times["change"]))
-        # the ratio within each round, so a host that slows mid-run moves both sides
-        ratio = statistics.median(c / p for p, c in pairs)
-        wins = sum(c < p for p, c in pairs)
+        batches = {side: partial(_run_seeds, run, tree.experiments, seeds) for side, tree in trees.items()}
+        rows[name] = ("seed", len(seeds), batches)
+    for name, build in LAYERS.items():
+        built = {}
+        for side, tree in trees.items():
+            try:
+                built[side] = build(tree)
+            except AttributeError:
+                print(f"{name}: the {side} tree lacks this layer")
+                return 1
+        if len({output for output, _ in built.values()}) != 1:
+            print(f"{name}: the trees' outputs differ")
+            return 1
+        rows[name] = ("call", CALLS, {side: _repeated(call) for side, (_, call) in built.items()})
+    print(f"layer outputs identical for {', '.join(LAYERS)}")
+
+    sides = list(trees)
+    times = {name: {side: [] for side in sides} for name in rows}
+    for _, calls, batches in rows.values():
+        for side in sides:
+            time_round(batches[side], calls)
+    for i in range(args.rounds):
+        order = sides[i % 3:] + sides[:i % 3]
+        for name, (_, calls, batches) in rows.items():
+            for side in order:
+                times[name][side].append(time_round(batches[side], calls))
+    for name, (unit, _, _) in rows.items():
+        parent, again, change = (times[name][side] for side in sides)
         print(
-            f"{name}: parent {statistics.median(times['parent']) * 1e3:.2f} ms, change "
-            f"{statistics.median(times['change']) * 1e3:.2f} ms (median of {args.rounds} "
-            f"rounds of {len(seeds)} seeds), median round ratio {ratio:.3f}, "
-            f"change faster in {wins} of {args.rounds}"
+            f"{name}: change/parent {_ratios(parent, change)}; per {unit} parent "
+            f"{_per_call(statistics.median(parent))}, change {_per_call(statistics.median(change))}"
         )
+        print(f"{name} A/A: parent again/parent {_ratios(parent, again)}")
     return 0
 
 
