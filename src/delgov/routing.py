@@ -94,23 +94,30 @@ class DelegateRecord:
             object.__setattr__(self, "claims", claims)
         # the routing index: per skill, (ClaimType.level, claim) pairs, highest level first;
         # a plain attribute, not a field, so equality, hashing and repr read the claims alone
-        by_skill: dict[str, tuple[tuple[int, QualityClaim], ...]] = {}
+        by_skill: dict[str, list[tuple[int, QualityClaim]]] = {}
+        shared = False
         for claim in claims:
             level, pairs = claim.claim_type.level, by_skill.get(claim.skill)
-            for held, _ in pairs or ():
-                if held == level:
-                    raise ValueError(
-                        f"delegate {self.delegate_id!r} has duplicate claim for "
-                        f"skill {claim.skill!r} at type {claim.claim_type.value!r}"
-                    )
+            if pairs is None:
+                pairs = by_skill[claim.skill] = []
+            else:
+                shared = True
+                for held, _ in pairs:
+                    if held == level:
+                        raise ValueError(
+                            f"delegate {self.delegate_id!r} has duplicate claim for "
+                            f"skill {claim.skill!r} at type {claim.claim_type.value!r}"
+                        )
             if claim.value != claim.value:
                 raise ValueError(
                     f"delegate {self.delegate_id!r} has a NaN claim for skill {claim.skill!r}"
                 )
-            # a skill's first claim, the simulator's every record, needs no sort; the levels
-            # of one skill differ, so the sort never compares two claims
-            pair = (level, claim)
-            by_skill[claim.skill] = (pair,) if pairs is None else tuple(sorted((*pairs, pair), reverse=True))
+            pairs.append((level, claim))
+        if shared:
+            # one sort per skill, after the last claim; the levels of one skill differ, so
+            # the sort never compares two claims
+            for pairs in by_skill.values():
+                pairs.sort(reverse=True)
         object.__setattr__(self, "_by_skill", by_skill)
 
 

@@ -361,10 +361,6 @@ def _checked(value: DomainType) -> Any:
     return value
 
 
-# The \u escape of a surrogate, U+D800 to U+DFFF, in either case of hex digit.
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-
-
 def _load_object(data: Union[bytes, str]) -> dict:
     # UTF-8 decoding refuses surrogates, so decoded text can bring one in
     # only by a \u escape; a non-ASCII str can also hold one as it is
@@ -385,8 +381,7 @@ def _load_object(data: Union[bytes, str]) -> dict:
         raise MalformedMessage("message: invalid JSON (integer too long)") from None
     if not isinstance(parsed, dict):
         raise MalformedMessage("message: top-level value must be an object")
-    # an escaped backslash before "ud800" also matches, and only costs the re-encode
-    if suspect or "\\" in data and _SURROGATE_ESCAPE.search(data):
+    if suspect or "\\" in data:
         # UTF-8 has no form for U+D800 to U+DFFF (RFC 3629), so encoding the
         # parsed value fails on an unpaired surrogate in any string, keys
         # included; a paired escape was parsed as its one character. With

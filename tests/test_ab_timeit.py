@@ -6,6 +6,8 @@ import importlib.util
 import shutil
 from pathlib import Path
 
+import pytest
+
 _ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("ab_timeit", _ROOT / "tools" / "ab_timeit.py")
 ab_timeit = importlib.util.module_from_spec(_spec)
@@ -68,3 +70,14 @@ def test_a_tree_without_a_layer_is_not_timed(tmp_path, capsys):
         "seeded outputs identical for seeds [0, 1, 2, 3]\n"
         "decode_message result: the parent tree lacks this layer\n"
     )
+
+
+def test_an_error_inside_a_layer_is_not_read_as_a_missing_layer(tmp_path):
+    # the AttributeError comes from the change tree's decoder, not from a missing name
+    _edit(
+        _copy_of_src(tmp_path) / "wire.py",
+        "def decode_message(data: Union[bytes, str]) -> Message:\n",
+        "def decode_message(data: Union[bytes, str]) -> Message:\n    None.fault\n",
+    )
+    with pytest.raises(AttributeError, match="'NoneType' object has no attribute 'fault'"):
+        ab_timeit.main([SRC, str(tmp_path), "--rounds", "1"])

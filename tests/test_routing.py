@@ -9,7 +9,7 @@ from datetime import datetime, timedelta, timezone
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delgov.routing import (
@@ -204,38 +204,6 @@ def test_the_first_offending_claim_in_order_names_the_error(claims, message):
     # each claim is tested for a duplicate, then for NaN, before the next claim is read
     with pytest.raises(ValueError, match=message):
         DelegateRecord("d-a", claims)
-
-
-# all four levels of one skill, out of order: the two highest are stale under a week's window
-_FOUR_LEVELS = (
-    claim(0.6, ClaimType.RUNTIME_OBSERVED, observed_at=NOW - timedelta(days=2)),
-    claim(0.5, ClaimType.EXTERNALLY_BENCHMARKED, observed_at=NOW - timedelta(days=40)),
-    claim(0.9, ClaimType.SELF_CLAIMED, observed_at=NOW - timedelta(days=1)),
-    claim(0.7, ClaimType.ISSUER_ATTESTED),
-)
-_EXTERNAL, _RUNTIME = _FOUR_LEVELS[1], _FOUR_LEVELS[0]
-
-
-@pytest.mark.parametrize(
-    "floor, window, expected",
-    [
-        (ClaimType.SELF_CLAIMED, None, _EXTERNAL),
-        (ClaimType.RUNTIME_OBSERVED, None, _EXTERNAL),
-        (ClaimType.ISSUER_ATTESTED, None, _EXTERNAL),
-        (ClaimType.EXTERNALLY_BENCHMARKED, None, _EXTERNAL),
-        (ClaimType.SELF_CLAIMED, timedelta(days=7), _RUNTIME),
-        (ClaimType.RUNTIME_OBSERVED, timedelta(days=7), _RUNTIME),
-        (ClaimType.ISSUER_ATTESTED, timedelta(days=7), None),
-        (ClaimType.EXTERNALLY_BENCHMARKED, timedelta(days=7), None),
-    ],
-)
-def test_a_record_of_all_four_levels_reads_the_highest_fresh_claim_at_its_floor(
-    floor, window, expected
-):
-    for claims in (_FOUR_LEVELS, _FOUR_LEVELS[::-1]):
-        record = DelegateRecord("d-a", claims)
-        assert eligible_claim(record, policy(floor, max_staleness=window), NOW) is expected
-        assert eligible_claim(record, policy(floor, skill="code", max_staleness=window), NOW) is None
 
 
 def test_nan_claim_is_rejected_when_the_record_is_built():
@@ -466,8 +434,27 @@ _policies = st.builds(
 )
 
 
+# all four levels of one skill, out of order: the two highest are stale under a week's window
+_FOUR_LEVELS = (
+    claim(0.6, ClaimType.RUNTIME_OBSERVED, observed_at=NOW - timedelta(days=2)),
+    claim(0.5, ClaimType.EXTERNALLY_BENCHMARKED, observed_at=NOW - timedelta(days=40)),
+    claim(0.9, ClaimType.SELF_CLAIMED, observed_at=NOW - timedelta(days=1)),
+    claim(0.7, ClaimType.ISSUER_ATTESTED),
+)
+
+
+def _four_level_examples(test):
+    """The record of ``_FOUR_LEVELS``, in both orders, at every floor with and without a window."""
+    for claims in (_FOUR_LEVELS, _FOUR_LEVELS[::-1]):
+        for floor in ClaimType:
+            for window in (None, timedelta(days=7)):
+                test = example([DelegateRecord("d-a", claims)], policy(floor, max_staleness=window))(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
 @given(_pools, _policies)
+@_four_level_examples
 def test_rank_is_the_eligible_claim_filter_and_select_its_argmax(pool, pol):
     expected = []
     for record in pool:

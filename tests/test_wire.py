@@ -1345,8 +1345,8 @@ def test_a_ready_built_object_in_a_dict_is_not_an_object():
 
 
 def _always_reencoded(data):
-    """_load_object's surrogate rule as it read before the escape test: every parsed
-    document is re-encoded, whatever its text holds. For texts of JSON objects only."""
+    """_load_object's surrogate rule without its shortcut: every parsed document is
+    re-encoded, whatever its text holds. For texts of JSON objects only."""
     parsed = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     try:
         json.dumps(parsed, ensure_ascii=False).encode("utf-8")

@@ -95,14 +95,25 @@ def _select(delgov):
     return routing.select(pool, policy, rng, CLOCK), lambda: routing.select(pool, policy, rng, CLOCK)
 
 
+_SUBMIT = ("experiments.canonical_submit", "wire.encode_message", "wire.decode_message")
+_RESULT = ("experiments.canonical_result", "wire.encode_message", "wire.decode_message")
+_ROUTING = (
+    "types.QualityClaim", "types.ClaimType", "routing.DelegateRecord", "routing.RoutingPolicy", "routing.select"
+)
+# row -> (the entry points its build calls, as module.name, and the build)
 LAYERS = {
-    "decode_message submit": _decode("submit", ""),
-    "decode_message submit \\n": _decode("submit", "\n"),
-    "decode_message result": _decode("result", ""),
-    "decode_message result \\n": _decode("result", "\n"),
-    "encode_message result": _encode_result,
-    "select 50 records": _select,
+    "decode_message submit": (_SUBMIT, _decode("submit", "")),
+    "decode_message submit \\n": (_SUBMIT, _decode("submit", "\n")),
+    "decode_message result": (_RESULT, _decode("result", "")),
+    "decode_message result \\n": (_RESULT, _decode("result", "\n")),
+    "encode_message result": (_RESULT[:2], _encode_result),
+    "select 50 records": (_ROUTING, _select),
 }
+
+
+def _has(delgov, entry: str) -> bool:
+    module, name = entry.split(".")
+    return hasattr(getattr(delgov, module, None), name)
 
 
 def load(src: str):
@@ -198,14 +209,13 @@ def main(argv: list[str] | None = None) -> int:
     for name, (run, seeds) in EXPERIMENTS.items():
         batches = {side: partial(_run_seeds, run, tree.experiments, seeds) for side, tree in trees.items()}
         rows[name] = ("seed", len(seeds), batches)
-    for name, build in LAYERS.items():
-        built = {}
+    for name, (entries, build) in LAYERS.items():
+        # only a missing entry point means a missing layer; any error inside one propagates
         for side, tree in trees.items():
-            try:
-                built[side] = build(tree)
-            except AttributeError:
+            if not all(_has(tree, entry) for entry in entries):
                 print(f"{name}: the {side} tree lacks this layer")
                 return 1
+        built = {side: build(tree) for side, tree in trees.items()}
         if len({output for output, _ in built.values()}) != 1:
             print(f"{name}: the trees' outputs differ")
             return 1
