@@ -6,7 +6,12 @@ externally benchmarked); typed failures with default recovery semantics;
 verification status and lineage on results; a trust-aware router; and a
 deterministic simulator for studying how claim inflation distorts
 quality-based routing.
+
+Every name imported here is public, and ``__all__`` is derived from these
+imports; ``tests/test_public_api.py`` pins the list.
 """
+
+from types import ModuleType as _Module
 
 from .contracts import (
     Accepted,
@@ -75,55 +80,7 @@ from .wire import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Accepted",
-    "BadConfig",
-    "Budget",
-    "CONTRACT_VIOLATED",
-    "ClaimType",
-    "DecodeError",
-    "DefaultSemantics",
-    "DelegateProfile",
-    "DelegateRecord",
-    "DelegationContract",
-    "Disposition",
-    "ErrorCategory",
-    "FailurePolicy",
-    "InsufficientData",
-    "InvariantViolation",
-    "LdpError",
-    "MalformedMessage",
-    "NoEligibleDelegate",
-    "PolicyEnvelope",
-    "PoolConfig",
-    "PoolMetadata",
-    "Provenance",
-    "QualityClaim",
-    "RecoveryAction",
-    "RecoveryKind",
-    "RoutingPolicy",
-    "Severity",
-    "Strategy",
-    "TaskResult",
-    "TaskSubmit",
-    "ValidationOutcome",
-    "VerificationStatus",
-    "Violation",
-    "ViolationRule",
-    "apply_policy",
-    "best_delegate",
-    "build_pool_with_metadata",
-    "check_result",
-    "cohens_d",
-    "decode_message",
-    "default_semantics",
-    "descriptive",
-    "eligible_claim",
-    "encode_message",
-    "execute_task",
-    "make_contract_violation",
-    "mann_whitney_u",
-    "rank",
-    "select",
-    "validate_invariants",
-]
+# every name imported above is public; a submodule is bound here once imported
+__all__ = sorted(
+    name for name, value in globals().items() if not (name[0] == "_" or isinstance(value, _Module))
+)

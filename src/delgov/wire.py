@@ -2,7 +2,9 @@
 
 Format rules (README "Wire format" sums them up):
 
-- UTF-8 JSON text. Object keys are emitted in sorted order with compact
+- UTF-8 JSON text (RFC 8259): the decoder refuses the ``NaN``, ``Infinity``
+  and ``-Infinity`` tokens that :func:`json.loads` reads, and a leading
+  byte order mark, as invalid JSON. Object keys are emitted in sorted order with compact
   separators, so equal values always encode to identical bytes and byte
   counts are reproducible across runs. Keys sort by Unicode code point
   (Python's ``sort_keys``), not by UTF-16 code unit as RFC 8785 (JCS)
@@ -361,6 +363,14 @@ def _checked(value: DomainType) -> Any:
     return value
 
 
+def _not_json(token: str) -> Any:
+    raise json.JSONDecodeError(f"{token} is not JSON", token, 0)
+
+
+# json.loads reads NaN, Infinity and -Infinity as floats; RFC 8259 has none of them
+_JSON = json.JSONDecoder(parse_constant=_not_json)
+
+
 def _load_object(data: Union[bytes, str]) -> dict:
     # UTF-8 decoding refuses surrogates, so decoded text can bring one in
     # only by a \u escape; a non-ASCII str can also hold one as it is
@@ -371,8 +381,10 @@ def _load_object(data: Union[bytes, str]) -> dict:
         except UnicodeDecodeError:
             raise MalformedMessage("message: input is not valid UTF-8") from None
     try:
-        parsed = json.loads(data)
+        parsed = _JSON.decode(data)
     except json.JSONDecodeError as exc:
+        if data.startswith("\ufeff"):  # as json.loads says; the decoder alone reads no value
+            exc.msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
         raise MalformedMessage(f"message: invalid JSON ({exc.msg})") from None
     except RecursionError:
         raise MalformedMessage("message: invalid JSON (nested too deeply)") from None

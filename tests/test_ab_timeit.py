@@ -22,8 +22,10 @@ def test_one_tree_against_itself_is_timed_per_experiment(capsys):
     assert lines[0] == "seeded outputs identical for seeds [0, 1, 2, 3]"
     assert lines[1] == (
         "layer outputs identical for decode_message submit, decode_message submit \\n, "
-        "decode_message result, decode_message result \\n, encode_message result, "
-        "select 50 records"
+        "decode_message result, decode_message result \\n, encode_message submit, "
+        "encode_message result, canonical_bytes submit, check_result accepted, "
+        "check_result breach, apply_policy accepted, select 50 records, _normals 100 tasks, "
+        "execute_tasks 100 tasks"
     )
     rows = [*ab_timeit.EXPERIMENTS, *ab_timeit.LAYERS]
     assert [line.split(":")[0] for line in lines[2:]] == [

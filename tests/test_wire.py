@@ -309,7 +309,7 @@ def _with_budget_cost(cost):
         ),
         pytest.param(
             json.dumps(dict(_RESULT, cost_usd=float("inf"))),
-            "message.cost_usd: non-finite decimal inf",
+            "message: invalid JSON (Infinity is not JSON)",
             id="infinite-money-number",
         ),
         pytest.param(
@@ -374,6 +374,17 @@ def _with_budget_cost(cost):
             json.dumps(dict(_CLAIM, value=10**400)),
             "claim.value: integer too large for a float",
             id="401-digit-claim-value",
+        ),
+        # json.loads's own verdict on a leading byte order mark, in bytes and in str input
+        pytest.param(
+            b"\xef\xbb\xbf" + json.dumps(_CLAIM).encode(),
+            "message: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))",
+            id="byte-order-mark-in-bytes",
+        ),
+        pytest.param(
+            "\ufeff" + json.dumps(_CLAIM),
+            "message: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))",
+            id="byte-order-mark-in-a-str",
         ),
     ],
 )
@@ -669,7 +680,11 @@ def test_construction_and_the_decoder_read_money_by_one_rule(amount):
         assert budget is not None and validate_invariants(budget) == exc.violations
     except MalformedMessage as exc:
         assert budget is None
-        assert str(exc) == f"contract.policy.budget.max_cost_usd: {reason}"
+        if isinstance(amount, float) and not math.isfinite(amount):
+            # json.dumps writes NaN or Infinity, a token JSON does not have
+            assert str(exc) == f"message: invalid JSON ({json.dumps(amount)} is not JSON)"
+        else:
+            assert str(exc) == f"contract.policy.budget.max_cost_usd: {reason}"
     else:
         assert budget == decoded
         assert str(budget.max_cost_usd) == str(decoded.max_cost_usd)
@@ -1007,7 +1022,9 @@ _SCHEMA_KEYS = {
 }
 _unknown_key = _id_text.map(lambda s: "x_" + s).filter(lambda s: s not in _SCHEMA_KEYS)
 _json_value = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), _text),
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False), _text
+    ),
     lambda inner: st.one_of(
         st.lists(inner, max_size=3), st.dictionaries(_unknown_key, inner, max_size=3)
     ),
@@ -1333,6 +1350,40 @@ def test_from_wire_decodes_as_the_decoder_it_replaced(drawn, path):
     cls, raw = drawn
     got, expected = _decoded(from_wire, cls, raw, path), _decoded(_reference_from_wire, cls, raw, path)
     _assert_same(got, expected)
+
+
+# the fields that read a JSON number as a float or as money
+_NUMBER_KEYS = sorted(
+    {name for cls in _CLASSES for name, hint, *_ in _fields(cls) if hint in (float, Decimal)}
+)
+
+
+def _walk(node):
+    """Every value in a JSON value, itself first, in the order json.dumps writes them."""
+    yield node
+    if isinstance(node, (dict, list)):
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _walk(child)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_CLASSES).flatmap(_drawn_document),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.data(),
+)
+def test_a_non_finite_number_anywhere_is_not_json(doc, number, data):
+    # json.dumps writes it as NaN, Infinity or -Infinity: Python's reading of JSON, not JSON
+    target = data.draw(st.sampled_from([v for v in _walk(doc) if isinstance(v, (dict, list))]))
+    if isinstance(target, list):
+        target.insert(data.draw(st.integers(0, len(target))), number)
+    else:
+        target[data.draw(st.sampled_from(_NUMBER_KEYS) | _unknown_key)] = number
+    # the drawn document may hold one already; the parser stops at the first
+    first = next(v for v in _walk(doc) if isinstance(v, float) and not math.isfinite(v))
+    with pytest.raises(MalformedMessage) as info:
+        decode_any(json.dumps(doc))
+    assert str(info.value) == f"message: invalid JSON ({json.dumps(first)} is not JSON)"
 
 
 def test_a_ready_built_object_in_a_dict_is_not_an_object():

@@ -7,18 +7,25 @@ Each ``*_SRC`` is a directory holding a ``delgov`` package, such as the
 a second time as an A/A control. The script first checks that the two
 trees give the same seeded results: the reprs of ``run_sensitivity([s],
 100)`` and ``run_routing_conditions_detailed(s, 100)`` for a few seeds. It
-then checks each layer row: both trees must have the layer and give equal
-bytes or reprs from it. It exits 1, naming what differs, if either check
-fails.
+then checks each layer row: both trees must have the layer, and the reprs
+of their first calls must be equal. It exits 1, naming what differs, if
+either check fails.
 
 The rows are the two experiments and these layers, each tree building
 its inputs from its own ``experiments.canonical_*``:
 
 - ``decode_message`` on the encoded canonical submit (with its contract)
   and result, each plain and with one ``\\n`` in its text;
-- ``encode_message`` of the canonical result;
+- ``encode_message`` of the canonical submit and of the result, and
+  ``canonical_bytes`` of the submit's wire object;
+- ``check_result`` of the canonical contract on the result as it is (the
+  accepted path) and with 8,200 tokens (the breach path), received at
+  ``experiments.CANONICAL_RECEIVED_AT``, and ``apply_policy`` of the
+  accepted outcome, the path ``delgov bench`` times;
 - by_claims ``select`` over a fixed 50-record pool of dated claims, with a
-  48 h window at a fixed clock.
+  48 h window at a fixed clock;
+- ``simulate._normals`` of 100 tasks, drawn on from one ``Random(0)``, and
+  ``execute_tasks`` of 100 fixed true qualities and normals.
 
 It then warms every tree and runs N timed rounds. A round times each row
 once on each of the three trees, rotating which tree goes first. Per row
@@ -56,22 +63,68 @@ EXPERIMENTS = {
 CALLS = 500
 POOL_SIZE = 50
 CLOCK = datetime(2026, 3, 1, tzinfo=timezone.utc)
+# the canonical result's token count on each path through the canonical contract's 6,000 budget
+TOKENS_USED = {"accepted": 5400, "breach": 8200}
+
+
+def _message(e, kind: str):
+    return e.canonical_submit(True) if kind == "submit" else e.canonical_result()
 
 
 def _decode(kind: str, text: str):
     def build(delgov):
         e, wire = delgov.experiments, delgov.wire
-        msg = e.canonical_submit(True) if kind == "submit" else e.canonical_result()
+        msg = _message(e, kind)
         field = "payload" if kind == "submit" else "output"
         data = wire.encode_message(dataclasses.replace(msg, **{field: getattr(msg, field) + text}))
-        return repr(wire.decode_message(data)), lambda: wire.decode_message(data)
+        return lambda: wire.decode_message(data)
 
     return build
 
 
-def _encode_result(delgov):
-    wire, result = delgov.wire, delgov.experiments.canonical_result()
-    return wire.encode_message(result), lambda: wire.encode_message(result)
+def _encode(kind: str):
+    def build(delgov):
+        wire, msg = delgov.wire, _message(delgov.experiments, kind)
+        return lambda: wire.encode_message(msg)
+
+    return build
+
+
+def _canonical_bytes(delgov):
+    wire = delgov.wire
+    obj = wire.to_wire(delgov.experiments.canonical_submit(True))
+    return lambda: wire.canonical_bytes(obj)
+
+
+def _contract_args(e, path: str):
+    return e.canonical_contract(), e.canonical_result(TOKENS_USED[path]), e.CANONICAL_RECEIVED_AT
+
+
+def _check(path: str):
+    def build(delgov):
+        check, args = delgov.contracts.check_result, _contract_args(delgov.experiments, path)
+        return lambda: check(*args)
+
+    return build
+
+
+def _apply_policy(delgov):
+    contracts = delgov.contracts
+    contract, result, received_at = _contract_args(delgov.experiments, "accepted")
+    outcome = contracts.check_result(contract, result, received_at)
+    return lambda: contracts.apply_policy(outcome, result)
+
+
+def _normals(delgov):
+    normals, rng = delgov.simulate._normals, Random(0)
+    return lambda: normals(rng, TASKS)
+
+
+def _execute_tasks(delgov):
+    simulate, rng = delgov.simulate, Random(0)
+    q_trues = [round(rng.uniform(0.3, 0.99), 3) for _ in range(TASKS)]
+    normals = simulate._normals(rng, TASKS)
+    return lambda: simulate.execute_tasks(q_trues, normals)
 
 
 def _select(delgov):
@@ -92,22 +145,36 @@ def _select(delgov):
         "summarize", types.ClaimType.ISSUER_ATTESTED, timedelta(hours=48)
     )
     rng = Random(0)
-    return routing.select(pool, policy, rng, CLOCK), lambda: routing.select(pool, policy, rng, CLOCK)
+    return lambda: routing.select(pool, policy, rng, CLOCK)
 
 
 _SUBMIT = ("experiments.canonical_submit", "wire.encode_message", "wire.decode_message")
 _RESULT = ("experiments.canonical_result", "wire.encode_message", "wire.decode_message")
+_CHECK = (
+    "experiments.canonical_contract", "experiments.canonical_result",
+    "experiments.CANONICAL_RECEIVED_AT", "contracts.check_result",
+)
 _ROUTING = (
     "types.QualityClaim", "types.ClaimType", "routing.DelegateRecord", "routing.RoutingPolicy", "routing.select"
 )
-# row -> (the entry points its build calls, as module.name, and the build)
+# row -> (the entry points its build calls, as module.name, and the build, which takes a
+# tree and gives the call the row times)
 LAYERS = {
     "decode_message submit": (_SUBMIT, _decode("submit", "")),
     "decode_message submit \\n": (_SUBMIT, _decode("submit", "\n")),
     "decode_message result": (_RESULT, _decode("result", "")),
     "decode_message result \\n": (_RESULT, _decode("result", "\n")),
-    "encode_message result": (_RESULT[:2], _encode_result),
+    "encode_message submit": (_SUBMIT[:2], _encode("submit")),
+    "encode_message result": (_RESULT[:2], _encode("result")),
+    "canonical_bytes submit": (
+        ("experiments.canonical_submit", "wire.to_wire", "wire.canonical_bytes"), _canonical_bytes
+    ),
+    "check_result accepted": (_CHECK, _check("accepted")),
+    "check_result breach": (_CHECK, _check("breach")),
+    "apply_policy accepted": ((*_CHECK, "contracts.apply_policy"), _apply_policy),
     "select 50 records": (_ROUTING, _select),
+    "_normals 100 tasks": (("simulate._normals",), _normals),
+    "execute_tasks 100 tasks": (("simulate._normals", "simulate.execute_tasks"), _execute_tasks),
 }
 
 
@@ -215,11 +282,11 @@ def main(argv: list[str] | None = None) -> int:
             if not all(_has(tree, entry) for entry in entries):
                 print(f"{name}: the {side} tree lacks this layer")
                 return 1
-        built = {side: build(tree) for side, tree in trees.items()}
-        if len({output for output, _ in built.values()}) != 1:
+        calls = {side: build(tree) for side, tree in trees.items()}
+        if len({repr(call()) for call in calls.values()}) != 1:
             print(f"{name}: the trees' outputs differ")
             return 1
-        rows[name] = ("call", CALLS, {side: _repeated(call) for side, (_, call) in built.items()})
+        rows[name] = ("call", CALLS, {side: _repeated(call) for side, call in calls.items()})
     print(f"layer outputs identical for {', '.join(LAYERS)}")
 
     sides = list(trees)
