@@ -80,7 +80,7 @@ from .wire import (
 
 __version__ = "0.1.0"
 
-# every name imported above is public; a submodule is bound here once imported
+# importing a submodule binds it here too, and it is no public name
 __all__ = sorted(
     name for name, value in globals().items() if not (name[0] == "_" or isinstance(value, _Module))
 )

@@ -2,14 +2,15 @@
 
 Format rules (README "Wire format" sums them up):
 
-- UTF-8 JSON text (RFC 8259): the decoder refuses the ``NaN``, ``Infinity``
-  and ``-Infinity`` tokens that :func:`json.loads` reads, and a leading
-  byte order mark, as invalid JSON. Object keys are emitted in sorted order with compact
-  separators, so equal values always encode to identical bytes and byte
-  counts are reproducible across runs. Keys sort by Unicode code point
-  (Python's ``sort_keys``), not by UTF-16 code unit as RFC 8785 (JCS)
-  requires, so a key outside the Basic Multilingual Plane can sort
-  differently than in JCS; the canonical form is delgov's own, not JCS.
+- UTF-8 JSON text (RFC 8259). The decoder refuses as invalid JSON the
+  ``NaN``, ``Infinity`` and ``-Infinity`` tokens that :func:`json.loads`
+  reads, and a leading byte order mark. Object keys are emitted in sorted
+  order with compact separators, so equal values always encode to
+  identical bytes and byte counts are reproducible across runs. Keys sort
+  by Unicode code point (Python's ``sort_keys``), not by UTF-16 code unit
+  as RFC 8785 (JCS) requires, so a key outside the Basic Multilingual
+  Plane can sort differently than in JCS; the canonical form is delgov's
+  own, not JCS.
   The encoder refuses a NaN or infinite float, which is not JSON.
 - Absent optional fields are omitted entirely, never emitted as null.
   An empty list is equivalent to an absent one.
@@ -98,7 +99,7 @@ from datetime import datetime
 from decimal import Decimal
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Callable, Optional, Union, get_args
+from typing import Any, Callable, NoReturn, Optional, Union, get_args
 
 from .errors import default_semantics
 from .types import (
@@ -363,7 +364,7 @@ def _checked(value: DomainType) -> Any:
     return value
 
 
-def _not_json(token: str) -> Any:
+def _not_json(token: str) -> NoReturn:
     raise json.JSONDecodeError(f"{token} is not JSON", token, 0)
 
 
