@@ -183,18 +183,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     status = EXIT_OK
     for path in args.inputs:
         try:
-            data = Path(path).read_bytes()
+            decoded = decode_any(Path(path).read_bytes())
         except OSError as exc:
             print(f"{path}: unreadable ({exc})", file=sys.stderr)
             status = EXIT_INVALID_INPUT
-            continue
-        try:
-            decoded = decode_any(data)
         except DecodeError as exc:
             print(f"{path}: INVALID {exc}")
             status = EXIT_INVALID_INPUT
-            continue
-        print(f"{path}: OK {type(decoded).__name__}")
+        else:
+            print(f"{path}: OK {type(decoded).__name__}")
     return status
 
 

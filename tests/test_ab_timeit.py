@@ -16,8 +16,10 @@ _spec.loader.exec_module(ab_timeit)
 SRC = str(_ROOT / "src")
 
 
-def test_one_tree_against_itself_is_timed_per_experiment(capsys):
-    assert ab_timeit.main([SRC, SRC, "--rounds", "1"]) == 0
+# one round reads its single ratio as every quartile; two take statistics.quantiles
+@pytest.mark.parametrize("rounds", ["1", "2"])
+def test_one_tree_against_itself_is_timed_per_experiment(capsys, rounds):
+    assert ab_timeit.main([SRC, SRC, "--rounds", rounds]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "seeded outputs identical for seeds [0, 1, 2, 3]"
     assert lines[1] == (

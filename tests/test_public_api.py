@@ -108,10 +108,16 @@ def test_removed_names_stay_removed(owner, name):
 
 
 def test_the_package_imports_only_the_standard_library():
-    sources = sorted(Path(delgov.__file__).parent.glob("*.py"))
+    # every import statement at any depth, in every module of every subpackage; an import by
+    # name would dodge the walk, so the package names neither import_module nor __import__
+    package = Path(delgov.__file__).parent
+    sources = sorted(package.rglob("*.py"))
     assert sources
     for source in sources:
-        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+        where = source.relative_to(package)
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"), str(source))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            assert name not in {"import_module", "__import__"}, f"{where} imports by name"
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -120,7 +126,7 @@ def test_the_package_imports_only_the_standard_library():
                 continue  # relative imports stay inside the package
             for module in modules:
                 top = module.partition(".")[0]
-                assert top in sys.stdlib_module_names, f"{source.name} imports {module}"
+                assert top in sys.stdlib_module_names, f"{where} imports {module}"
 
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
