@@ -86,7 +86,8 @@ def _utc(value: Any) -> datetime:
         raise TypeError("expected a datetime")
     if value.tzinfo is timezone.utc:
         return value
-    if value.tzinfo is None:
+    # naive as Python counts it: a tzinfo may give no offset, and astimezone reads host-local time
+    if value.utcoffset() is None:
         return value.replace(tzinfo=timezone.utc)
     try:
         return value.astimezone(timezone.utc)

@@ -95,7 +95,7 @@ from __future__ import annotations
 
 import json
 import re
-from datetime import datetime
+from datetime import datetime, timezone
 from decimal import Decimal
 from enum import Enum
 from operator import attrgetter
@@ -145,39 +145,59 @@ def format_timestamp(value: datetime) -> str:
 
     The year always has four digits, so years before 1000 decode again.
     """
-    return _utc(value).replace(tzinfo=None).isoformat() + "Z"
+    value = _utc(value)
+    text = "%04d-%02d-%02dT%02d:%02d:%02d" % (
+        value.year, value.month, value.day, value.hour, value.minute, value.second
+    )
+    return text + ".%06dZ" % value.microsecond if value.microsecond else text + "Z"
 
 
 # The module docstring's grammar: fromisoformat alone reads other forms, varying by version.
 _RFC3339 = re.compile(r"\d{4}-\d\d-\d\d[Tt]\d\d:\d\d:\d\d(\.\d{1,6})?([Zz]|[+-]\d\d:[0-5]\d)?", re.ASCII)
 
 
-def parse_timestamp(raw: Any, path: str) -> datetime:
+def _timestamp(raw: Any) -> datetime:
     if not isinstance(raw, str):
-        raise MalformedMessage(f"{path}: expected an RFC 3339 string")
+        raise TypeError("expected an RFC 3339 string")
     match = _RFC3339.fullmatch(raw)
     if match is None:
-        raise MalformedMessage(f"{path}: invalid RFC 3339 timestamp {raw!r}")
+        raise ValueError(f"invalid RFC 3339 timestamp {raw!r}")
     fraction, offset = match.groups()
     offset = "+00:00" if offset in ("Z", "z") else offset or ""
+    # every supported fromisoformat reads a six-digit fraction and +00:00, and gives a zero
+    # offset as the timezone.utc singleton
+    text = raw[:19] + fraction.ljust(7, "0") if fraction else raw[:19]
     try:
-        # every supported fromisoformat reads a six-digit fraction and +00:00
-        parsed = datetime.fromisoformat(raw[:19] + (fraction or ".").ljust(7, "0") + offset)
+        parsed = datetime.fromisoformat(text + offset)
     except ValueError:
-        raise MalformedMessage(f"{path}: invalid RFC 3339 timestamp {raw!r}") from None
+        raise ValueError(f"invalid RFC 3339 timestamp {raw!r}") from None
+    if parsed.tzinfo is timezone.utc:
+        return parsed
     if parsed.tzinfo is None:
-        raise MalformedMessage(f"{path}: timestamp {raw!r} lacks a UTC offset")
+        raise ValueError(f"timestamp {raw!r} lacks a UTC offset")
     try:
         return _utc(parsed)
     except ValueError:
-        raise MalformedMessage(f"{path}: timestamp {raw!r} is out of range in UTC") from None
+        raise ValueError(f"timestamp {raw!r} is out of range in UTC") from None
+
+
+def parse_timestamp(raw: Any, path: str) -> datetime:
+    """The aware UTC instant of RFC 3339 text, as the module docstring's grammar reads it.
+
+    Any other value raises :class:`MalformedMessage`, its message led by ``path``.
+    """
+    try:
+        return _timestamp(raw)
+    except (TypeError, ValueError) as exc:
+        raise MalformedMessage(f"{path}: {exc}") from None
 
 
 def _str_list(raw: Any, path: str, name: str) -> tuple[str, ...]:
     if not isinstance(raw, list):
         raise MalformedMessage(f"{path}.{name}: expected a list of strings")
-    for i, item in enumerate(raw):
+    for item in raw:
         if not isinstance(item, str):
+            i = [isinstance(each, str) for each in raw].index(False)
             raise MalformedMessage(f"{path}.{name}[{i}]: expected a string")
     return tuple(raw)
 
@@ -200,7 +220,8 @@ _Row = tuple[
 
 
 def _scalar(check: Callable[[Any], Any], encode: Optional[Callable[[Any], Any]] = None) -> _Kind:
-    """The kind of a scalar field: a construction check, with the field path on failure."""
+    """The kind of a scalar field: a check, construction's own or the wire's timestamp
+    grammar, with the field path added only on failure."""
 
     def decode(raw: Any, path: str, name: str) -> Any:
         try:
@@ -213,10 +234,7 @@ def _scalar(check: Callable[[Any], Any], encode: Optional[Callable[[Any], Any]] 
 
 _STR_LIST: _Kind = (lambda items: list(items) or None, _str_list)
 _MONEY = _scalar(_money, str)
-_TIMESTAMP: _Kind = (
-    format_timestamp,
-    lambda raw, path, name: parse_timestamp(raw, f"{path}.{name}"),
-)
+_TIMESTAMP = _scalar(_timestamp, format_timestamp)
 
 # Root path of a decoded message. Objects nested in a message keep their
 # own root path (``contract``, not ``message.contract``).

@@ -1,7 +1,36 @@
 import sys
+import time
+from datetime import tzinfo
 from pathlib import Path
+
+import pytest
 
 # allow running the suite from a source checkout without installing
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+
+
+@pytest.fixture
+def new_york_clock(monkeypatch):
+    """Run with the host's local time zone five hours behind UTC in winter."""
+    if not hasattr(time, "tzset"):
+        pytest.skip("time.tzset is Unix-only")
+    # a POSIX rule, so no time zone database is needed
+    monkeypatch.setenv("TZ", "EST5EDT,M3.2.0,M11.1.0")
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
+
+
+class _Floating(tzinfo):
+    """A zone that gives no UTC offset, so Python counts a datetime holding it as naive."""
+
+    def utcoffset(self, dt):
+        return None
+
+
+@pytest.fixture
+def floating():
+    return _Floating()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 DATA = Path(__file__).resolve().parent / "data"
-PINNED = json.loads((DATA / "bench_digests.json").read_text())
+PINNED = json.loads((DATA / "bench_digests.json").read_text(encoding="utf-8"))
 
 _spec = importlib.util.spec_from_file_location("make_bench_digests", DATA / "make_bench_digests.py")
 generator = importlib.util.module_from_spec(_spec)

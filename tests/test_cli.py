@@ -56,7 +56,8 @@ def run_cli(*argv) -> subprocess.CompletedProcess:
     """Run the CLI in a fresh interpreter, so a traceback would show on stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     return subprocess.run(
-        [sys.executable, "-m", "delgov.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "delgov.cli", *argv],
+        capture_output=True, text=True, encoding="utf-8", env=env,
     )
 
 
@@ -105,7 +106,7 @@ def test_validate_hostile_documents_exit_one_without_traceback(tmp_path):
     paths = []
     for name, text in HOSTILE.items():
         paths.append(str(tmp_path / name))
-        Path(paths[-1]).write_text(text)
+        Path(paths[-1]).write_text(text, encoding="utf-8")
     proc = run_cli("validate", *paths)
     assert proc.returncode == 1
     assert proc.stderr == ""
@@ -124,10 +125,10 @@ def test_check_contract_on_huge_token_counts_exits_one_without_traceback(
 ):
     contract_path, result_path = tmp_path / "c.json", tmp_path / "r.json"
     write_contract(contract_path)
-    contract = json.loads(contract_path.read_text())
+    contract = json.loads(contract_path.read_text(encoding="utf-8"))
     contract["policy"]["budget"]["max_tokens"] = max_tokens
-    contract_path.write_text(json.dumps(contract))
-    result_path.write_text(json.dumps(dict(_RESULT_DOC, tokens_used=tokens_used)))
+    contract_path.write_text(json.dumps(contract), encoding="utf-8")
+    result_path.write_text(json.dumps(dict(_RESULT_DOC, tokens_used=tokens_used)), encoding="utf-8")
     proc = run_cli(
         "check-contract", str(contract_path), str(result_path),
         "--received-at", "2026-01-01T00:00:00Z",
@@ -143,8 +144,9 @@ def test_check_contract_on_huge_cost_exits_one_without_output(tmp_path):
     # float(Decimal("1e400")) is inf, which used to reach stdout as Infinity
     contract_path, result_path = tmp_path / "c.json", tmp_path / "r.json"
     write_contract(contract_path, failure_policy=FailurePolicy.FAIL_OPEN)
-    assert json.loads(contract_path.read_text())["policy"]["budget"]["max_cost_usd"] == "0.05"
-    result_path.write_text(json.dumps(dict(_RESULT_DOC, cost_usd="1e400")))
+    contract = json.loads(contract_path.read_text(encoding="utf-8"))
+    assert contract["policy"]["budget"]["max_cost_usd"] == "0.05"
+    result_path.write_text(json.dumps(dict(_RESULT_DOC, cost_usd="1e400")), encoding="utf-8")
     proc = run_cli(
         "check-contract", str(contract_path), str(result_path),
         "--received-at", "2026-01-01T00:00:00Z",
@@ -160,8 +162,9 @@ def test_check_contract_on_a_lone_surrogate_exits_one_without_output(tmp_path):
     # the result used to decode, print its disposition, then fail to encode
     contract_path, result_path = tmp_path / "c.json", tmp_path / "r.json"
     write_contract(contract_path)
-    result_path.write_text(json.dumps(dict(_RESULT_DOC, output="ok \ud800", tokens_used=8200)))
-    assert "\\ud800" in result_path.read_text()
+    result = dict(_RESULT_DOC, output="ok \ud800", tokens_used=8200)
+    result_path.write_text(json.dumps(result), encoding="utf-8")
+    assert "\\ud800" in result_path.read_text(encoding="utf-8")
     proc = run_cli(
         "check-contract", str(contract_path), str(result_path),
         "--received-at", "2026-01-01T00:00:00Z",
@@ -194,7 +197,7 @@ def test_check_contract_on_a_missing_file_exits_one(tmp_path, capsys):
 def test_check_contract_on_a_submit_exits_one(tmp_path, capsys):
     contract_path, submit_path = tmp_path / "c.json", tmp_path / "s.json"
     write_contract(contract_path)
-    submit_path.write_text(json.dumps({"task_id": "t", "payload": "p"}))
+    submit_path.write_text(json.dumps({"task_id": "t", "payload": "p"}), encoding="utf-8")
     assert main(["check-contract", str(contract_path), str(submit_path)]) == 1
     assert capsys.readouterr() == (
         "", "invalid input: RESULT_FILE does not hold a task result\n"
@@ -297,7 +300,7 @@ def test_bench_names_both_files_it_writes(tmp_path, capsys):
 def test_bench_summary_document(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--iterations", "1000", "--out", str(out)]) == 0
-    summary = json.loads((tmp_path / "bench.json").read_text())
+    summary = json.loads((tmp_path / "bench.json").read_text(encoding="utf-8"))
     assert sorted(summary) == [
         "bytes_with_contract",
         "bytes_without_contract",
@@ -369,10 +372,10 @@ def test_check_contract_fail_open_logs_and_accepts(tmp_path, capsys):
 
 def test_check_contract_over_depth_output_is_unchanged(tmp_path, capsys):
     # Golden output recorded when the CLI still added the depth check itself.
-    golden = json.loads((DATA / "check_contract_over_depth.json").read_text())
+    golden = json.loads((DATA / "check_contract_over_depth.json").read_text(encoding="utf-8"))
     contract_path, result_path = tmp_path / "c.json", tmp_path / "r.json"
-    contract_path.write_text(json.dumps(golden["contract"]))
-    result_path.write_text(json.dumps(golden["result"]))
+    contract_path.write_text(json.dumps(golden["contract"]), encoding="utf-8")
+    result_path.write_text(json.dumps(golden["result"]), encoding="utf-8")
     code = main(
         [
             "check-contract",
@@ -401,7 +404,7 @@ def test_emitted_error_objects_validate(tmp_path, capsys):
     assert len(errors) == 2
     for i, line in enumerate(errors):
         doc = tmp_path / f"error{i}.json"
-        doc.write_text(line)
+        doc.write_text(line, encoding="utf-8")
         assert main(["validate", str(doc)]) == 0
         assert capsys.readouterr().out == f"{doc}: OK LdpError\n"
 
@@ -409,7 +412,7 @@ def test_emitted_error_objects_validate(tmp_path, capsys):
 def test_validate_rejects_error_breaking_category_semantics(tmp_path, capsys):
     doc = tmp_path / "error.json"
     error = {"category": "policy", "severity": "warning", "retryable": True}
-    doc.write_text(json.dumps(dict(error, code="X", message="m")))
+    doc.write_text(json.dumps(dict(error, code="X", message="m")), encoding="utf-8")
     assert main(["validate", str(doc)]) == 1
     out = capsys.readouterr().out
     assert "LdpError.retryable" in out and "LdpError.severity" in out
@@ -418,15 +421,15 @@ def test_validate_rejects_error_breaking_category_semantics(tmp_path, capsys):
 def test_e3_writes_csv_and_summary(tmp_path, capsys):
     out = tmp_path / "e3.csv"
     assert main(["e3", "--seed", "42", "--tasks", "50", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == (
         "condition,quality_mean,quality_std,accuracy_pct,"
         "inflation_selected_pct,d_vs_blind,p_vs_blind,std_defined"
     )
     assert len(lines) == 4
-    summary = json.loads((tmp_path / "e3.json").read_text())
+    summary = json.loads((tmp_path / "e3.json").read_text(encoding="utf-8"))
     assert summary["experiment"] == "routing_conditions"
-    pool_dump = (tmp_path / "e3.pool.jsonl").read_text().splitlines()
+    pool_dump = (tmp_path / "e3.pool.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(pool_dump) == 10
     assert "condition" in capsys.readouterr().out
 
@@ -443,20 +446,20 @@ def test_sensitivity_writes_36_rows(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     code = main(["sensitivity", "--seeds", "1,2", "--tasks", "20", "--out", str(out)])
     assert code == 0
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == (
         "dishonest_fraction,inflation_level,pool_size,"
         "blind_mean,self_claimed_mean,attested_mean,paradox"
     )
     assert len(lines) == 37
-    summary = json.loads((tmp_path / "grid.json").read_text())
+    summary = json.loads((tmp_path / "grid.json").read_text(encoding="utf-8"))
     assert len(summary["cells"]) == 36
 
 
 def test_bench_writes_report(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--iterations", "1000", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == (
         "bytes_without_contract,bytes_with_contract,validation_ns_mean,serialization_ns_mean"
     )

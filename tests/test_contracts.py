@@ -133,6 +133,16 @@ def test_clocks_out_of_range_in_utc_raise_value_error(clock):
     assert info.type is ValueError
 
 
+@pytest.mark.parametrize("wall", [BEFORE, DEADLINE + timedelta(minutes=30)], ids=["on-time", "late"])
+def test_a_receipt_clock_without_an_offset_reads_as_utc_whatever_the_host_zone(
+    new_york_clock, floating, wall
+):
+    # Python counts a datetime whose tzinfo gives no offset as naive, as it counts one without
+    expected = check_result(contract(), result(), wall)
+    assert check_result(contract(), result(), wall.replace(tzinfo=floating)) == expected
+    assert check_result(contract(), result(), wall.replace(tzinfo=None)) == expected
+
+
 def test_a_clock_that_is_not_a_datetime_raises_type_error():
     with pytest.raises(TypeError, match="^expected a datetime$"):
         check_result(contract(), result(), "2026-03-15T17:15:00Z")

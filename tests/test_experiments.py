@@ -514,7 +514,8 @@ def test_seeded_runs_do_not_depend_on_what_ran_before_them():
     # a fresh interpreter starts with every cache cold; this process has run the same before
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     cold = subprocess.run(
-        [sys.executable, "-c", _SEEDED_REPRS], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", _SEEDED_REPRS],
+        capture_output=True, text=True, encoding="utf-8", env=env, check=True,
     ).stdout
     reprs()
     assert reprs() == cold

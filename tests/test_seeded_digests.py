@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 DATA = Path(__file__).resolve().parent / "data"
-PINNED = json.loads((DATA / "seeded_digests.json").read_text())
+PINNED = json.loads((DATA / "seeded_digests.json").read_text(encoding="utf-8"))
 
 _spec = importlib.util.spec_from_file_location("make_seeded_digests", DATA / "make_seeded_digests.py")
 generator = importlib.util.module_from_spec(_spec)

@@ -49,6 +49,7 @@ from delgov.wire import (
     encode_message,
     format_timestamp,
     from_wire,
+    parse_timestamp,
     to_wire,
     validate_invariants,
 )
@@ -176,23 +177,14 @@ def test_timestamp_offsets_normalize_to_utc():
     assert json.loads(encode_message(decoded))["completed_at"] == "2026-03-15T17:30:00Z"
 
 
-@pytest.fixture
-def new_york_clock(monkeypatch):
-    """Run with the host's local time zone five hours behind UTC in winter."""
-    if not hasattr(time, "tzset"):
-        pytest.skip("time.tzset is Unix-only")
-    # a POSIX rule, so no time zone database is needed
-    monkeypatch.setenv("TZ", "EST5EDT,M3.2.0,M11.1.0")
-    time.tzset()
-    yield
-    monkeypatch.undo()
-    time.tzset()
-
-
-def test_format_timestamp_reads_a_naive_clock_as_utc_whatever_the_host_zone(new_york_clock):
+def test_format_timestamp_reads_a_naive_clock_as_utc_whatever_the_host_zone(
+    new_york_clock, floating
+):
     assert time.timezone == 5 * 3600
     assert format_timestamp(datetime(2026, 1, 1)) == "2026-01-01T00:00:00Z"
     assert format_timestamp(datetime(2026, 1, 1, tzinfo=UTC)) == "2026-01-01T00:00:00Z"
+    # naive too, as Python counts it: its tzinfo gives no offset
+    assert format_timestamp(datetime(2026, 1, 1, tzinfo=floating)) == "2026-01-01T00:00:00Z"
 
 
 def test_fractional_seconds_roundtrip():
@@ -714,7 +706,9 @@ def test_result_with_empty_lineage_provenance_rejected():
 def test_single_fault_outcomes_match_the_pinned_table():
     # Each mutant of tests/data/wire_errors.json holds one fault; the table
     # pins the exception class and message every decoder gave it.
-    cases = json.loads((Path(__file__).parent / "data" / "wire_errors.json").read_text())
+    cases = json.loads(
+        (Path(__file__).parent / "data" / "wire_errors.json").read_text(encoding="utf-8")
+    )
     decoders = {f.__name__: f for f in (decode_message, decode_contract, decode_any)}
     mismatches = []
     for case in cases:
@@ -1459,3 +1453,167 @@ def test_the_surrogate_verdict_is_the_always_reencode_verdict(doc, form, upper):
         pass  # a raw surrogate has no UTF-8 form, so only str input can carry one
     for data in inputs:
         assert _loaded(_load_object, data) == _loaded(_always_reencoded, data)
+
+
+# ---------------------------------------------------------------------------
+# the timestamp and string-list kinds against the converters they replaced
+
+
+def _reference_utc(value):
+    """types._utc as it read before it asked a tzinfo for its offset."""
+    if not isinstance(value, datetime):
+        raise TypeError("expected a datetime")
+    if value.tzinfo is timezone.utc:
+        return value
+    if value.tzinfo is None:
+        return value.replace(tzinfo=timezone.utc)
+    try:
+        return value.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"{value.isoformat()} is out of range in UTC") from None
+
+
+def _reference_format_timestamp(value):
+    """format_timestamp as it read before it formatted the UTC value's fields itself."""
+    return _reference_utc(value).replace(tzinfo=None).isoformat() + "Z"
+
+
+_REFERENCE_RFC3339 = re.compile(
+    r"\d{4}-\d\d-\d\d[Tt]\d\d:\d\d:\d\d(\.\d{1,6})?([Zz]|[+-]\d\d:[0-5]\d)?", re.ASCII
+)
+
+
+def _reference_parse_timestamp(raw, path):
+    """parse_timestamp as it read before a Z offset skipped the fraction padding and _utc."""
+    if not isinstance(raw, str):
+        raise MalformedMessage(f"{path}: expected an RFC 3339 string")
+    match = _REFERENCE_RFC3339.fullmatch(raw)
+    if match is None:
+        raise MalformedMessage(f"{path}: invalid RFC 3339 timestamp {raw!r}")
+    fraction, offset = match.groups()
+    offset = "+00:00" if offset in ("Z", "z") else offset or ""
+    try:
+        parsed = datetime.fromisoformat(raw[:19] + (fraction or ".").ljust(7, "0") + offset)
+    except ValueError:
+        raise MalformedMessage(f"{path}: invalid RFC 3339 timestamp {raw!r}") from None
+    if parsed.tzinfo is None:
+        raise MalformedMessage(f"{path}: timestamp {raw!r} lacks a UTC offset")
+    try:
+        return _reference_utc(parsed)
+    except ValueError:
+        raise MalformedMessage(f"{path}: timestamp {raw!r} is out of range in UTC") from None
+
+
+def _reference_str_list(raw, path, name):
+    """The string-list kind's decoder as it read before it left enumerate out."""
+    if not isinstance(raw, list):
+        raise MalformedMessage(f"{path}.{name}: expected a list of strings")
+    for i, item in enumerate(raw):
+        if not isinstance(item, str):
+            raise MalformedMessage(f"{path}.{name}[{i}]: expected a string")
+    return tuple(raw)
+
+
+def _verdict(call, *args):
+    """What a call gives: the value's type, repr and whether it holds the timezone.utc
+    singleton, or the exception's type and message."""
+    try:
+        value = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), repr(value), getattr(value, "tzinfo", None) is timezone.utc
+
+
+def _decoder(cls, name):
+    return next(row[2] for row in FIELDS[cls] if row[0] == name)
+
+
+# every fixed offset datetime allows, to the microsecond
+_ZONES = st.one_of(
+    st.none(),
+    st.just(UTC),
+    st.timedeltas(
+        min_value=timedelta(hours=-24, microseconds=1), max_value=timedelta(hours=24, microseconds=-1)
+    ).map(timezone),
+)
+# years 1 to 9999, naive or aware, with and without microseconds
+_MOMENTS = st.builds(
+    lambda moment, whole: moment.replace(microsecond=0) if whole else moment,
+    st.datetimes(timezones=_ZONES),
+    st.booleans(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_MOMENTS, _json_value))
+@example(datetime(1, 1, 1))
+@example(datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=1))))  # before year 1 in UTC
+@example(datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone(timedelta(hours=-1))))
+@example(datetime(2026, 3, 15, 17, 0, 0, 1, tzinfo=timezone(timedelta(seconds=-1))))
+def test_format_timestamp_formats_as_the_code_it_replaced(value):
+    assert _verdict(format_timestamp, value) == _verdict(_reference_format_timestamp, value)
+
+
+def _two_digits(high):
+    return st.integers(0, high).map("{:02d}".format)
+
+
+# the grammar's shape with each part drawn past its range: year 0, month 13, day 32, hour
+# 24, minute and second 60, a seventh fractional digit, a space for T, an offset of 24 h
+_NEAR_RFC3339 = st.builds(
+    "{}-{}-{}{}{}:{}:{}{}{}".format,
+    st.one_of(st.integers(0, 9999).map("{:04d}".format), st.sampled_from(["0000", "0001", "9999"])),
+    _two_digits(13),
+    _two_digits(32),
+    st.sampled_from("Tt "),
+    _two_digits(24),
+    _two_digits(60),
+    _two_digits(60),
+    st.one_of(st.just(""), st.text("0123456789", min_size=1, max_size=7).map(".{}".format)),
+    st.one_of(
+        st.sampled_from(["", "Z", "z", "+00:00", "-00:00", "+24:00"]),
+        st.builds("{}{}:{}".format, st.sampled_from("+-"), _two_digits(24), _two_digits(60)),
+    ),
+)
+_TIMESTAMP_TEXT = st.one_of(
+    _NEAR_RFC3339,
+    _MOMENTS.map(datetime.isoformat),
+    st.datetimes(timezones=st.just(UTC)).map(_reference_format_timestamp),
+    st.text(max_size=40),
+    _json_value,
+)
+
+
+@settings(max_examples=800, deadline=None)
+@given(_TIMESTAMP_TEXT)
+@example("2026-03-15T18:00:00.1234567Z")  # a seventh fractional digit
+@example("2026-03-15T18:00:00")  # no offset
+@example("2026-02-30T18:00:00")  # a bad day and no offset: the date is what is reported
+@example("2026-13-15T18:00:00Z")
+@example("2026-02-29T18:00:00Z")
+@example("2026-03-15T18:00:00+24:00")
+@example("2026-03-15t18:00:00.5z")
+@example("2026-03-15T18:00:00-00:00")
+@example("0001-01-01T00:00:00+01:00")  # before year 1 in UTC
+@example("9999-12-31T23:00:00-05:00")  # after year 9999 in UTC
+@example("2026-03-15T19:00:00.123456+01:00")
+def test_parse_timestamp_reads_as_the_code_it_replaced(raw):
+    expected = _verdict(_reference_parse_timestamp, raw, "received_at")
+    assert _verdict(parse_timestamp, raw, "received_at") == expected
+    # the decoder's timestamp kind, which names the field only when it fails
+    decode = _decoder(TaskResult, "completed_at")
+    expected = _verdict(_reference_parse_timestamp, raw, "message.completed_at")
+    assert _verdict(decode, raw, "message", "completed_at") == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(st.one_of(_text, _json_value), max_size=8), _json_value))
+@example(["a", "b", 3])
+@example([None])
+@example(["a", "b", "c"])
+@example("abc")
+def test_the_string_list_kind_decodes_as_the_code_it_replaced(raw):
+    decode = _decoder(DelegationContract, "success_criteria")
+    assert _verdict(decode, raw, "contract", "success_criteria") == _verdict(
+        _reference_str_list, raw, "contract", "success_criteria"
+    )

@@ -15,9 +15,14 @@ The rows are the two experiments and these layers, each tree building
 its inputs from its own ``experiments.canonical_*``:
 
 - ``decode_message`` on the encoded canonical submit (with its contract)
-  and result, each plain and with one ``\\n`` in its text;
-- ``encode_message`` of the canonical submit and of the result, and
-  ``canonical_bytes`` of the submit's wire object;
+  and result, each plain and with one ``\\n`` in its text, and on the
+  result with a ``Provenance`` (lineage and evidence refs), the shape of
+  every ``gateway`` result and the one that holds lists of strings;
+- ``encode_message`` of the canonical submit, of the result and of the
+  result with provenance, and ``canonical_bytes`` of the submit's wire
+  object;
+- ``parse_timestamp`` and ``format_timestamp`` of the result's
+  ``completed_at``;
 - ``check_result`` of the canonical contract on the result as it is (the
   accepted path) and with 8,200 tokens (the breach path), received at
   ``experiments.CANONICAL_RECEIVED_AT``, and ``apply_policy`` of the
@@ -67,14 +72,21 @@ CLOCK = datetime(2026, 3, 1, tzinfo=timezone.utc)
 TOKENS_USED = {"accepted": 5400, "breach": 8200}
 
 
-def _message(e, kind: str):
-    return e.canonical_submit(True) if kind == "submit" else e.canonical_result()
+def _message(delgov, kind: str):
+    e, types = delgov.experiments, delgov.types
+    if kind == "submit":
+        return e.canonical_submit(True)
+    if kind == "result":
+        return e.canonical_result()
+    provenance = types.Provenance(
+        types.VerificationStatus.TOOL_VERIFIED, ("ev-000417",), ("gateway", "agent-07", "agent-42")
+    )
+    return dataclasses.replace(e.canonical_result(), provenance=provenance)
 
 
 def _decode(kind: str, text: str):
     def build(delgov):
-        e, wire = delgov.experiments, delgov.wire
-        msg = _message(e, kind)
+        wire, msg = delgov.wire, _message(delgov, kind)
         field = "payload" if kind == "submit" else "output"
         data = wire.encode_message(dataclasses.replace(msg, **{field: getattr(msg, field) + text}))
         return lambda: wire.decode_message(data)
@@ -84,10 +96,21 @@ def _decode(kind: str, text: str):
 
 def _encode(kind: str):
     def build(delgov):
-        wire, msg = delgov.wire, _message(delgov.experiments, kind)
+        wire, msg = delgov.wire, _message(delgov, kind)
         return lambda: wire.encode_message(msg)
 
     return build
+
+
+def _format_timestamp(delgov):
+    wire, moment = delgov.wire, delgov.experiments.canonical_result().completed_at
+    return lambda: wire.format_timestamp(moment)
+
+
+def _parse_timestamp(delgov):
+    wire = delgov.wire
+    text = wire.format_timestamp(delgov.experiments.canonical_result().completed_at)
+    return lambda: wire.parse_timestamp(text, "completed_at")
 
 
 def _canonical_bytes(delgov):
@@ -150,6 +173,8 @@ def _select(delgov):
 
 _SUBMIT = ("experiments.canonical_submit", "wire.encode_message", "wire.decode_message")
 _RESULT = ("experiments.canonical_result", "wire.encode_message", "wire.decode_message")
+_PROVENANCE = ("types.Provenance", "types.VerificationStatus")
+_TIMESTAMP = ("experiments.canonical_result", "wire.format_timestamp")
 _CHECK = (
     "experiments.canonical_contract", "experiments.canonical_result",
     "experiments.CANONICAL_RECEIVED_AT", "contracts.check_result",
@@ -164,11 +189,15 @@ LAYERS = {
     "decode_message submit \\n": (_SUBMIT, _decode("submit", "\n")),
     "decode_message result": (_RESULT, _decode("result", "")),
     "decode_message result \\n": (_RESULT, _decode("result", "\n")),
+    "decode_message result provenance": ((*_RESULT, *_PROVENANCE), _decode("provenance", "")),
     "encode_message submit": (_SUBMIT[:2], _encode("submit")),
     "encode_message result": (_RESULT[:2], _encode("result")),
+    "encode_message result provenance": ((*_RESULT[:2], *_PROVENANCE), _encode("provenance")),
     "canonical_bytes submit": (
         ("experiments.canonical_submit", "wire.to_wire", "wire.canonical_bytes"), _canonical_bytes
     ),
+    "parse_timestamp completed_at": ((*_TIMESTAMP, "wire.parse_timestamp"), _parse_timestamp),
+    "format_timestamp completed_at": (_TIMESTAMP, _format_timestamp),
     "check_result accepted": (_CHECK, _check("accepted")),
     "check_result breach": (_CHECK, _check("breach")),
     "apply_policy accepted": ((*_CHECK, "contracts.apply_policy"), _apply_policy),
