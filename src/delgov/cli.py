@@ -227,7 +227,7 @@ def _cmd_e3(args: argparse.Namespace) -> int:
     run = experiments.run_routing_conditions_detailed(args.seed, args.tasks)
     # the summary needs more samples than the run does: build it before
     # writing anything, so a bad --tasks leaves no partial output
-    summary = experiments.routing_summary([run])
+    summary = experiments.routing_summary(run)
     pool = b"".join(experiments.summary_bytes(asdict(profile)) for profile in run.pool)
     wrote = _write_reports(args.out, run.reports, summary, (".pool.jsonl", pool))
     print(f"{'condition':<14}{'quality':>18}{'accuracy%':>11}{'inflated%':>11}{'d':>9}{'p':>12}")

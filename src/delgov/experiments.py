@@ -477,26 +477,25 @@ def summary_bytes(payload: dict) -> bytes:
     return canonical_bytes(payload) + b"\n"
 
 
-def routing_summary(runs: Sequence[RoutingRun]) -> dict:
-    """Wire-format summary across seeds, including both effect-size pairings.
+def routing_summary(run: RoutingRun) -> dict:
+    """Wire-format summary of one seed's run, including both effect-size pairings.
 
     The attested condition is compared against both baselines because the
     two pairings answer different questions and differ by an order of
     magnitude: against blind the denominator is dominated by the spread of
     pool quality, against self_claimed it is just execution noise.
+    ``seeds`` and the two pairing entries stay one-element lists, as in the
+    published ``e3.json``.
     """
     # run.runs follows CONDITIONS: blind, self_claimed, attested
-    pairs = [(run.runs[2].samples, run.runs[1].samples) for run in runs]
-    first = runs[0]
+    attested, self_claimed = run.runs[2].samples, run.runs[1].samples
     return {
         "experiment": "routing_conditions",
-        "seeds": [run.seed for run in runs],
-        "tasks_per_condition": first.tasks_per_condition,
-        "pool": [asdict(p) for p in first.pool],
-        "pool_metadata": asdict(first.metadata),
-        "reports": [
-            {"seed": run.seed, **asdict(report)} for run in runs for report in run.reports
-        ],
-        "d_attested_vs_self_claimed": [cohens_d(a, s) for a, s in pairs],
-        "p_attested_vs_self_claimed": [mann_whitney_u(a, s)[1] for a, s in pairs],
+        "seeds": [run.seed],
+        "tasks_per_condition": run.tasks_per_condition,
+        "pool": [asdict(p) for p in run.pool],
+        "pool_metadata": asdict(run.metadata),
+        "reports": [{"seed": run.seed, **asdict(report)} for report in run.reports],
+        "d_attested_vs_self_claimed": [cohens_d(attested, self_claimed)],
+        "p_attested_vs_self_claimed": [mann_whitney_u(attested, self_claimed)[1]],
     }

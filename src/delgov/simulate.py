@@ -196,6 +196,7 @@ def execute_tasks(q_trues: Sequence[float], normals: Sequence[float]) -> list[fl
     ]
 
 
+# Kept only as a name perfbench/tracer.py spans and the tests' oracle; ROADMAP item 9 frees it.
 def execute_task(profile: DelegateProfile, rng: Random) -> float:
     """Output quality of one task: ``execute_tasks((profile.q_true,), _normals(rng, 1))[0]``."""
     return execute_tasks((profile.q_true,), _normals(rng, 1))[0]

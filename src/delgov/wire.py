@@ -343,6 +343,7 @@ _set = object.__setattr__
 
 
 # The typed-failure encoder under its earlier name.
+# Kept only because perfbench/gateway.py reads it; ROADMAP item 9 frees the name.
 ldp_error_to_wire = to_wire
 
 _CANONICAL = json.JSONEncoder(

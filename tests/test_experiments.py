@@ -177,14 +177,17 @@ def test_overhead_rejects_tiny_iteration_counts():
 
 
 def test_summary_document_reports_both_effect_pairings():
-    runs = [experiments.run_routing_conditions_detailed(s, 50) for s in (1, 2)]
-    summary = experiments.routing_summary(runs)
-    assert len(summary["d_attested_vs_self_claimed"]) == 2
-    assert all(d > 0 for d in summary["d_attested_vs_self_claimed"])
+    run = experiments.run_routing_conditions_detailed(1, 50)
+    summary = experiments.routing_summary(run)
+    assert summary["seeds"] == [1]
+    assert [report["seed"] for report in summary["reports"]] == [1, 1, 1]
+    assert len(summary["d_attested_vs_self_claimed"]) == 1
+    assert summary["d_attested_vs_self_claimed"][0] > 0
+    assert len(summary["p_attested_vs_self_claimed"]) == 1
     assert summary["pool_metadata"]["dominance_guaranteed"] is True
     data = experiments.summary_bytes(summary)
     assert data.endswith(b"}\n")
-    assert data == experiments.summary_bytes(experiments.routing_summary(runs))
+    assert data == experiments.summary_bytes(experiments.routing_summary(run))
 
 
 def _self_claimed_only(records):
