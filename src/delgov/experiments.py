@@ -40,11 +40,14 @@ seeds no selection stream, as a by_claims select reads no rng (see
 batch over the normals of its noise stream, which ``_run_conditions``
 draws once per distinct noise seed. Each condition routes over only the
 claims its policy reads (see ``_run_conditions``), and pool set-up builds
-only what depends on the seed. The ids and true qualities of a pool size
-come from ``simulate``'s shared layout, and the records the blind and
-attested conditions share are built once per pool size, from a cache of
-at most 8 sizes (the grid and ``e3`` use 3). A seed builds only the
-self_claimed records: one self-reported claim per delegate.
+only what depends on the seed. The grid's 36 cells, each with its
+``PoolConfig`` and the key that names its streams, are built once, at
+import. A configuration's roles and metadata come from ``simulate``'s
+per-configuration plan, and the ids and true qualities of a pool size
+from its shared layout. The records the blind and attested conditions
+share are built once per pool size, from a cache of at most 8 sizes (the
+grid and ``e3`` use 3). A seed builds only its draws and the self_claimed
+records: one self-reported claim per delegate.
 """
 
 from __future__ import annotations
@@ -101,6 +104,14 @@ GRID_INFLATION = (
     ("high", (0.40, 0.50)),
 )
 GRID_POOL_SIZES = (5, 10, 20)
+# the grid's cells in report order, built once: (fraction, level, size, config, key), where
+# the key names the cell's random streams
+_GRID = tuple(
+    (fraction, level, size, PoolConfig(size, fraction, inflation), f"grid:{fraction!r}:{level}:{size}")
+    for fraction in GRID_FRACTIONS
+    for level, inflation in GRID_INFLATION
+    for size in GRID_POOL_SIZES
+)
 
 
 @dataclass(frozen=True)
@@ -309,34 +320,30 @@ def run_sensitivity(
     if not seeds:
         raise ValueError("run_sensitivity requires at least one seed")
     cells: list[GridCellReport] = []
-    for fraction in GRID_FRACTIONS:
-        for level, inflation in GRID_INFLATION:
-            for size in GRID_POOL_SIZES:
-                config = PoolConfig(size, fraction, inflation)
-                key = f"grid:{fraction!r}:{level}:{size}"
-                totals = {condition: 0.0 for condition in CONDITIONS}
-                for seed in seeds:
-                    pool, _ = build_pool_with_metadata(config, Random(f"{seed}:{key}:pool"))
-                    # one noise stream for every condition: common random numbers
-                    runs = _run_conditions(
-                        pool,
-                        lambda c: (f"{seed}:{key}:select:{c}", f"{seed}:{key}:noise"),
-                        tasks_per_condition,
-                    )
-                    for run in runs:
-                        totals[run.condition] += math.fsum(run.samples) / len(run.samples)
-                means = {c: totals[c] / len(seeds) for c in CONDITIONS}
-                cells.append(
-                    GridCellReport(
-                        dishonest_fraction=fraction,
-                        inflation_level=level,
-                        pool_size=size,
-                        blind_mean=means["blind"],
-                        self_claimed_mean=means["self_claimed"],
-                        attested_mean=means["attested"],
-                        paradox=means["self_claimed"] < means["blind"],
-                    )
-                )
+    for fraction, level, size, config, key in _GRID:
+        totals = {condition: 0.0 for condition in CONDITIONS}
+        for seed in seeds:
+            pool, _ = build_pool_with_metadata(config, Random(f"{seed}:{key}:pool"))
+            # one noise stream for every condition: common random numbers
+            runs = _run_conditions(
+                pool,
+                lambda c: (f"{seed}:{key}:select:{c}", f"{seed}:{key}:noise"),
+                tasks_per_condition,
+            )
+            for run in runs:
+                totals[run.condition] += math.fsum(run.samples) / len(run.samples)
+        means = {c: totals[c] / len(seeds) for c in CONDITIONS}
+        cells.append(
+            GridCellReport(
+                dishonest_fraction=fraction,
+                inflation_level=level,
+                pool_size=size,
+                blind_mean=means["blind"],
+                self_claimed_mean=means["self_claimed"],
+                attested_mean=means["attested"],
+                paradox=means["self_claimed"] < means["blind"],
+            )
+        )
     return cells
 
 

@@ -27,6 +27,13 @@ Pool construction is fully deterministic given (config, seed):
   quality (uniform jitter), comfortably inside the 0.02 honesty band.
   Their claims need no clamp: every true quality lies in
   ``Q_TRUE_RANGE``, so an honest claim lies in [0.435, 0.965].
+- Everything but the draws depends on the configuration alone: each
+  position's role (honest, drawn inflator or designated inflator) and
+  the finished ``PoolMetadata``. It is planned once per ``(pool_size,
+  dishonest_fraction, low, high)`` and shared, from a cache of at most 64
+  configurations (the grid uses 36, ``e3`` one), so a seed pays only for
+  its draws, taken in position order. The configuration is still
+  validated on every call.
 
 Task execution returns the output quality as a plain float: the
 delegate's true quality plus ``NOISE_SIGMA`` times a standard normal,
@@ -134,6 +141,32 @@ def _layout(n: int) -> tuple[tuple[str, float], ...]:
     return tuple((f"d{i:0{width}d}", lo + i * (hi - lo) / (n - 1)) for i in range(n))
 
 
+@lru_cache(maxsize=64, typed=True)
+def _plan(
+    n: int, fraction: float, low: float, high: float
+) -> tuple[tuple[tuple[str, float, bool, bool], ...], PoolMetadata]:
+    """What a configuration alone fixes: ``(delegate_id, q_true, honest, designated)`` per
+    ``_layout(n)`` position, and the pool's metadata; built once per configuration.
+    """
+    k = dishonest_count(n, fraction)
+    dishonest = range(1, k + 1) if k < n else range(n)
+    designated = dishonest[k // 2] if k >= 3 and k % 2 == 1 else None
+    layout = _layout(n)
+    roles = tuple((d, q, i not in dishonest, i == designated) for i, (d, q) in enumerate(layout))
+    # the best inflator's lowest claim against the best honest delegate's highest;
+    # q_true rises with position, so each is the last of its kind. float(low), so a
+    # low that the draws cannot take still fails in the first draw, as it always has
+    top_q = layout[dishonest[-1]][1] if dishonest else None
+    honest_q = next((q for _, q, honest, _ in reversed(roles) if honest), -math.inf)
+    dominance = top_q is not None and min(top_q + float(low), 1.0) > min(honest_q + HONEST_JITTER, 1.0)
+    metadata = PoolMetadata(
+        dishonest_ids=tuple(layout[i][0] for i in dishonest),
+        designated_top_id=layout[designated][0] if designated is not None else None,
+        dominance_guaranteed=dominance,
+    )
+    return roles, metadata
+
+
 def build_pool_with_metadata(
     config: PoolConfig,
     rng: Random,
@@ -144,20 +177,15 @@ def build_pool_with_metadata(
     pool take element ``[0]``.
     """
     _validate_config(config)
-    n = config.pool_size
     low, high = config.inflation_range
-
-    k = dishonest_count(n, config.dishonest_fraction)
-    dishonest = range(1, k + 1) if k < n else range(n)
-    designated = dishonest[k // 2] if k >= 3 and k % 2 == 1 else None
+    roles, metadata = _plan(config.pool_size, config.dishonest_fraction, low, high)
 
     profiles: list[DelegateProfile] = []
-    for i, (delegate_id, q_true) in enumerate(_layout(n)):
-        honest = i not in dishonest
+    for delegate_id, q_true, honest, designated in roles:
         if honest:
             q_claimed = q_true + rng.uniform(-HONEST_JITTER, HONEST_JITTER)
         else:
-            offset = high if i == designated else rng.uniform(low, high)
+            offset = high if designated else rng.uniform(low, high)
             q_claimed = min(q_true + offset, 1.0)
             if q_claimed <= q_true:
                 raise BadConfig(
@@ -165,18 +193,6 @@ def build_pool_with_metadata(
                     f"with inflation_range {config.inflation_range}"
                 )
         profiles.append(DelegateProfile(delegate_id, q_true, q_claimed, honest))
-
-    dishonest_ids = tuple(profiles[i].delegate_id for i in dishonest)
-    # the best inflator's lowest claim against the best honest delegate's highest;
-    # q_true rises with position, so each is the last of its kind
-    top_q = profiles[dishonest[-1]].q_true if dishonest else None
-    honest_q = next((p.q_true for p in reversed(profiles) if p.honest), -math.inf)
-    dominance = top_q is not None and min(top_q + low, 1.0) > min(honest_q + HONEST_JITTER, 1.0)
-    metadata = PoolMetadata(
-        dishonest_ids=dishonest_ids,
-        designated_top_id=profiles[designated].delegate_id if designated is not None else None,
-        dominance_guaranteed=dominance,
-    )
     return profiles, metadata
 
 

@@ -1,9 +1,22 @@
 import sys
 import time
+import warnings
 from datetime import tzinfo
 from pathlib import Path
 
 import pytest
+
+# When a property fails, hypothesis's pytest plugin imports its patch writer, and libcst
+# builds a deprecated mypy_extensions.TypedDict as it loads. Under the suite's "error"
+# warning filter that warning would escape a plugin hook as an INTERNALERROR and stop the
+# run. Import the module once here with that one warning ignored; without libcst the
+# plugin skips the patch, so there is nothing to import.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # allow running the suite from a source checkout without installing
 _SRC = Path(__file__).resolve().parent.parent / "src"

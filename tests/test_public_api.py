@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
 import sys
 from pathlib import Path
+from random import Random
+from typing import get_args
 
 import pytest
 
 import delgov
+from delgov import experiments
 
 PUBLIC_NAMES = [
     "Accepted",
@@ -164,3 +168,47 @@ def test_every_name_the_benchmark_reads_off_a_module_exists():
                     names.add((module, node.attr))
     assert ("wire", "decode_message") in names
     assert _missing(sorted(names)) == []
+
+
+def _frozen_values():
+    """One value of each type that is shared once built: the eight wire types, the routing
+    policy, the contract outcomes and the simulator's pools, configurations and metadata."""
+    contract = experiments.canonical_contract()
+    result = experiments.canonical_result()
+    breach = delgov.check_result(contract, experiments.canonical_result(8200), experiments.CANONICAL_RECEIVED_AT)
+    pool, metadata = delgov.build_pool_with_metadata(experiments.ROUTING_POOL, Random(0))
+    return [
+        contract.policy.budget,
+        contract.policy,
+        contract,
+        delgov.QualityClaim("general", 0.5, delgov.ClaimType.SELF_CLAIMED),
+        delgov.LdpError(delgov.ErrorCategory.TRANSPORT, delgov.Severity.ERROR, True, "X", "m"),
+        delgov.Provenance(delgov.VerificationStatus.UNVERIFIED),
+        experiments.canonical_submit(True),
+        result,
+        delgov.RoutingPolicy.blind(),
+        breach.violations[0],
+        breach,
+        delgov.apply_policy(delgov.check_result(contract, result, experiments.CANONICAL_RECEIVED_AT), result),
+        experiments.ROUTING_POOL,
+        metadata,
+        pool[0],
+    ]
+
+
+def test_the_values_checked_for_freezing_are_one_of_each_type():
+    shared = {
+        delgov.RoutingPolicy, delgov.Violation, delgov.ValidationOutcome, delgov.Accepted,
+        delgov.PoolConfig, delgov.PoolMetadata, delgov.DelegateProfile,
+    }
+    types = [type(value) for value in _frozen_values()]
+    assert len(types) == len(set(types))
+    assert set(types) == set(get_args(delgov.types.DomainType)) | shared
+
+
+@pytest.mark.parametrize("value", _frozen_values(), ids=lambda value: type(value).__name__)
+def test_assigning_to_a_field_of_a_shared_value_raises(value):
+    # one PoolMetadata serves every seed of a configuration, and one outcome every accepted result
+    for field in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{field.name}'$"):
+            setattr(value, field.name, None)

@@ -5,18 +5,22 @@ from __future__ import annotations
 import math
 import re
 import struct
+from decimal import Decimal, InvalidOperation
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delgov import simulate
 from delgov.simulate import (
     HONEST_JITTER,
     NOISE_SIGMA,
     Q_TRUE_RANGE,
     BadConfig,
+    DelegateProfile,
     PoolConfig,
+    PoolMetadata,
     _normals,
     best_delegate,
     build_pool_with_metadata,
@@ -125,6 +129,89 @@ def test_honest_claims_stay_inside_the_honesty_band(config, seed):
         assert middle.q_claimed == min(middle.q_true + config.inflation_range[1], 1.0)
     else:
         assert metadata.designated_top_id is None
+
+
+def _fresh_build(config, rng):
+    """The pool and metadata by the module docstring's rules, derived with no cache."""
+    simulate._validate_config(config)
+    n = config.pool_size
+    low, high = config.inflation_range
+    k = dishonest_count(n, config.dishonest_fraction)
+    dishonest = range(1, k + 1) if k < n else range(n)
+    designated = dishonest[k // 2] if k >= 3 and k % 2 == 1 else None
+    lo, hi = Q_TRUE_RANGE
+    pool = []
+    for i in range(n):
+        delegate_id, q_true = f"d{i:0{len(str(n - 1))}d}", lo + i * (hi - lo) / (n - 1)
+        if i not in dishonest:
+            q_claimed = q_true + rng.uniform(-HONEST_JITTER, HONEST_JITTER)
+        else:
+            q_claimed = min(q_true + (high if i == designated else rng.uniform(low, high)), 1.0)
+            if q_claimed <= q_true:
+                raise BadConfig(
+                    f"delegate {delegate_id} cannot inflate: q_true {q_true} "
+                    f"with inflation_range {config.inflation_range}"
+                )
+        pool.append(DelegateProfile(delegate_id, q_true, q_claimed, i not in dishonest))
+    top_q = pool[dishonest[-1]].q_true if dishonest else None
+    honest_q = max((p.q_true for p in pool if p.honest), default=-math.inf)
+    dominance = top_q is not None and min(top_q + low, 1.0) > min(honest_q + HONEST_JITTER, 1.0)
+    designated_id = pool[designated].delegate_id if designated is not None else None
+    return pool, PoolMetadata(tuple(pool[i].delegate_id for i in dishonest), designated_id, dominance)
+
+
+def _outcome(build, config, seed):
+    """The pool and metadata, or the exception's type and text, and the rng's state after."""
+    rng = Random(seed)
+    try:
+        result = build(config, rng)
+    except Exception as exc:
+        result = (type(exc), str(exc))
+    return result, rng.getstate()
+
+
+# valid and invalid configurations alike: sizes below 2, fractions outside [0, 1] or of
+# another type, ranges upside down, below zero, at zero, as a list or of Decimals
+any_configs = st.builds(
+    PoolConfig,
+    st.integers(0, 25),
+    st.one_of(st.floats(-0.2, 1.2), st.sampled_from([0.0, -0.0, 1.0, 1, True, math.nan])),
+    st.one_of(
+        st.tuples(st.floats(0.0, 0.6), st.floats(0.0, 0.6)),
+        st.sampled_from(
+            [(0.0, 0.0), (-0.1, 0.2), [0.1, 0.2], (0, 1), (Decimal("0.1"), Decimal("0.2"))]
+        ),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_configs, st.integers(0, 2**32))
+def test_the_planned_pool_is_the_pool_derived_afresh(config, seed):
+    fresh = _outcome(_fresh_build, config, seed)
+    simulate._plan.cache_clear()
+    cold = _outcome(build_pool_with_metadata, config, seed)
+    warm = _outcome(build_pool_with_metadata, config, seed)
+    assert cold == fresh
+    assert warm == cold
+    if isinstance(cold[0][1], PoolMetadata):
+        # the warm call hands back the planned metadata itself, as it does for every seed
+        assert warm[0][1] is cold[0][1]
+
+
+# True == 1.0 and 4.0 == 4, and each pair hashes alike, but dishonest_count refuses True and 4.0
+@pytest.mark.parametrize(
+    ("planned", "twin", "error"),
+    [
+        (PoolConfig(4, 1.0, (0.1, 0.2)), PoolConfig(4, True, (0.1, 0.2)), InvalidOperation),
+        (PoolConfig(4, 0.5, (0.1, 0.2)), PoolConfig(4.0, 0.5, (0.1, 0.2)), TypeError),
+    ],
+)
+def test_a_config_equal_to_a_planned_one_but_of_another_type_fails_as_before(planned, twin, error):
+    build_pool_with_metadata(planned, Random(0))
+    fresh = _outcome(_fresh_build, twin, 0)
+    assert fresh[0][0] is error
+    assert _outcome(build_pool_with_metadata, twin, 0) == fresh
 
 
 def test_designated_middle_inflator_holds_the_top_claim():

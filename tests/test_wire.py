@@ -815,6 +815,15 @@ def test_empty_budget_yields_one_violation_naming_budget():
     assert violations[0].startswith("Budget")
 
 
+def test_a_zero_budget_limit_is_not_strictly_positive():
+    assert validate_invariants(Budget(max_tokens=0)) == [
+        "Budget.max_tokens: must be strictly positive (got 0)"
+    ]
+    assert validate_invariants(Budget(max_cost_usd=0)) == [
+        "Budget.max_cost_usd: must be strictly positive (got 0)"
+    ]
+
+
 def test_attested_claim_without_issuer_is_flagged():
     claim = QualityClaim(skill="code", value=0.9, claim_type=ClaimType.ISSUER_ATTESTED)
     violations = validate_invariants(claim)
@@ -878,6 +887,22 @@ def test_decode_any_dispatches_by_shape():
     assert isinstance(decode_any(claim_doc), QualityClaim)
     with pytest.raises(MalformedMessage):
         decode_any(b'{"something": "else"}')
+
+
+@pytest.mark.parametrize("missing", ["code", "category"])
+def test_an_error_document_needs_both_category_and_code(missing):
+    semantics = default_semantics(ErrorCategory.TRANSPORT)
+    doc = {
+        "category": "transport",
+        "severity": semantics.severity.value,
+        "retryable": semantics.retryable,
+        "code": "X",
+        "message": "m",
+    }
+    assert isinstance(decode_any(json.dumps(doc)), LdpError)
+    del doc[missing]
+    with pytest.raises(MalformedMessage, match="^document: does not match any known wire object$"):
+        decode_any(json.dumps(doc))
 
 
 def test_decode_contract_checks_invariants():

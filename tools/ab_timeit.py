@@ -29,6 +29,8 @@ its inputs from its own ``experiments.canonical_*``:
   accepted outcome, the path ``delgov bench`` times;
 - by_claims ``select`` over a fixed 50-record pool of dated claims, with a
   48 h window at a fixed clock;
+- ``build_pool_with_metadata`` of the grid's 36 configurations, built
+  from ``experiments.GRID_*``, each drawn on from a ``Random`` of its own;
 - ``simulate._normals`` of 100 tasks, drawn on from one ``Random(0)``, and
   ``execute_tasks`` of 100 fixed true qualities and normals.
 
@@ -138,6 +140,19 @@ def _apply_policy(delgov):
     return lambda: contracts.apply_policy(outcome, result)
 
 
+def _grid_pools(delgov):
+    e, simulate = delgov.experiments, delgov.simulate
+    configs = [
+        simulate.PoolConfig(size, fraction, inflation)
+        for fraction in e.GRID_FRACTIONS
+        for _, inflation in e.GRID_INFLATION
+        for size in e.GRID_POOL_SIZES
+    ]
+    pairs = [(config, Random(i)) for i, config in enumerate(configs)]
+    build = simulate.build_pool_with_metadata
+    return lambda: [build(config, rng) for config, rng in pairs]
+
+
 def _normals(delgov):
     normals, rng = delgov.simulate._normals, Random(0)
     return lambda: normals(rng, TASKS)
@@ -202,6 +217,13 @@ LAYERS = {
     "check_result breach": (_CHECK, _check("breach")),
     "apply_policy accepted": ((*_CHECK, "contracts.apply_policy"), _apply_policy),
     "select 50 records": (_ROUTING, _select),
+    "build_pool_with_metadata grid configs": (
+        (
+            "experiments.GRID_FRACTIONS", "experiments.GRID_INFLATION", "experiments.GRID_POOL_SIZES",
+            "simulate.PoolConfig", "simulate.build_pool_with_metadata",
+        ),
+        _grid_pools,
+    ),
     "_normals 100 tasks": (("simulate._normals",), _normals),
     "execute_tasks 100 tasks": (("simulate._normals", "simulate.execute_tasks"), _execute_tasks),
 }
