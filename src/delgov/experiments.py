@@ -44,10 +44,12 @@ only what depends on the seed. The grid's 36 cells, each with its
 ``PoolConfig`` and the key that names its streams, are built once, at
 import. A configuration's roles and metadata come from ``simulate``'s
 per-configuration plan, and the ids and true qualities of a pool size
-from its shared layout. The records the blind and attested conditions
-share are built once per pool size, from a cache of at most 8 sizes (the
-grid and ``e3`` use 3). A seed builds only its draws and the self_claimed
-records: one self-reported claim per delegate.
+from its shared layout, which is what ``run_condition`` reads. The
+records the blind and attested conditions share are built once per pool
+size, from a cache of at most 8 sizes (the grid and ``e3`` use 3). A grid
+seed builds only its draws, the claimed values of ``simulate._draw``, and
+the self_claimed records: one self-reported claim per delegate. An ``e3``
+seed also builds the ``DelegateProfile`` pool and metadata it reports.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .simulate import (
     DelegateProfile,
     PoolConfig,
     PoolMetadata,
+    _draw,
     _layout,
     _normals,
     best_delegate,
@@ -203,7 +206,7 @@ def records_for_pool(pool: Sequence[DelegateProfile]) -> list[DelegateRecord]:
 
 
 def run_condition(
-    pool: Sequence[DelegateProfile],
+    delegates: Sequence[tuple[str, float]],
     records: Sequence[DelegateRecord],
     condition: str,
     select_seed: str,
@@ -211,6 +214,8 @@ def run_condition(
 ) -> ConditionRun:
     """Route and execute one task per standard normal in ``normals`` under one condition.
 
+    ``delegates`` holds a ``(delegate_id, q_true)`` pair for every id in
+    ``records``, such as ``simulate._layout(n)`` for a simulated pool of n.
     Blind routing draws a delegate per task from the selection stream
     ``Random(select_seed)``. by_claims routing reads no rng, so it seeds
     none: it is resolved once, before the first task, and that delegate
@@ -218,7 +223,7 @@ def run_condition(
     """
     policy = CONDITIONS[condition]
     tasks = len(normals)
-    q_true = {p.delegate_id: p.q_true for p in pool}
+    q_true = dict(delegates)
     if policy.strategy is Strategy.BLIND:
         selections = _blind(records, Random(select_seed), tasks)
         q_trues = [q_true[d] for d in selections]
@@ -231,32 +236,33 @@ def run_condition(
 
 
 def _run_conditions(
-    pool: Sequence[DelegateProfile],
+    claims: Sequence[float],
     stream_seeds: Callable[[str], tuple[str, str]],
     tasks: int,
 ) -> tuple[ConditionRun, ...]:
     """Run every condition over one pool, in ``CONDITIONS`` order.
 
-    ``pool`` comes from ``build_pool_with_metadata``, so its ids and true
-    qualities are ``simulate._layout(len(pool))``.
+    ``claims`` holds each delegate's claimed quality, as ``simulate._draw``
+    draws it; the ids and true qualities are ``simulate._layout(len(claims))``.
     ``stream_seeds(condition)`` names the seeds of that condition's
     selection and noise streams; the conditions that name one noise seed
     share its batch of ``tasks`` normals.
 
     Each condition routes over the claims its policy reads, and picks what
-    it would pick over ``records_for_pool(pool)``. The self_claimed
-    condition routes over records without attested claims, modelling a
-    deployment where no attestation exists yet: the router always prefers
-    the most trusted eligible claim, so leaving the attested claims in
-    would quietly upgrade the condition. Its records are built per pool.
+    it would pick over ``records_for_pool`` of the pool's profiles. The
+    self_claimed condition routes over records without attested claims,
+    modelling a deployment where no attestation exists yet: the router
+    always prefers the most trusted eligible claim, so leaving the attested
+    claims in would quietly upgrade the condition. Its records are built
+    per pool.
     The attested policy reads no claim below its issuer-attested floor,
     and a blind draw reads only the ids, so both route over the shared
     attested records of the pool's size.
     """
     if tasks < 1:
         raise ValueError("tasks_per_condition must be >= 1")
-    attested = _attested_records(len(pool))
-    self_claimed = [DelegateRecord(p.delegate_id, (_self_claim(p.q_claimed),)) for p in pool]
+    layout, attested = _layout(len(claims)), _attested_records(len(claims))
+    self_claimed = [DelegateRecord(d, (_self_claim(c),)) for (d, _), c in zip(layout, claims)]
     batches: dict[str, list[float]] = {}
     runs = []
     for condition in CONDITIONS:
@@ -265,7 +271,7 @@ def _run_conditions(
             batches[noise_seed] = _normals(Random(noise_seed), tasks)
         records = self_claimed if condition == "self_claimed" else attested
         normals = batches[noise_seed]
-        runs.append(run_condition(pool, records, condition, select_seed, normals))
+        runs.append(run_condition(layout, records, condition, select_seed, normals))
     return tuple(runs)
 
 
@@ -273,7 +279,7 @@ def run_routing_conditions_detailed(seed: int, tasks_per_condition: int) -> Rout
     """Run the three routing conditions on one seeded pool, keeping raw data."""
     pool, metadata = build_pool_with_metadata(ROUTING_POOL, Random(f"{seed}:e3:pool"))
     runs = _run_conditions(
-        pool,
+        [p.q_claimed for p in pool],
         lambda c: (f"{seed}:e3:{c}:select", f"{seed}:e3:{c}:noise"),
         tasks_per_condition,
     )
@@ -323,10 +329,10 @@ def run_sensitivity(
     for fraction, level, size, config, key in _GRID:
         totals = {condition: 0.0 for condition in CONDITIONS}
         for seed in seeds:
-            pool, _ = build_pool_with_metadata(config, Random(f"{seed}:{key}:pool"))
+            claims, _ = _draw(config, Random(f"{seed}:{key}:pool"))
             # one noise stream for every condition: common random numbers
             runs = _run_conditions(
-                pool,
+                claims,
                 lambda c: (f"{seed}:{key}:select:{c}", f"{seed}:{key}:noise"),
                 tasks_per_condition,
             )

@@ -28,12 +28,16 @@ Pool construction is fully deterministic given (config, seed):
   Their claims need no clamp: every true quality lies in
   ``Q_TRUE_RANGE``, so an honest claim lies in [0.435, 0.965].
 - Everything but the draws depends on the configuration alone: each
-  position's role (honest, drawn inflator or designated inflator) and
-  the finished ``PoolMetadata``. It is planned once per ``(pool_size,
-  dishonest_fraction, low, high)`` and shared, from a cache of at most 64
-  configurations (the grid uses 36, ``e3`` one), so a seed pays only for
-  its draws, taken in position order. The configuration is still
-  validated on every call.
+  position's role (honest, drawn inflator or designated inflator), the
+  id, true quality and honesty columns of the profiles, and the finished
+  ``PoolMetadata``. It is planned once per ``(pool_size,
+  dishonest_fraction, low, high)`` and shared, as tuples and frozen
+  values, from a cache of at most 64 configurations (the grid uses 36,
+  ``e3`` one), so a seed pays only for its draws, taken in position
+  order. The private ``_draw`` is the draws alone: it validates the
+  configuration on every call, reads the plan and returns each position's
+  claimed quality. ``build_pool_with_metadata`` is ``_draw`` plus the
+  profiles; the sensitivity grid, which reports no pool, calls ``_draw``.
 
 Task execution returns the output quality as a plain float: the
 delegate's true quality plus ``NOISE_SIGMA`` times a standard normal,
@@ -142,11 +146,14 @@ def _layout(n: int) -> tuple[tuple[str, float], ...]:
 
 
 @lru_cache(maxsize=64, typed=True)
-def _plan(
-    n: int, fraction: float, low: float, high: float
-) -> tuple[tuple[tuple[str, float, bool, bool], ...], PoolMetadata]:
-    """What a configuration alone fixes: ``(delegate_id, q_true, honest, designated)`` per
-    ``_layout(n)`` position, and the pool's metadata; built once per configuration.
+def _plan(n: int, fraction: float, low: float, high: float) -> tuple[
+    tuple[tuple[str, float, bool, bool], ...],
+    tuple[tuple[str, ...], tuple[float, ...], tuple[bool, ...]],
+    PoolMetadata,
+]:
+    """What a configuration alone fixes, built once per configuration: the draw's
+    ``(delegate_id, q_true, honest, designated)`` per ``_layout(n)`` position, the
+    profiles' ``(ids, q_trues, honest)`` columns, and the pool's metadata.
     """
     k = dishonest_count(n, fraction)
     dishonest = range(1, k + 1) if k < n else range(n)
@@ -164,7 +171,33 @@ def _plan(
         designated_top_id=layout[designated][0] if designated is not None else None,
         dominance_guaranteed=dominance,
     )
-    return roles, metadata
+    ids, q_trues, honest, _ = zip(*roles)
+    return roles, (ids, q_trues, honest), metadata
+
+
+def _draw(config: PoolConfig, rng: Random) -> tuple[list[float], tuple]:
+    """Each position's claimed quality, drawn in position order, and the configuration's plan.
+
+    This is all of a pool that depends on the seed: ``build_pool_with_metadata``
+    adds only the profiles.
+    """
+    _validate_config(config)
+    low, high = config.inflation_range
+    plan = _plan(config.pool_size, config.dishonest_fraction, low, high)
+    uniform = rng.uniform
+    claims = []
+    for delegate_id, q_true, honest, designated in plan[0]:
+        if honest:
+            q_claimed = q_true + uniform(-HONEST_JITTER, HONEST_JITTER)
+        else:
+            q_claimed = min(q_true + (high if designated else uniform(low, high)), 1.0)
+            if q_claimed <= q_true:
+                raise BadConfig(
+                    f"delegate {delegate_id} cannot inflate: q_true {q_true} "
+                    f"with inflation_range {config.inflation_range}"
+                )
+        claims.append(q_claimed)
+    return claims, plan
 
 
 def build_pool_with_metadata(
@@ -176,24 +209,8 @@ def build_pool_with_metadata(
     See the module docstring for the rules. Callers that need only the
     pool take element ``[0]``.
     """
-    _validate_config(config)
-    low, high = config.inflation_range
-    roles, metadata = _plan(config.pool_size, config.dishonest_fraction, low, high)
-
-    profiles: list[DelegateProfile] = []
-    for delegate_id, q_true, honest, designated in roles:
-        if honest:
-            q_claimed = q_true + rng.uniform(-HONEST_JITTER, HONEST_JITTER)
-        else:
-            offset = high if designated else rng.uniform(low, high)
-            q_claimed = min(q_true + offset, 1.0)
-            if q_claimed <= q_true:
-                raise BadConfig(
-                    f"delegate {delegate_id} cannot inflate: q_true {q_true} "
-                    f"with inflation_range {config.inflation_range}"
-                )
-        profiles.append(DelegateProfile(delegate_id, q_true, q_claimed, honest))
-    return profiles, metadata
+    claims, (_, (ids, q_trues, honest), metadata) = _draw(config, rng)
+    return list(map(DelegateProfile, ids, q_trues, claims, honest)), metadata
 
 
 def execute_tasks(q_trues: Sequence[float], normals: Sequence[float]) -> list[float]:

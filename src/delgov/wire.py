@@ -28,8 +28,13 @@ Format rules (README "Wire format" sums them up):
   (``types._DECIMAL``) in ASCII digits: an optional sign, digits with an
   optional ``.`` and fraction (or ``.`` and digits), then optionally
   ``e`` or ``E``, an optional sign and digits, so ``"1_0"``, ``" 0.5 "``
-  and ``"\u0661"`` are invalid decimals. A JSON number is read as it is.
-  No spelling of NaN, sNaN or infinity is an amount.
+  and ``"\u0661"`` are invalid decimals. A JSON number goes through a
+  binary double: an integer is read exactly, but a number with a fraction
+  or an exponent is read as the nearest float and then as that float's
+  shortest repr, so ``0.30000000000000001`` reads as ``Decimal("0.3")``,
+  ``1.10`` as ``Decimal("1.1")`` and ``2.5E1`` as ``Decimal("25.0")``.
+  Only a string keeps every digit. No spelling of NaN, sNaN or infinity
+  is an amount.
 - Token counts (``tokens_used``, ``max_tokens``) and amounts of money
   (``cost_usd``, ``max_cost_usd``) above 2**53 are invariant violations:
   a contract violation reports its figures as floats, which then stay

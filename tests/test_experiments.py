@@ -15,11 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delgov import experiments, stats
+from delgov import experiments, simulate, stats
 from delgov.routing import DelegateRecord, NoEligibleDelegate, select
 from delgov.simulate import (
     DelegateProfile,
     PoolConfig,
+    _layout,
     _normals,
     best_delegate,
     build_pool_with_metadata,
@@ -195,6 +196,16 @@ def _self_claimed_only(records):
     return [DelegateRecord(r.delegate_id, r.claims[:1]) for r in records]
 
 
+def _delegates(pool):
+    # what run_condition reads of a pool: each delegate's id and true quality
+    return [(p.delegate_id, p.q_true) for p in pool]
+
+
+def _claims(pool):
+    # what _run_conditions reads of a pool: each delegate's claimed quality
+    return [p.q_claimed for p in pool]
+
+
 def _routing_pool(seed):
     pool, _ = build_pool_with_metadata(experiments.ROUTING_POOL, Random(f"{seed}:e3:pool"))
     return pool
@@ -206,7 +217,9 @@ def test_by_claims_condition_matches_a_per_task_select_loop(condition):
     records = experiments.records_for_pool(pool)
     if condition == "self_claimed":
         records = _self_claimed_only(records)
-    run = experiments.run_condition(pool, records, condition, "select", _normals(Random("noise"), 40))
+    run = experiments.run_condition(
+        _delegates(pool), records, condition, "select", _normals(Random("noise"), 40)
+    )
 
     policy = experiments.CONDITIONS[condition]
     by_id = {p.delegate_id: p for p in pool}
@@ -230,7 +243,7 @@ def test_by_claims_condition_without_an_eligible_claim_raises():
     pool = _routing_pool(11)
     self_only = _self_claimed_only(experiments.records_for_pool(pool))
     with pytest.raises(NoEligibleDelegate):
-        experiments.run_condition(pool, self_only, "attested", "0", _normals(Random(1), 5))
+        experiments.run_condition(_delegates(pool), self_only, "attested", "0", _normals(Random(1), 5))
 
 
 # the e3 pool and the grid's corner fractions and inflation levels, at every pool size
@@ -251,19 +264,24 @@ def _claims_of_type(records, claim_type):
 
 @pytest.mark.parametrize("config", _CONFIGS)
 def test_each_condition_routes_over_the_records_for_its_pool(monkeypatch, config):
-    routed = {}
+    routed, read = {}, []
 
-    def spy(pool, records, condition, *rest):
+    def spy(delegates, records, condition, *rest):
         routed[condition] = records
-        return run_condition(pool, records, condition, *rest)
+        read.append(delegates)
+        return run_condition(delegates, records, condition, *rest)
 
     run_condition = experiments.run_condition
     monkeypatch.setattr(experiments, "run_condition", spy)
     for seed in range(3):
         pool, _ = build_pool_with_metadata(config, Random(f"{seed}:records"))
         streams = {c: (f"{seed}:{c}:select", f"{seed}:{c}:noise") for c in experiments.CONDITIONS}
-        runs = experiments._run_conditions(pool, streams.__getitem__, 20)
+        read.clear()
+        runs = experiments._run_conditions(_claims(pool), streams.__getitem__, 20)
         full = experiments.records_for_pool(pool)
+        # every condition reads the ids and true qualities of the pool size's shared layout
+        assert len(read) == 3 and all(delegates is _layout(len(pool)) for delegates in read)
+        assert list(_layout(len(pool))) == _delegates(pool)
         # blind and attested share one tuple per pool size, holding the attested claims alone
         assert routed["blind"] is routed["attested"] is experiments._attested_records(len(pool))
         assert list(routed["attested"]) == _claims_of_type(full, ClaimType.ISSUER_ATTESTED)
@@ -273,7 +291,7 @@ def test_each_condition_routes_over_the_records_for_its_pool(monkeypatch, config
             select_seed, noise_seed = streams[run.condition]
             records = _self_claimed_only(full) if run.condition == "self_claimed" else full
             normals = _normals(Random(noise_seed), 20)
-            assert run == run_condition(pool, records, run.condition, select_seed, normals)
+            assert run == run_condition(_delegates(pool), records, run.condition, select_seed, normals)
 
 
 def test_a_grid_cell_draws_one_noise_batch_and_e3_one_per_condition(monkeypatch):
@@ -369,12 +387,12 @@ def test_conditions_naming_one_noise_seed_run_over_its_fresh_draw(
         condition: (f"{s}:select", f"{n}:noise")
         for condition, s, n in zip(experiments.CONDITIONS, select_names, noise_names)
     }
-    runs = experiments._run_conditions(pool, seeds.__getitem__, tasks)
+    runs = experiments._run_conditions(_claims(pool), seeds.__getitem__, tasks)
 
     full = experiments.records_for_pool(pool)
     expected = [
         experiments.run_condition(
-            pool,
+            _delegates(pool),
             _self_claimed_only(full) if condition == "self_claimed" else full,
             condition,
             select_seed,
@@ -409,7 +427,7 @@ def test_attested_takes_the_best_and_never_trails_on_any_task_of_a_cell_seed(
     pool, _ = build_pool_with_metadata(config, Random(f"{seed}:pool"))
     # the grid's stream shape: one selection stream per condition, one noise stream for all
     runs = experiments._run_conditions(
-        pool, lambda c: (f"{seed}:select:{c}", f"{seed}:noise"), tasks
+        _claims(pool), lambda c: (f"{seed}:select:{c}", f"{seed}:noise"), tasks
     )
     assert set(runs[2].selections) == {best_delegate(pool)}
     blind, self_claimed, attested = (run.samples for run in runs)
@@ -498,6 +516,20 @@ def test_a_second_grid_seed_builds_only_self_reported_claims(monkeypatch):
     per_seed = 12 * sum(experiments.GRID_POOL_SIZES)
     assert built == [ClaimType.SELF_CLAIMED] * per_seed
     assert records == [[ClaimType.SELF_CLAIMED]] * per_seed
+
+
+def test_a_grid_seed_builds_no_profile_and_an_e3_seed_its_reported_pool(monkeypatch):
+    built = []
+
+    def spy(*args):
+        built.append(args[0])
+        return DelegateProfile(*args)
+
+    monkeypatch.setattr(simulate, "DelegateProfile", spy)
+    experiments.run_sensitivity([1], 5)
+    assert built == []
+    run = experiments.run_routing_conditions_detailed(1, 5)
+    assert built == [p.delegate_id for p in run.pool]
 
 
 _SEEDED_REPRS = (

@@ -199,6 +199,23 @@ def test_the_planned_pool_is_the_pool_derived_afresh(config, seed):
         assert warm[0][1] is cold[0][1]
 
 
+def _drawn_claims(config, rng):
+    return [q.hex() for q in simulate._draw(config, rng)[0]]
+
+
+def _built_claims(build):
+    return lambda config, rng: [p.q_claimed.hex() for p in build(config, rng)[0]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_configs, st.integers(0, 2**32))
+def test_the_draw_alone_gives_the_pool_builders_claims_errors_and_rng_state(config, seed):
+    # the claimed values' bits, or the exception's type and text, and the rng's state after
+    drawn = _outcome(_drawn_claims, config, seed)
+    assert drawn == _outcome(_built_claims(build_pool_with_metadata), config, seed)
+    assert drawn == _outcome(_built_claims(_fresh_build), config, seed)
+
+
 # True == 1.0 and 4.0 == 4, and each pair hashes alike, but dishonest_count refuses True and 4.0
 @pytest.mark.parametrize(
     ("planned", "twin", "error"),

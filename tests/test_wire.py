@@ -162,6 +162,44 @@ def test_cost_as_json_number_is_accepted():
     assert decode_message(raw).cost_usd == Decimal("0.05")
 
 
+# (literal, what it decodes to): a number with a fraction or an exponent goes through a
+# binary double and comes back as the double's shortest repr; an integer is read exactly
+_MONEY_NUMBERS = [
+    ("0.30000000000000001", "0.3"),
+    ("0.3", "0.3"),
+    ("1.10", "1.1"),
+    ("2.5E1", "25.0"),
+    ("1e-7", "1E-7"),
+    ("12", "12"),
+]
+
+
+# the money field's name -> a message holding it, and how to read it back
+_MONEY_FIELDS = {
+    "max_cost_usd": (
+        TaskSubmit(task_id="t-1", payload="x", contract=sample_contract()),
+        lambda message: message.contract.policy.budget.max_cost_usd,
+    ),
+    "cost_usd": (sample_result(), lambda message: message.cost_usd),
+}
+
+
+def _decoded_money(field, text):
+    """The amount decoded from the message's wire text with ``text`` sent as ``field``."""
+    message, amount = _MONEY_FIELDS[field]
+    sent, count = re.subn(rf'"{field}":"[^"]*"', f'"{field}":{text}', encode_message(message).decode())
+    assert count == 1
+    return amount(decode_message(sent))
+
+
+@pytest.mark.parametrize("field", list(_MONEY_FIELDS))
+@pytest.mark.parametrize(("literal", "read"), _MONEY_NUMBERS)
+def test_money_sent_as_a_json_number_goes_through_a_binary_double(field, literal, read):
+    assert str(_decoded_money(field, literal)) == str(Decimal(read))
+    # a string keeps every digit
+    assert str(_decoded_money(field, f'"{literal}"')) == str(Decimal(literal))
+
+
 def test_timestamp_offsets_normalize_to_utc():
     raw = json.dumps(
         {

@@ -29,6 +29,8 @@ its inputs from its own ``experiments.canonical_*``:
   accepted outcome, the path ``delgov bench`` times;
 - by_claims ``select`` over a fixed 50-record pool of dated claims, with a
   48 h window at a fixed clock;
+- ``DelegateRecord`` of 20 delegates with one self-reported claim each,
+  the records a grid seed builds for its self_claimed condition;
 - ``build_pool_with_metadata`` of the grid's 36 configurations, built
   from ``experiments.GRID_*``, each drawn on from a ``Random`` of its own;
 - ``simulate._normals`` of 100 tasks, drawn on from one ``Random(0)``, and
@@ -186,6 +188,15 @@ def _select(delgov):
     return lambda: routing.select(pool, policy, rng, CLOCK)
 
 
+def _single_claim_records(delegov):
+    types, record = delegov.types, delegov.routing.DelegateRecord
+    claims = [
+        (f"d{i:02d}", (types.QualityClaim("general", 0.45 + i / 40, types.ClaimType.SELF_CLAIMED),))
+        for i in range(20)
+    ]
+    return lambda: [record(delegate_id, held) for delegate_id, held in claims]
+
+
 _SUBMIT = ("experiments.canonical_submit", "wire.encode_message", "wire.decode_message")
 _RESULT = ("experiments.canonical_result", "wire.encode_message", "wire.decode_message")
 _PROVENANCE = ("types.Provenance", "types.VerificationStatus")
@@ -217,6 +228,9 @@ LAYERS = {
     "check_result breach": (_CHECK, _check("breach")),
     "apply_policy accepted": ((*_CHECK, "contracts.apply_policy"), _apply_policy),
     "select 50 records": (_ROUTING, _select),
+    "DelegateRecord 20 single claims": (
+        ("types.QualityClaim", "types.ClaimType", "routing.DelegateRecord"), _single_claim_records
+    ),
     "build_pool_with_metadata grid configs": (
         (
             "experiments.GRID_FRACTIONS", "experiments.GRID_INFLATION", "experiments.GRID_POOL_SIZES",
