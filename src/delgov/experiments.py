@@ -254,10 +254,9 @@ def _run_conditions(
     modelling a deployment where no attestation exists yet: the router
     always prefers the most trusted eligible claim, so leaving the attested
     claims in would quietly upgrade the condition. Its records are built
-    per pool.
-    The attested policy reads no claim below its issuer-attested floor,
-    and a blind draw reads only the ids, so both route over the shared
-    attested records of the pool's size.
+    per pool. The attested policy reads no claim below its issuer-attested
+    floor, and a blind draw reads only the ids, so both route over the
+    shared attested records of the pool's size.
     """
     if tasks < 1:
         raise ValueError("tasks_per_condition must be >= 1")

@@ -146,11 +146,7 @@ def _layout(n: int) -> tuple[tuple[str, float], ...]:
 
 
 @lru_cache(maxsize=64, typed=True)
-def _plan(n: int, fraction: float, low: float, high: float) -> tuple[
-    tuple[tuple[str, float, bool, bool], ...],
-    tuple[tuple[str, ...], tuple[float, ...], tuple[bool, ...]],
-    PoolMetadata,
-]:
+def _plan(n: int, fraction: float, low: float, high: float) -> tuple[tuple, tuple, PoolMetadata]:
     """What a configuration alone fixes, built once per configuration: the draw's
     ``(delegate_id, q_true, honest, designated)`` per ``_layout(n)`` position, the
     profiles' ``(ids, q_trues, honest)`` columns, and the pool's metadata.

@@ -229,7 +229,8 @@ LAYERS = {
     "apply_policy accepted": ((*_CHECK, "contracts.apply_policy"), _apply_policy),
     "select 50 records": (_ROUTING, _select),
     "DelegateRecord 20 single claims": (
-        ("types.QualityClaim", "types.ClaimType", "routing.DelegateRecord"), _single_claim_records
+        ("types.QualityClaim", "types.ClaimType", "routing.DelegateRecord"),
+        _single_claim_records,
     ),
     "build_pool_with_metadata grid configs": (
         (

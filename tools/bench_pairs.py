@@ -125,7 +125,10 @@ def main(argv: list[str] | None = None) -> int:
             ),
             flush=True,
         )
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs, every run correct")
+    print(
+        f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs, "
+        "every run correct"
+    )
     for line in summarize(metrics, runs["parent"], runs["change"]):
         print(line)
     return 0
