@@ -44,12 +44,16 @@ only what depends on the seed. The grid's 36 cells, each with its
 ``PoolConfig`` and the key that names its streams, are built once, at
 import. A configuration's roles and metadata come from ``simulate``'s
 per-configuration plan, and the ids and true qualities of a pool size
-from its shared layout, which is what ``run_condition`` reads. The
-records the blind and attested conditions share are built once per pool
-size, from a cache of at most 8 sizes (the grid and ``e3`` use 3). A grid
-seed builds only its draws, the claimed values of ``simulate._draw``, and
-the self_claimed records: one self-reported claim per delegate. An ``e3``
-seed also builds the ``DelegateProfile`` pool and metadata it reports.
+from its shared layout. One cache of at most 8 pool sizes (the grid and
+``e3`` use 3), ``_per_size``, holds what every pool of a size shares: the
+``{delegate_id: q_true}`` map ``run_condition`` reads, the attested
+records the blind and attested conditions route over, and the attested
+route, ``select``'s answer over those records, computed when the size is
+first seen. So only the self_claimed condition calls ``select`` per seed.
+A grid seed builds only its draws, the claimed values of
+``simulate._draw``, and the self_claimed records: one self-reported claim
+per delegate. An ``e3`` seed also builds the ``DelegateProfile`` pool and
+metadata it reports.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from datetime import datetime, timezone
 from decimal import Decimal
 from functools import lru_cache
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .contracts import apply_policy, check_result
 from .routing import DelegateRecord, RoutingPolicy, Strategy, _blind, select
@@ -184,9 +188,16 @@ def _attested_claim(q_true: float) -> QualityClaim:
 
 
 @lru_cache(maxsize=8)
-def _attested_records(n: int) -> tuple[DelegateRecord, ...]:
-    """A record per delegate of a pool of ``n``, with its attested claim alone; once per size."""
-    return tuple(DelegateRecord(d, (_attested_claim(q),)) for d, q in _layout(n))
+def _per_size(n: int) -> tuple:
+    """What every simulated pool of ``n`` shares, built once per size: the
+    ``{delegate_id: q_true}`` map of ``_layout(n)``, read and never written; a record
+    per delegate with its attested claim alone; and ``select``'s attested route over
+    those records. No pool has fewer than 2 delegates, so a smaller size holds Nones.
+    """
+    if n < 2:
+        return None, None, None
+    attested = tuple(DelegateRecord(d, (_attested_claim(q),)) for d, q in _layout(n))
+    return dict(_layout(n)), attested, select(attested, CONDITIONS["attested"], None)
 
 
 def records_for_pool(pool: Sequence[DelegateProfile]) -> list[DelegateRecord]:
@@ -206,7 +217,7 @@ def records_for_pool(pool: Sequence[DelegateProfile]) -> list[DelegateRecord]:
 
 
 def run_condition(
-    delegates: Sequence[tuple[str, float]],
+    q_true: Mapping[str, float],
     records: Sequence[DelegateRecord],
     condition: str,
     select_seed: str,
@@ -214,21 +225,25 @@ def run_condition(
 ) -> ConditionRun:
     """Route and execute one task per standard normal in ``normals`` under one condition.
 
-    ``delegates`` holds a ``(delegate_id, q_true)`` pair for every id in
-    ``records``, such as ``simulate._layout(n)`` for a simulated pool of n.
-    Blind routing draws a delegate per task from the selection stream
+    ``q_true`` maps every id in ``records`` to its true quality, such as
+    the map ``_per_size(n)`` holds for a simulated pool of n. Blind routing
+    draws a delegate per task from the selection stream
     ``Random(select_seed)``. by_claims routing reads no rng, so it seeds
     none: it is resolved once, before the first task, and that delegate
-    and its true quality serve every task.
+    and its true quality serve every task. Over the shared attested records
+    of a pool size it takes the route cached next to them, ``select``'s own
+    answer; over any other records it calls ``select``.
     """
     policy = CONDITIONS[condition]
     tasks = len(normals)
-    q_true = dict(delegates)
     if policy.strategy is Strategy.BLIND:
         selections = _blind(records, Random(select_seed), tasks)
-        q_trues = [q_true[d] for d in selections]
+        q_trues = map(q_true.__getitem__, selections)
     else:
-        chosen = select(records, policy, None)
+        # attested-only records: every by_claims condition reads an attested claim, so
+        # its route over them is the attested one
+        _, attested, route = _per_size(len(records))
+        chosen = route if records is attested else select(records, policy, None)
         selections = [chosen] * tasks
         q_trues = [q_true[chosen]] * tasks
     samples = execute_tasks(q_trues, normals)
@@ -260,8 +275,10 @@ def _run_conditions(
     """
     if tasks < 1:
         raise ValueError("tasks_per_condition must be >= 1")
-    layout, attested = _layout(len(claims)), _attested_records(len(claims))
-    self_claimed = [DelegateRecord(d, (_self_claim(c),)) for (d, _), c in zip(layout, claims)]
+    q_true, attested, _ = _per_size(len(claims))
+    # the classes are looked up at call time; the map lists its ids in pool order
+    claim, record, skill, kind = QualityClaim, DelegateRecord, EXPERIMENT_SKILL, ClaimType.SELF_CLAIMED
+    self_claimed = [record(d, (claim(skill, c, kind),)) for d, c in zip(q_true, claims)]
     batches: dict[str, list[float]] = {}
     runs = []
     for condition in CONDITIONS:
@@ -269,8 +286,7 @@ def _run_conditions(
         if noise_seed not in batches:
             batches[noise_seed] = _normals(Random(noise_seed), tasks)
         records = self_claimed if condition == "self_claimed" else attested
-        normals = batches[noise_seed]
-        runs.append(run_condition(layout, records, condition, select_seed, normals))
+        runs.append(run_condition(q_true, records, condition, select_seed, batches[noise_seed]))
     return tuple(runs)
 
 

@@ -34,7 +34,9 @@ Format rules (README "Wire format" sums them up):
   shortest repr, so ``0.30000000000000001`` reads as ``Decimal("0.3")``,
   ``1.10`` as ``Decimal("1.1")`` and ``2.5E1`` as ``Decimal("25.0")``.
   Only a string keeps every digit. No spelling of NaN, sNaN or infinity
-  is an amount.
+  is an amount. A number literal past a double's range, such as
+  ``1e400``, reads as an infinite float, so as money it is malformed with
+  "number out of range"; under a key no field reads it is ignored.
 - Token counts (``tokens_used``, ``max_tokens``) and amounts of money
   (``cost_usd``, ``max_cost_usd``) above 2**53 are invariant violations:
   a contract violation reports its figures as floats, which then stay
@@ -53,11 +55,12 @@ processing happens:
 
 Hostile input is malformed too, never a crash: JSON nested past the
 parser's recursion limit, an integer literal past the interpreter's digit
-limit, non-finite money, a timestamp whose UTC form falls outside the
-years 1 to 9999, a string anywhere in the document (keys included)
-holding an unpaired surrogate, by a ``\\ud800`` escape or, in ``str``
-input, as itself, and an integer too large for a float in a float field
-each raise :class:`MalformedMessage`. A paired escape such as
+limit, non-finite money, money sent as a number past a double's range, a
+timestamp whose UTC form falls outside the years 1 to 9999, a string
+anywhere in the document (keys included) holding an unpaired surrogate,
+by a ``\\ud800`` escape or, in ``str`` input, as itself, and an integer
+too large for a float in a float field each raise
+:class:`MalformedMessage`. A paired escape such as
 ``\\ud83d\\ude00`` reads as its one character. A key that appears twice
 in one object is not rejected: the last occurrence wins, as in
 :func:`json.loads`.
@@ -99,6 +102,7 @@ field takes the row's default.
 from __future__ import annotations
 
 import json
+import math
 import re
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -232,7 +236,9 @@ def _scalar(check: Callable[[Any], Any], encode: Optional[Callable[[Any], Any]] 
         try:
             return check(raw)
         except (TypeError, ValueError) as exc:
-            raise MalformedMessage(f"{path}.{name}: {exc}") from None
+            # the parser refuses the Infinity tokens: an infinite float was a literal past a double's range
+            reason = "number out of range" if check is _money and raw in (math.inf, -math.inf) else exc
+            raise MalformedMessage(f"{path}.{name}: {reason}") from None
 
     return encode, decode
 

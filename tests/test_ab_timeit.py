@@ -28,7 +28,8 @@ def test_one_tree_against_itself_is_timed_per_experiment(capsys, rounds):
         "encode_message submit, encode_message result, encode_message result provenance, "
         "canonical_bytes submit, parse_timestamp completed_at, format_timestamp completed_at, "
         "check_result accepted, check_result breach, apply_policy accepted, select 50 records, "
-        "DelegateRecord 20 single claims, build_pool_with_metadata grid configs, _normals 100 tasks, execute_tasks 100 tasks"
+        "DelegateRecord 20 single claims, build_pool_with_metadata grid configs, _normals 100 tasks, execute_tasks 100 tasks, "
+        "_run_conditions grid cell"
     )
     rows = [*ab_timeit.EXPERIMENTS, *ab_timeit.LAYERS]
     assert [line.split(":")[0] for line in lines[2:]] == [

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import importlib.util
+import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -101,3 +104,48 @@ def test_the_sides_alternate_and_an_incorrect_run_stops_the_pairs(monkeypatch, c
     assert out[2] == "grid seed 3, 2 pairs of 1 s runs, every run correct"
     assert [line.split(" (")[0] for line in out[3:]] == [m[0] for m in bench_pairs.metrics_of(_ROOT)]
     assert "change better in 2 of 2 pairs; claim rule holds" in out[4]
+
+
+def test_a_run_writes_no_bytecode_and_reads_the_standard_librarys_caches(monkeypatch, tmp_path):
+    seen = {}
+
+    def fake(command, **kwargs):
+        seen.update(kwargs, command=command)
+        line = json.dumps(_result(100.0))
+        return subprocess.CompletedProcess(command, 0, stdout=f"setup\n{line}\n", stderr="")
+
+    # an inherited prefix would send every import to an empty cache and compile the stdlib
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake)
+    result = bench_pairs.run_once(tmp_path, "grid", 3, 1.5)
+    assert result == _result(100.0)
+    assert seen["command"][1:] == [
+        "perfbench/run.py", "--workload", "grid", "--seed", "3", "--seconds", "1.5", "--trace", "0"
+    ]
+    assert seen["cwd"] == tmp_path
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert "PYTHONPYCACHEPREFIX" not in seen["env"]
+    assert {k: v for k, v in seen["env"].items() if k != "PYTHONDONTWRITEBYTECODE"} == {
+        k: v for k, v in os.environ.items() if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
+    }
+
+
+@pytest.mark.parametrize("cache", ["src/delgov/__pycache__", "perfbench/__pycache__"])
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_a_checkout_holding_bytecode_is_refused(monkeypatch, capsys, tmp_path, cache, side):
+    roots = {"parent": tmp_path / "a", "change": tmp_path / "b"}
+    for root in roots.values():
+        (root / "src" / "delgov").mkdir(parents=True)
+        (root / "perfbench").mkdir()
+        (root / "perfbench" / "run.py").touch()
+    (roots[side] / cache).mkdir()
+
+    def fake(*args):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake)
+    argv = [str(roots["parent"]), str(roots["change"]), "--workload", "e3", "--seed", "1", "--seconds", "1"]
+    assert bench_pairs.main([*argv, "--pairs", "2"]) == 1
+    assert capsys.readouterr().out == (
+        f"{side} checkout holds {roots[side] / cache}: delete it, so both sides import from source\n"
+    )

@@ -197,8 +197,8 @@ def _self_claimed_only(records):
 
 
 def _delegates(pool):
-    # what run_condition reads of a pool: each delegate's id and true quality
-    return [(p.delegate_id, p.q_true) for p in pool]
+    # what run_condition reads of a pool: each delegate's true quality by id
+    return {p.delegate_id: p.q_true for p in pool}
 
 
 def _claims(pool):
@@ -266,10 +266,10 @@ def _claims_of_type(records, claim_type):
 def test_each_condition_routes_over_the_records_for_its_pool(monkeypatch, config):
     routed, read = {}, []
 
-    def spy(delegates, records, condition, *rest):
+    def spy(q_true, records, condition, *rest):
         routed[condition] = records
-        read.append(delegates)
-        return run_condition(delegates, records, condition, *rest)
+        read.append(q_true)
+        return run_condition(q_true, records, condition, *rest)
 
     run_condition = experiments.run_condition
     monkeypatch.setattr(experiments, "run_condition", spy)
@@ -279,11 +279,13 @@ def test_each_condition_routes_over_the_records_for_its_pool(monkeypatch, config
         read.clear()
         runs = experiments._run_conditions(_claims(pool), streams.__getitem__, 20)
         full = experiments.records_for_pool(pool)
-        # every condition reads the ids and true qualities of the pool size's shared layout
-        assert len(read) == 3 and all(delegates is _layout(len(pool)) for delegates in read)
-        assert list(_layout(len(pool))) == _delegates(pool)
+        q_true, attested, _ = experiments._per_size(len(pool))
+        # every condition reads the pool size's one map of its layout's true qualities by id
+        assert len(read) == 3 and all(map_read is q_true for map_read in read)
+        assert q_true == dict(_layout(len(pool))) == _delegates(pool)
+        assert list(q_true) == [p.delegate_id for p in pool]
         # blind and attested share one tuple per pool size, holding the attested claims alone
-        assert routed["blind"] is routed["attested"] is experiments._attested_records(len(pool))
+        assert routed["blind"] is routed["attested"] is attested
         assert list(routed["attested"]) == _claims_of_type(full, ClaimType.ISSUER_ATTESTED)
         assert routed["self_claimed"] == _claims_of_type(full, ClaimType.SELF_CLAIMED)
         # and every condition picks what it picks over the full records
@@ -516,6 +518,33 @@ def test_a_second_grid_seed_builds_only_self_reported_claims(monkeypatch):
     per_seed = 12 * sum(experiments.GRID_POOL_SIZES)
     assert built == [ClaimType.SELF_CLAIMED] * per_seed
     assert records == [[ClaimType.SELF_CLAIMED]] * per_seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_configs.filter(lambda config: config.pool_size <= 25), st.integers(0, 2**32))
+def test_the_cached_attested_route_is_selects_answer_over_a_built_pool(config, seed):
+    experiments._per_size.cache_clear()
+    _, _, route = experiments._per_size(config.pool_size)
+    pool, _ = build_pool_with_metadata(config, Random(seed))
+    assert route == best_delegate(pool)
+    assert route == select(experiments.records_for_pool(pool), experiments.CONDITIONS["attested"], None)
+
+
+def test_warm_seeds_call_select_for_the_self_claimed_condition_alone(monkeypatch):
+    policies = []
+
+    def spy(pool, policy, *rest):
+        policies.append(policy)
+        return select(pool, policy, *rest)
+
+    experiments.run_sensitivity([1], 5)
+    monkeypatch.setattr(experiments, "select", spy)
+    experiments.run_sensitivity([2], 5)
+    # the attested route of each pool size was cached by the first seed; blind draws no select
+    assert policies == [experiments.CONDITIONS["self_claimed"]] * 36
+    policies.clear()
+    experiments.run_routing_conditions_detailed(2, 5)
+    assert policies == [experiments.CONDITIONS["self_claimed"]]
 
 
 def test_a_grid_seed_builds_no_profile_and_an_e3_seed_its_reported_pool(monkeypatch):

@@ -200,6 +200,18 @@ def test_money_sent_as_a_json_number_goes_through_a_binary_double(field, literal
     assert str(_decoded_money(field, f'"{literal}"')) == str(Decimal(literal))
 
 
+_MONEY_PATHS = {"max_cost_usd": "contract.policy.budget.max_cost_usd", "cost_usd": "message.cost_usd"}
+
+
+@pytest.mark.parametrize("field", list(_MONEY_FIELDS))
+@pytest.mark.parametrize("literal", ["1e400", "-1e400"])
+def test_money_sent_as_a_number_past_a_doubles_range_is_out_of_range(field, literal):
+    # the literal is finite: only the double it would be read as is not
+    with pytest.raises(MalformedMessage) as caught:
+        _decoded_money(field, literal)
+    assert str(caught.value) == f"{_MONEY_PATHS[field]}: number out of range"
+
+
 def test_timestamp_offsets_normalize_to_utc():
     raw = json.dumps(
         {

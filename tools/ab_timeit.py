@@ -34,7 +34,11 @@ its inputs from its own ``experiments.canonical_*``:
 - ``build_pool_with_metadata`` of the grid's 36 configurations, built
   from ``experiments.GRID_*``, each drawn on from a ``Random`` of its own;
 - ``simulate._normals`` of 100 tasks, drawn on from one ``Random(0)``, and
-  ``execute_tasks`` of 100 fixed true qualities and normals.
+  ``execute_tasks`` of 100 fixed true qualities and normals;
+- ``experiments._run_conditions`` of one grid cell-seed: 100 tasks per
+  condition over the claims ``simulate._draw`` draws for ``PoolConfig(10,
+  0.3, (0.25, 0.35))`` from ``Random(0)``, with fixed stream seeds in the
+  grid's shape, one noise stream for every condition.
 
 It then warms every tree and runs N timed rounds. A round times each row
 once on each of the three trees, rotating which tree goes first. Per row
@@ -167,6 +171,17 @@ def _execute_tasks(delgov):
     return lambda: simulate.execute_tasks(q_trues, normals)
 
 
+def _grid_cell(delgov):
+    simulate = delgov.simulate
+    claims, _ = simulate._draw(simulate.PoolConfig(10, 0.3, (0.25, 0.35)), Random(0))
+    run = delgov.experiments._run_conditions
+    return lambda: run(claims, _cell_streams, TASKS)
+
+
+def _cell_streams(condition: str) -> tuple[str, str]:
+    return f"cell:select:{condition}", "cell:noise"
+
+
 def _select(delgov):
     routing, types = delgov.routing, delgov.types
     rng, levels = Random(0), list(types.ClaimType)
@@ -241,6 +256,9 @@ LAYERS = {
     ),
     "_normals 100 tasks": (("simulate._normals",), _normals),
     "execute_tasks 100 tasks": (("simulate._normals", "simulate.execute_tasks"), _execute_tasks),
+    "_run_conditions grid cell": (
+        ("simulate.PoolConfig", "simulate._draw", "experiments._run_conditions"), _grid_cell
+    ),
 }
 
 

@@ -7,9 +7,12 @@
 --workload W --seed S --seconds T --trace 0`` once in each checkout, the
 parent first in even pairs and the change first in odd ones, so a host
 that drifts moves both sides alike. Every run gets
-``PYTHONDONTWRITEBYTECODE=1`` and an empty ``PYTHONPYCACHEPREFIX`` of its
-own, so no run reads or writes a tree's ``__pycache__``: both sides import
-from source, in the same bytecode state.
+``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPYCACHEPREFIX``, so it writes
+no bytecode and reads the standard library's own caches, as a benchmark
+run does. A checkout that holds a ``__pycache__`` under ``src/`` or
+``perfbench/`` is refused (exit 1, naming the directory): a run would read
+it, and both sides must import delgov and the benchmark from source, in
+the same bytecode state.
 
 Each pair's figures are printed as it ends. Then, per end-to-end metric of
 the change's ``BENCHMARK.json``, each side's median and quartiles, the
@@ -29,7 +32,6 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -47,11 +49,11 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-pycache-") as prefix:
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=prefix)
-        done = subprocess.run(
-            command, cwd=root, env=env, capture_output=True, text=True, encoding="utf-8", check=False
-        )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    done = subprocess.run(
+        command, cwd=root, env=env, capture_output=True, text=True, encoding="utf-8", check=False
+    )
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         return {"correct": False, "problem": f"exit code {done.returncode}: {done.stderr.strip()[-500:]}"}
@@ -59,6 +61,11 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if not result["correct"]:
         result["problem"] = f"not correct: {result['failed']} of {result['attempted']} failed"
     return result
+
+
+def bytecode_caches(root: Path) -> list[Path]:
+    """Every ``__pycache__`` under ``root``'s ``src/`` and ``perfbench/``, in path order."""
+    return sorted(path for top in ("src", "perfbench") for path in (root / top).rglob("__pycache__"))
 
 
 def wins_needed(pairs: int) -> int:
@@ -106,6 +113,10 @@ def main(argv: list[str] | None = None) -> int:
     for side, root in roots.items():
         if not (root / "perfbench" / "run.py").is_file():
             parser.error(f"{side} checkout {root} has no perfbench/run.py")
+        caches = bytecode_caches(root)
+        if caches:
+            print(f"{side} checkout holds {caches[0]}: delete it, so both sides import from source")
+            return 1
     metrics = metrics_of(roots["change"])
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
