@@ -171,15 +171,16 @@ def _execute_tasks(delgov):
     return lambda: simulate.execute_tasks(q_trues, normals)
 
 
+def _cell_streams(condition: str) -> tuple[str, str]:
+    # the grid's shape: a selection stream per condition, one noise stream for all
+    return f"cell:select:{condition}", "cell:noise"
+
+
 def _grid_cell(delgov):
     simulate = delgov.simulate
     claims, _ = simulate._draw(simulate.PoolConfig(10, 0.3, (0.25, 0.35)), Random(0))
     run = delgov.experiments._run_conditions
     return lambda: run(claims, _cell_streams, TASKS)
-
-
-def _cell_streams(condition: str) -> tuple[str, str]:
-    return f"cell:select:{condition}", "cell:noise"
 
 
 def _select(delgov):
