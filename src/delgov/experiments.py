@@ -49,11 +49,14 @@ from its shared layout. One cache of at most 8 pool sizes (the grid and
 ``{delegate_id: q_true}`` map ``run_condition`` reads, the attested
 records the blind and attested conditions route over, and the attested
 route, ``select``'s answer over those records, computed when the size is
-first seen. So only the self_claimed condition calls ``select`` per seed.
-A grid seed builds only its draws, the claimed values of
-``simulate._draw``, and the self_claimed records: one self-reported claim
-per delegate. An ``e3`` seed also builds the ``DelegateProfile`` pool and
-metadata it reports.
+first seen. So only the self_claimed condition calls ``select`` per seed,
+and only over the delegates that hold the top claim: its policy admits
+every self-reported claim, and ``select`` takes the highest value, so no
+other delegate can win. ``select`` still makes the choice and breaks the
+ties, which are common at the 1.0 cap. A grid seed builds only its
+draws, the claimed values of ``simulate._draw``, and the self_claimed
+records of the top holders, one self-reported claim each. An ``e3`` seed
+also builds the ``DelegateProfile`` pool and metadata it reports.
 """
 
 from __future__ import annotations
@@ -231,8 +234,11 @@ def run_condition(
     ``Random(select_seed)``. by_claims routing reads no rng, so it seeds
     none: it is resolved once, before the first task, and that delegate
     and its true quality serve every task. Over the shared attested records
-    of a pool size it takes the route cached next to them, ``select``'s own
-    answer; over any other records it calls ``select``.
+    of the pool size ``len(q_true)`` it takes the route cached next to
+    them, ``select``'s own answer; over any other records it calls
+    ``select``. ``records`` may list fewer delegates than ``q_true``, as
+    ``_run_conditions`` does for the self_claimed condition, which routes
+    over the holders of the top claim alone.
     """
     policy = CONDITIONS[condition]
     tasks = len(normals)
@@ -242,7 +248,7 @@ def run_condition(
     else:
         # attested-only records: every by_claims condition reads an attested claim, so
         # its route over them is the attested one
-        _, attested, route = _per_size(len(records))
+        _, attested, route = _per_size(len(q_true))
         chosen = route if records is attested else select(records, policy, None)
         selections = [chosen] * tasks
         q_trues = [q_true[chosen]] * tasks
@@ -269,16 +275,22 @@ def _run_conditions(
     modelling a deployment where no attestation exists yet: the router
     always prefers the most trusted eligible claim, so leaving the attested
     claims in would quietly upgrade the condition. Its records are built
-    per pool. The attested policy reads no claim below its issuer-attested
-    floor, and a blind draw reads only the ids, so both route over the
-    shared attested records of the pool's size.
+    per pool, one per delegate whose claim equals the pool's top claim:
+    ``select`` takes the highest value, so no other delegate can win, and
+    it still breaks ties among the holders. A NaN claim's record is built
+    too, so it raises the ``ValueError`` a build of every record raises,
+    naming the first NaN delegate. The attested policy reads no claim
+    below its issuer-attested floor, and a blind draw reads only the ids,
+    so both route over the shared attested records of the pool's size.
     """
     if tasks < 1:
         raise ValueError("tasks_per_condition must be >= 1")
     q_true, attested, _ = _per_size(len(claims))
-    # the classes are looked up at call time; the map lists its ids in pool order
-    claim, record, skill, kind = QualityClaim, DelegateRecord, EXPERIMENT_SKILL, ClaimType.SELF_CLAIMED
-    self_claimed = [record(d, (claim(skill, c, kind),)) for d, c in zip(q_true, claims)]
+    # only a holder of the top claim can win select, so only those records are built, in
+    # pool order (the map's order). No claim is below a NaN, so a NaN claim's record is
+    # built too, and raises as it would in a build of every record
+    top = max(claims)
+    self_claimed = [DelegateRecord(d, (_self_claim(c),)) for d, c in zip(q_true, claims) if not c < top]
     batches: dict[str, list[float]] = {}
     runs = []
     for condition in CONDITIONS:

@@ -81,7 +81,12 @@ HONEST_JITTER = 0.015
 
 @dataclass(frozen=True)
 class PoolConfig:
-    """The grid's three axes; ``Q_TRUE_RANGE`` and ``NOISE_SIGMA`` are fixed."""
+    """The grid's three axes; ``Q_TRUE_RANGE`` and ``NOISE_SIGMA`` are fixed.
+
+    ``pool_size`` is an int, the fraction and both bounds ints or floats, of exactly
+    those types, so a bool is neither. A pool build raises ``BadConfig`` for any other
+    type, as for a value out of range.
+    """
 
     pool_size: int
     dishonest_fraction: float
@@ -128,6 +133,12 @@ def _normals(rng: Random, n: int) -> list[float]:
 
 
 def _validate_config(config: PoolConfig) -> None:
+    # the exact types before the ranges: a bool (an int subclass), a Decimal or a float size
+    # would otherwise fail deep inside the build, with an error that names none of the fields
+    if type(config.pool_size) is not int:
+        raise BadConfig(f"pool_size must be an int (got {config.pool_size!r})")
+    if not {type(config.dishonest_fraction), *map(type, config.inflation_range)} <= {int, float}:
+        raise BadConfig(f"dishonest_fraction and inflation_range must be ints or floats (got {config})")
     if config.pool_size < 2:
         raise BadConfig(f"pool_size must be >= 2 (got {config.pool_size})")
     if not 0.0 <= config.dishonest_fraction <= 1.0:

@@ -287,7 +287,10 @@ def test_each_condition_routes_over_the_records_for_its_pool(monkeypatch, config
         # blind and attested share one tuple per pool size, holding the attested claims alone
         assert routed["blind"] is routed["attested"] is attested
         assert list(routed["attested"]) == _claims_of_type(full, ClaimType.ISSUER_ATTESTED)
-        assert routed["self_claimed"] == _claims_of_type(full, ClaimType.SELF_CLAIMED)
+        # self_claimed routes over the self-reported records of the top claim's holders alone
+        top = max(_claims(pool))
+        holders = [r for r in _claims_of_type(full, ClaimType.SELF_CLAIMED) if r.claims[0].value == top]
+        assert routed["self_claimed"] == holders
         # and every condition picks what it picks over the full records
         for run in runs:
             select_seed, noise_seed = streams[run.condition]
@@ -506,18 +509,23 @@ def test_a_second_grid_seed_builds_only_self_reported_claims(monkeypatch):
 
     def record_spy(*args, **kwargs):
         record = DelegateRecord(*args, **kwargs)
-        records.append([c.claim_type for c in record.claims])
+        records.append((record.delegate_id, [c.claim_type for c in record.claims]))
         return record
 
     experiments.run_sensitivity([1], 5)
     monkeypatch.setattr(experiments, "QualityClaim", spy)
     monkeypatch.setattr(experiments, "DelegateRecord", record_spy)
     experiments.run_sensitivity([2], 5)
-    # twelve cells per pool size, one self-reported claim per delegate of each, in a record
-    # of its own: the attested records of each size were built by the first seed
-    per_seed = 12 * sum(experiments.GRID_POOL_SIZES)
-    assert built == [ClaimType.SELF_CLAIMED] * per_seed
-    assert records == [[ClaimType.SELF_CLAIMED]] * per_seed
+    # one self-reported claim, in a record of its own, per holder of each cell's top claim, in
+    # pool order: the attested records of each size were built by the first seed
+    holders = []
+    for _, _, size, config, key in experiments._GRID:
+        claims, _ = simulate._draw(config, Random(f"2:{key}:pool"))
+        holders += [d for (d, _), c in zip(_layout(size), claims) if c == max(claims)]
+    assert built == [ClaimType.SELF_CLAIMED] * len(holders)
+    assert records == [(d, [ClaimType.SELF_CLAIMED]) for d in holders]
+    # some cells tie at the top, so select still breaks ties among the records it is given
+    assert 36 < len(holders) < 12 * sum(experiments.GRID_POOL_SIZES)
 
 
 @settings(max_examples=200, deadline=None)
@@ -528,6 +536,54 @@ def test_the_cached_attested_route_is_selects_answer_over_a_built_pool(config, s
     pool, _ = build_pool_with_metadata(config, Random(seed))
     assert route == best_delegate(pool)
     assert route == select(experiments.records_for_pool(pool), experiments.CONDITIONS["attested"], None)
+
+
+# finite claims in [0, 1], with ties at the 1.0 cap and at zero of either sign
+_claim_values = st.one_of(st.sampled_from([1.0, 1.0, 0.0, -0.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 25).flatmap(lambda n: st.lists(_claim_values, min_size=n, max_size=n)))
+def test_the_self_claimed_route_over_the_top_holders_is_selects_route_over_every_record(claims):
+    routed = []
+
+    def spy(pool, policy, *rest):
+        routed.append(pool)
+        return select(pool, policy, *rest)
+
+    policy = experiments.CONDITIONS["self_claimed"]
+    every = [
+        DelegateRecord(d, (QualityClaim(experiments.EXPERIMENT_SKILL, c, ClaimType.SELF_CLAIMED),))
+        for (d, _), c in zip(_layout(len(claims)), claims)
+    ]
+    experiments._per_size(len(claims))  # so the spy sees no select of a cold size's attested route
+    original, experiments.select = experiments.select, spy
+    try:
+        runs = experiments._run_conditions(claims, lambda c: (f"{c}:select", "noise"), 1)
+    finally:
+        experiments.select = original
+    # one select call, over the records whose claim equals the top one, in pool order
+    assert routed == [[r for r in every if r.claims[0].value == max(claims)]]
+    assert runs[1].condition == "self_claimed"
+    assert runs[1].selections == (select(every, policy, None),)
+
+
+@pytest.mark.parametrize("nans", [(0,), (2,), (9,), (3, 7), (0, 9)])
+@pytest.mark.parametrize("tie", [False, True])
+def test_a_nan_claim_raises_as_a_build_of_every_record_does(nans, tie):
+    claims, _ = simulate._draw(experiments.ROUTING_POOL, Random(0))
+    if tie:
+        claims = [1.0] * len(claims)
+    for i in nans:
+        claims[i] = math.nan
+    ids = [d for d, _ in _layout(len(claims))]
+    message = f"delegate {ids[nans[0]]!r} has a NaN claim for skill 'general'"
+    with pytest.raises(ValueError) as every:
+        [DelegateRecord(d, (experiments._self_claim(c),)) for d, c in zip(ids, claims)]
+    assert str(every.value) == message
+    with pytest.raises(ValueError) as routed:
+        experiments._run_conditions(claims, lambda c: (f"{c}:select", "noise"), 5)
+    assert str(routed.value) == message
 
 
 def test_warm_seeds_call_select_for_the_self_claimed_condition_alone(monkeypatch):

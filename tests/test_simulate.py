@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import re
 import struct
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from random import Random
 
 import pytest
@@ -216,19 +216,31 @@ def test_the_draw_alone_gives_the_pool_builders_claims_errors_and_rng_state(conf
     assert drawn == _outcome(_built_claims(_fresh_build), config, seed)
 
 
-# True == 1.0 and 4.0 == 4, and each pair hashes alike, but dishonest_count refuses True and 4.0
+# True == 1.0 and 4.0 == 4, and each pair hashes alike, but a bool fraction and a float size
+# are of the wrong type: the twin is refused as a BadConfig, not served the planned pool
 @pytest.mark.parametrize(
-    ("planned", "twin", "error"),
+    ("planned", "twin"),
     [
-        (PoolConfig(4, 1.0, (0.1, 0.2)), PoolConfig(4, True, (0.1, 0.2)), InvalidOperation),
-        (PoolConfig(4, 0.5, (0.1, 0.2)), PoolConfig(4.0, 0.5, (0.1, 0.2)), TypeError),
+        (PoolConfig(4, 1.0, (0.1, 0.2)), PoolConfig(4, True, (0.1, 0.2))),
+        (PoolConfig(4, 0.5, (0.1, 0.2)), PoolConfig(4.0, 0.5, (0.1, 0.2))),
     ],
 )
-def test_a_config_equal_to_a_planned_one_but_of_another_type_fails_as_before(planned, twin, error):
-    build_pool_with_metadata(planned, Random(0))
+def test_a_config_equal_to_a_planned_one_but_of_another_type_fails_as_before(planned, twin):
+    assert len(build_pool_with_metadata(planned, Random(0))[0]) == 4
     fresh = _outcome(_fresh_build, twin, 0)
-    assert fresh[0][0] is error
+    assert fresh[0][0] is BadConfig
     assert _outcome(build_pool_with_metadata, twin, 0) == fresh
+
+
+@pytest.mark.parametrize(
+    ("config", "twin"),
+    [
+        (PoolConfig(4, 1, (0, 1)), PoolConfig(4, 1.0, (0.0, 1.0))),
+        (PoolConfig(10, 0.3, [0.1, 0.2]), PoolConfig(10, 0.3, (0.1, 0.2))),
+    ],
+)
+def test_int_fractions_int_bounds_and_list_ranges_stay_accepted(config, twin):
+    assert build_pool_with_metadata(config, Random(5)) == build_pool_with_metadata(twin, Random(5))
 
 
 def test_designated_middle_inflator_holds_the_top_claim():
@@ -282,7 +294,32 @@ BAD_CONFIGS = {
     PoolConfig(10, 0.3, (-0.1, 0.45)): "inflation_range must satisfy 0 <= low <= high (got (-0.1, 0.45))",
     # valid fields, but some inflator's claim cannot rise above its q_true
     PoolConfig(3, 0.5, (0.0, 0.0)): "delegate d1 cannot inflate: q_true 0.7 with inflation_range (0.0, 0.0)",
+    # fields of the wrong type, each checked before any range: a bool is not a number here
+    PoolConfig(4.0, 0.5, (0.1, 0.2)): "pool_size must be an int (got 4.0)",
+    PoolConfig(True, 0.5, (0.1, 0.2)): "pool_size must be an int (got True)",
+    PoolConfig("10", 0.3, (0.35, 0.45)): "pool_size must be an int (got '10')",
+    PoolConfig(4, True, (0.1, 0.2)): (
+        "dishonest_fraction and inflation_range must be ints or floats "
+        "(got PoolConfig(pool_size=4, dishonest_fraction=True, inflation_range=(0.1, 0.2)))"
+    ),
+    PoolConfig(4, Decimal("0.4"), (0.1, 0.2)): (
+        "dishonest_fraction and inflation_range must be ints or floats "
+        "(got PoolConfig(pool_size=4, dishonest_fraction=Decimal('0.4'), inflation_range=(0.1, 0.2)))"
+    ),
+    PoolConfig(4, 0.5, (Decimal("0.1"), Decimal("0.2"))): (
+        "dishonest_fraction and inflation_range must be ints or floats "
+        "(got PoolConfig(pool_size=4, dishonest_fraction=0.5, "
+        "inflation_range=(Decimal('0.1'), Decimal('0.2'))))"
+    ),
+    PoolConfig(4, 0.5, (0.1, True)): (
+        "dishonest_fraction and inflation_range must be ints or floats "
+        "(got PoolConfig(pool_size=4, dishonest_fraction=0.5, inflation_range=(0.1, True)))"
+    ),
+    # the type is checked first: a size of 1.5 is not reported as below 2
+    PoolConfig(1.5, 0.3, (0.35, 0.45)): "pool_size must be an int (got 1.5)",
 }
+# a config equal to another hashes alike, so each case must differ from every other in ==
+assert len(BAD_CONFIGS) == 14
 
 
 @pytest.mark.parametrize("config", list(BAD_CONFIGS))

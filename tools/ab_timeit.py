@@ -30,7 +30,9 @@ its inputs from its own ``experiments.canonical_*``:
 - by_claims ``select`` over a fixed 50-record pool of dated claims, with a
   48 h window at a fixed clock;
 - ``DelegateRecord`` of 20 delegates with one self-reported claim each,
-  the records a grid seed builds for its self_claimed condition;
+  the one-claim record build: what ``experiments._per_size`` pays per
+  delegate of a new pool size and ``_run_conditions`` per holder of the
+  top claim; ``records_for_pool`` pays it with a second claim to index;
 - ``build_pool_with_metadata`` of the grid's 36 configurations, built
   from ``experiments.GRID_*``, each drawn on from a ``Random`` of its own;
 - ``simulate._normals`` of 100 tasks, drawn on from one ``Random(0)``, and
