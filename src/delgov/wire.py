@@ -35,8 +35,9 @@ Format rules (README "Wire format" sums them up):
   ``1.10`` as ``Decimal("1.1")`` and ``2.5E1`` as ``Decimal("25.0")``.
   Only a string keeps every digit. No spelling of NaN, sNaN or infinity
   is an amount. A number literal past a double's range, such as
-  ``1e400``, reads as an infinite float, so as money it is malformed with
-  "number out of range"; under a key no field reads it is ignored.
+  ``1e400``, reads as an infinite float, so as money or in a float field
+  it is malformed with "number out of range"; under a key no field reads
+  it is ignored.
 - Token counts (``tokens_used``, ``max_tokens``) and amounts of money
   (``cost_usd``, ``max_cost_usd``) above 2**53 are invariant violations:
   a contract violation reports its figures as floats, which then stay
@@ -55,11 +56,11 @@ processing happens:
 
 Hostile input is malformed too, never a crash: JSON nested past the
 parser's recursion limit, an integer literal past the interpreter's digit
-limit, non-finite money, money sent as a number past a double's range, a
-timestamp whose UTC form falls outside the years 1 to 9999, a string
-anywhere in the document (keys included) holding an unpaired surrogate,
-by a ``\\ud800`` escape or, in ``str`` input, as itself, and an integer
-too large for a float in a float field each raise
+limit, non-finite money, money or a float sent as a number past a
+double's range, a timestamp whose UTC form falls outside the years 1 to
+9999, a string anywhere in the document (keys included) holding an
+unpaired surrogate, by a ``\\ud800`` escape or, in ``str`` input, as
+itself, and an integer too large for a float in a float field each raise
 :class:`MalformedMessage`. A paired escape such as
 ``\\ud83d\\ude00`` reads as its one character. A key that appears twice
 in one object is not rejected: the last occurrence wins, as in
@@ -76,11 +77,12 @@ holding the wire name (the attribute name), the encoder and decoder of the
 kind its annotation gives (``Optional[X]`` as ``X``), and whether it is
 required (has no default) and its default, both as ``_fields`` gives them.
 The kind of a ``str``, ``int``, ``float``, ``bool`` or money field is
-construction's own check, money encoded as its decimal string. The codec
+construction's own check, money encoded as its decimal string; a float
+field's also refuses the infinity that construction keeps. The codec
 adds only what the wire needs: nested objects, enum values (an unknown one
 is an :class:`InvariantViolation`), RFC 3339 text and JSON lists of
 strings. Each row ends with the field's normal type from ``types._CHECKS``:
-``str``, ``int``, ``float`` or ``bool``, else None. It is the only per-type
+``str``, ``int`` or ``bool``, else None. It is the only per-type
 table: ``to_wire`` reads each row's encoder, ``from_wire`` its decoder,
 requiredness, default and normal type, and ``validate_invariants`` which
 rows hold a nested object: it lists a value's own rules, then walks those
@@ -107,6 +109,7 @@ import re
 from datetime import datetime, timezone
 from decimal import Decimal
 from enum import Enum
+from json.encoder import c_make_encoder, encode_basestring
 from operator import attrgetter
 from typing import Any, Callable, NoReturn, Optional, Union, get_args
 
@@ -124,6 +127,7 @@ from .types import (
     TaskSubmit,
     _CHECKS,
     _fields,
+    _float,
     _money,
     _utc,
 )
@@ -229,8 +233,8 @@ _Row = tuple[
 
 
 def _scalar(check: Callable[[Any], Any], encode: Optional[Callable[[Any], Any]] = None) -> _Kind:
-    """The kind of a scalar field: a check, construction's own or the wire's timestamp
-    grammar, with the field path added only on failure."""
+    """The kind of a scalar field: a check, construction's own or the wire's (the timestamp
+    grammar, a finite float), with the field path added only on failure."""
 
     def decode(raw: Any, path: str, name: str) -> Any:
         try:
@@ -243,7 +247,16 @@ def _scalar(check: Callable[[Any], Any], encode: Optional[Callable[[Any], Any]] 
     return encode, decode
 
 
+def _finite_float(raw: Any) -> float:
+    # construction keeps an infinite float; the parser refuses the Infinity tokens, so on the
+    # wire one was a literal past a double's range
+    if raw in (math.inf, -math.inf):
+        raise ValueError("number out of range")
+    return _float(raw)
+
+
 _STR_LIST: _Kind = (lambda items: list(items) or None, _str_list)
+_FLOAT = _scalar(_finite_float)
 _MONEY = _scalar(_money, str)
 _TIMESTAMP = _scalar(_timestamp, format_timestamp)
 
@@ -321,16 +334,18 @@ def _object(cls: type) -> _Kind:
 
 
 _WIRE_TYPES = get_args(DomainType)
+# The kinds of plain annotations where the wire adds a rule to construction's check.
+_WIRE_RULES = {float: _FLOAT, tuple[str, ...]: _STR_LIST, Decimal: _MONEY, datetime: _TIMESTAMP}
 # The kinds of plain annotations: construction's own checks, except where the
 # wire adds a rule. Enums and wire types get theirs in _rows.
-_KINDS = {hint: _scalar(check) for hint, (_, check) in _CHECKS.items()}
-_KINDS.update({tuple[str, ...]: _STR_LIST, Decimal: _MONEY, datetime: _TIMESTAMP})
+_KINDS = {hint: _scalar(check) for hint, (_, check) in _CHECKS.items()} | _WIRE_RULES
 
 
 def _rows(cls: type) -> tuple[_Row, ...]:
     """(name, encode, decode, required, default, normal type) per dataclass field, in
-    declaration order. Only a plain annotation has a normal type on the wire: a JSON value
-    is never a wire type or an enum member, and money, a timestamp and a list have none."""
+    declaration order. Only a plain annotation without a wire rule has a normal type on the
+    wire: a JSON value is never a wire type or an enum member, and a float, money, a
+    timestamp and a list always go through their rule."""
     rows = []
     for name, hint, required, default, *_ in _fields(cls):
         if hint in _WIRE_TYPES:
@@ -341,7 +356,8 @@ def _rows(cls: type) -> tuple[_Row, ...]:
             kind = _KINDS[hint]
         else:
             raise TypeError(f"{cls.__name__}.{name}: no wire kind for {hint!r}")
-        rows.append((name, *kind, required, default, _CHECKS.get(hint, (None,))[0]))
+        normal = None if hint in _WIRE_RULES else _CHECKS.get(hint, (None,))[0]
+        rows.append((name, *kind, required, default, normal))
     return tuple(rows)
 
 
@@ -357,17 +373,24 @@ _set = object.__setattr__
 # Kept only because perfbench/gateway.py reads it; ROADMAP item 9 frees the name.
 ldp_error_to_wire = to_wire
 
-_CANONICAL = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
-)
+# what JSONEncoder.default raises for a value that is not JSON
+_not_serializable = json.JSONEncoder().default
 
 
 def canonical_bytes(obj: Any) -> bytes:
     """Canonical JSON encoding: sorted keys, compact separators, UTF-8.
 
-    A NaN or infinite float raises ValueError: neither is JSON.
+    The text is ``json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+    ensure_ascii=False, allow_nan=False).encode(obj)``, and so are the
+    errors: a NaN or infinite float raises ValueError, since neither is
+    JSON; so does a value that holds itself ("Circular reference
+    detected"); and a value of no JSON type raises TypeError.
     """
-    return _CANONICAL.encode(obj).encode("utf-8")
+    # the C encoder with the nine arguments JSONEncoder.iterencode gives it for these settings,
+    # without the Python layers of encode and iterencode; a fresh markers dict per call, so
+    # concurrent calls share no state
+    encode = c_make_encoder({}, _not_serializable, encode_basestring, None, ":", ",", True, False, False)
+    return "".join(encode(obj, 0)).encode("utf-8")
 
 
 def encode_message(msg: Message) -> bytes:
@@ -400,6 +423,21 @@ def _not_json(token: str) -> NoReturn:
 
 # json.loads reads NaN, Infinity and -Infinity as floats; RFC 8259 has none of them
 _JSON = json.JSONDecoder(parse_constant=_not_json)
+# the whitespace JSONDecoder.decode allows around the value
+_SPACE = json.decoder.WHITESPACE.match
+
+
+def _parse(text: str) -> Any:
+    """``_JSON.decode(text)``, calling the C scanner that decode calls without decode's Python
+    wrapper when the value starts at index 0 and only whitespace follows it. Any other text
+    goes through decode, which gives its value or its own error, so a valid document is
+    parsed once."""
+    try:
+        value, end = _JSON.scan_once(text, 0)
+    except StopIteration:  # no value at index 0: leading whitespace, a byte order mark or no text
+        return _JSON.decode(text)
+    # anything but whitespace after the value is other data, which decode reports
+    return value if end == len(text) or _SPACE(text, end).end() == len(text) else _JSON.decode(text)
 
 
 def _load_object(data: Union[bytes, str]) -> dict:
@@ -412,7 +450,7 @@ def _load_object(data: Union[bytes, str]) -> dict:
         except UnicodeDecodeError:
             raise MalformedMessage("message: input is not valid UTF-8") from None
     try:
-        parsed = _JSON.decode(data)
+        parsed = _parse(data)
     except json.JSONDecodeError as exc:
         if data.startswith("\ufeff"):  # as json.loads says; the decoder alone reads no value
             exc.msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)"

@@ -31,13 +31,15 @@ def test_one_tree_against_itself_is_timed_per_experiment(capsys, rounds):
         "DelegateRecord 20 single claims, build_pool_with_metadata grid configs, _normals 100 tasks, execute_tasks 100 tasks, "
         "_run_conditions grid cell"
     )
-    rows = [*ab_timeit.EXPERIMENTS, *ab_timeit.LAYERS]
-    assert [line.split(":")[0] for line in lines[2:]] == [
+    assert lines[2] == "gateway outcomes identical for the seed-1 corpus"
+    rows = [*ab_timeit.EXPERIMENTS, *ab_timeit.LAYERS, "gateway"]
+    assert [line.split(":")[0] for line in lines[3:]] == [
         label for row in rows for label in (row, f"{row} A/A")
     ]
     assert rows[:2] == ["grid", "e3"]
-    assert all(" change/parent median " in line for line in lines[2::2])
-    assert all(" parent again/parent median " in line for line in lines[3::2])
+    assert all(" change/parent median " in line for line in lines[3::2])
+    assert all(" parent again/parent median " in line for line in lines[4::2])
+    assert " per pass parent " in lines[-2]
 
 
 def _copy_of_src(tmp_path: Path) -> Path:
@@ -57,6 +59,17 @@ def test_trees_whose_seeded_outputs_differ_are_not_timed(tmp_path, capsys):
     _edit(_copy_of_src(tmp_path) / "experiments.py", ':e3:pool"', ':e3:other-pool"')
     assert ab_timeit.main([SRC, str(tmp_path), "--rounds", "1"]) == 1
     assert capsys.readouterr().out == "seeded outputs differ for seeds [0, 1, 2, 3]\n"
+
+
+def test_trees_whose_gateway_outcomes_differ_are_not_timed(tmp_path, capsys):
+    # a rejection reply names the recovery of its category; the experiments send no reply
+    _edit(_copy_of_src(tmp_path) / "errors.py", 'ESCALATE = "escalate"', 'ESCALATE = "escalate-now"')
+    assert ab_timeit.main([SRC, str(tmp_path), "--rounds", "1"]) == 1
+    assert capsys.readouterr().out == (
+        "seeded outputs identical for seeds [0, 1, 2, 3]\n"
+        f"layer outputs identical for {', '.join(ab_timeit.LAYERS)}\n"
+        "gateway outcomes differ for the seed-1 corpus\n"
+    )
 
 
 def test_trees_whose_layer_outputs_differ_are_not_timed(tmp_path, capsys):

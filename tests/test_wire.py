@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from delgov import wire
 from delgov.errors import default_semantics
 from delgov.routing import RoutingPolicy
 from delgov.types import (
@@ -210,6 +211,13 @@ def test_money_sent_as_a_number_past_a_doubles_range_is_out_of_range(field, lite
     with pytest.raises(MalformedMessage) as caught:
         _decoded_money(field, literal)
     assert str(caught.value) == f"{_MONEY_PATHS[field]}: number out of range"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_an_infinite_claim_value_constructs_and_breaks_the_range_invariant(value):
+    # only the wire refuses it, as a literal past a double's range
+    claim = QualityClaim("s", value, ClaimType.SELF_CLAIMED)
+    assert validate_invariants(claim) == [f"QualityClaim.value: must be within [0, 1] (got {value})"]
 
 
 def test_timestamp_offsets_normalize_to_utc():
@@ -416,6 +424,16 @@ def _with_budget_cost(cost):
             json.dumps(dict(_CLAIM, value=10**400)),
             "claim.value: integer too large for a float",
             id="401-digit-claim-value",
+        ),
+        pytest.param(
+            json.dumps(_CLAIM).replace("0.5", "1e400"),
+            "claim.value: number out of range",
+            id="claim-value-past-a-doubles-range",
+        ),
+        pytest.param(
+            json.dumps(_CLAIM).replace("0.5", "-1e400"),
+            "claim.value: number out of range",
+            id="negative-claim-value-past-a-doubles-range",
         ),
         # json.loads's own verdict on a leading byte order mark, in bytes and in str input
         pytest.param(
@@ -1692,3 +1710,190 @@ def test_the_string_list_kind_decodes_as_the_code_it_replaced(raw):
     assert _verdict(decode, raw, "contract", "success_criteria") == _verdict(
         _reference_str_list, raw, "contract", "success_criteria"
     )
+
+
+# ---------------------------------------------------------------------------
+# the JSON layer against the stdlib calls it makes without their Python wrappers
+
+
+def _reference_not_json(token):
+    raise json.JSONDecodeError(f"{token} is not JSON", token, 0)
+
+
+_REFERENCE_JSON = json.JSONDecoder(parse_constant=_reference_not_json)
+
+
+def _reference_load_object(data):
+    """_load_object as it read when it parsed through JSONDecoder.decode."""
+    suspect = isinstance(data, str) and not data.isascii()
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise MalformedMessage("message: input is not valid UTF-8") from None
+    try:
+        parsed = _REFERENCE_JSON.decode(data)
+    except json.JSONDecodeError as exc:
+        if data.startswith("\ufeff"):
+            exc.msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        raise MalformedMessage(f"message: invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise MalformedMessage("message: invalid JSON (nested too deeply)") from None
+    except ValueError:
+        raise MalformedMessage("message: invalid JSON (integer too long)") from None
+    if not isinstance(parsed, dict):
+        raise MalformedMessage("message: top-level value must be an object")
+    if suspect or "\\" in data:
+        try:
+            json.dumps(parsed, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedMessage("message: a string holds an unpaired surrogate") from None
+    return parsed
+
+
+def _outcome(call, *args):
+    """What a call gives: the value and its repr, or the exception's type and message."""
+    try:
+        value = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value, repr(value)
+
+
+_SPACES = st.text(alphabet=" \t\n\r", min_size=1, max_size=3)
+# pieces placed in an object next to the document: each one is refused by the parser
+_HOSTILE_PIECES = ["NaN", "Infinity", "-Infinity", "[" * 100000 + "]" * 100000, "7" * 5000]
+
+
+def _faulted(text, data):
+    """``text`` as it is, or with one fault drawn: whitespace before or after it, a final
+    newline, a byte order mark, other data after it, a truncation, or a hostile piece."""
+    fault = data.draw(st.sampled_from(
+        ["none", "leading", "trailing", "newline", "bom", "extra", "truncated", "piece"]
+    ))
+    if fault == "leading":
+        return data.draw(_SPACES) + text
+    if fault == "trailing":
+        return text + data.draw(_SPACES)
+    if fault == "newline":
+        return text + "\n"
+    if fault == "bom":
+        return "\ufeff" + text
+    if fault == "extra":
+        return text + data.draw(st.sampled_from(["", " ", "\n"])) + data.draw(
+            st.sampled_from(["x", "{}", "1", "]", "}", '"s"', "\ufeff", "\x00"])
+        )
+    if fault == "truncated":
+        return text[: data.draw(st.integers(0, max(len(text) - 1, 0)))]
+    if fault == "piece":
+        piece = data.draw(st.sampled_from(_HOSTILE_PIECES))
+        first, second = data.draw(st.permutations([piece, text]))
+        return f'{{"a":{first},"b":{second}}}'
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(st.sampled_from(_CLASSES).flatmap(_drawn_document), _schema_json),
+    st.booleans(),
+    st.data(),
+)
+def test_the_decoder_reads_as_json_decoder_decode(doc, ensure_ascii, data):
+    text = _faulted(json.dumps(doc, ensure_ascii=ensure_ascii), data)
+    inputs = [text]
+    try:
+        inputs.append(text.encode("utf-8"))
+    except UnicodeEncodeError:
+        pass  # a raw surrogate has no UTF-8 form, so only str input can carry one
+    for raw in inputs:
+        assert _outcome(_load_object, raw) == _outcome(_reference_load_object, raw)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", " ", "\n", "{}", " {}", "{} ", "{}\n", "\r\n\t {} \t\r\n", "{}x", "{} {}", "{}\x00",
+        "\ufeff{}", "{}\ufeff", "[]", "1", '"s"', "{", '{"a":1}}', "nul", "NaN", '{"a":NaN}',
+    ],
+)
+def test_the_decoder_reads_the_edges_of_a_document_as_json_decoder_decode(text):
+    for raw in (text, text.encode("utf-8")):
+        assert _outcome(_load_object, raw) == _outcome(_reference_load_object, raw)
+
+
+def test_a_document_ending_in_a_newline_is_parsed_once(monkeypatch):
+    def parse_again(text):
+        raise AssertionError("parsed through JSONDecoder.decode")
+
+    monkeypatch.setattr(wire._JSON, "decode", parse_again)
+    result = sample_result()
+    assert decode_message(encode_message(result) + b"\n") == result
+    assert decode_message(encode_message(result) + b" \r\n") == result
+
+
+_REFERENCE_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+)
+
+
+def _reference_canonical_bytes(value):
+    return _REFERENCE_CANONICAL.encode(value).encode("utf-8")
+
+
+# JSON values with non-ASCII and surrogate text, every float, keys JSON turns into strings
+# and keys it refuses, tuples it writes as lists, and values of no JSON type
+_encodable_key = st.one_of(_any_text, st.integers(), st.floats(), st.booleans(), st.none())
+_encodable = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), _any_text, st.sampled_from(_PIECES),
+        st.sampled_from(list(ClaimType)), st.just(Decimal("0.5")), st.just(object()),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_any_text, inner, max_size=4),
+        st.dictionaries(st.one_of(_encodable_key, st.just(("k",))), inner, max_size=3),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_encodable)
+@example("é")
+@example({"b": 1, "a": [1.5, "報"]})
+def test_canonical_bytes_encodes_as_json_encoder_encode(value):
+    assert _outcome(canonical_bytes, value) == _outcome(_reference_canonical_bytes, value)
+
+
+def _circular_dict():
+    value = {"a": 1}
+    value["self"] = value
+    return value
+
+
+def _circular_list():
+    value = [1]
+    value.append([value])
+    return value
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: math.nan, ValueError),
+        (lambda: {"x": [math.inf]}, ValueError),
+        (lambda: -math.inf, ValueError),
+        (_circular_dict, ValueError),
+        (_circular_list, ValueError),
+        (object, TypeError),
+        (lambda: {"x": {1, 2}}, TypeError),
+    ],
+)
+def test_canonical_bytes_raises_as_json_encoder_encode(build, error):
+    value = build()
+    got = _outcome(canonical_bytes, value)
+    assert got[0] is error
+    assert got == _outcome(_reference_canonical_bytes, value)
+    # a failed call leaves nothing behind for the next one
+    assert canonical_bytes({"b": [1], "a": "é"}) == '{"a":"é","b":[1]}'.encode("utf-8")

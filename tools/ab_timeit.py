@@ -8,11 +8,15 @@ a second time as an A/A control. The script first checks that the two
 trees give the same seeded results: the reprs of ``run_sensitivity([s],
 100)`` and ``run_routing_conditions_detailed(s, 100)`` for a few seeds. It
 then checks each layer row: both trees must have the layer, and the reprs
-of their first calls must be equal. It exits 1, naming what differs, if
-either check fails.
+of their first calls must be equal. Last it checks the ``gateway`` row:
+one pass of the seed-1 corpus that this checkout's
+``perfbench/gateway.py`` generates, each round through its ``run_round``
+from a fresh ``GatewayState``, must give both trees the same outcomes,
+routes and replies. It exits 1, naming what differs, if any check fails.
 
-The rows are the two experiments and these layers, each tree building
-its inputs from its own ``experiments.canonical_*``:
+The rows are the two experiments, these layers, each tree building its
+inputs from its own ``experiments.canonical_*``, and the ``gateway``
+corpus pass:
 
 - ``decode_message`` on the encoded canonical submit (with its contract)
   and result, each plain and with one ``\\n`` in its text, and on the
@@ -59,6 +63,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import importlib.util
 import statistics
 import sys
 import time
@@ -67,6 +72,7 @@ from functools import partial
 from pathlib import Path
 from random import Random
 
+ROOT = Path(__file__).resolve().parent.parent
 CHECKED_SEEDS = range(4)
 TASKS = 100
 # one round: all 36 grid cells for each seed, or one e3 seed each
@@ -74,6 +80,8 @@ EXPERIMENTS = {
     "grid": (lambda e, seed: e.run_sensitivity([seed], TASKS), range(3)),
     "e3": (lambda e, seed: e.run_routing_conditions_detailed(seed, TASKS), range(40)),
 }
+# the benchmark's gateway corpus that one pass runs, as perfbench/run.py --seed 1 does
+GATEWAY_SEED = 1
 # calls of a layer per round
 CALLS = 500
 POOL_SIZE = 50
@@ -265,6 +273,23 @@ LAYERS = {
 }
 
 
+def load_gateway():
+    """This checkout's ``perfbench/gateway.py``, read and left as it is."""
+    spec = importlib.util.spec_from_file_location("gateway", ROOT / "perfbench" / "gateway.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve their annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+def _gateway_pass(gateway, corpus, delgov):
+    def corpus_pass() -> list:
+        state = gateway.GatewayState(delgov, corpus, GATEWAY_SEED)
+        return [gateway.run_round(state, rnd) for rnd in corpus.rounds]
+
+    return corpus_pass
+
+
 def _has(delgov, entry: str) -> bool:
     module, name = entry.split(".")
     return hasattr(getattr(delgov, module, None), name)
@@ -375,6 +400,15 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         rows[name] = ("call", CALLS, {side: _repeated(call) for side, call in calls.items()})
     print(f"layer outputs identical for {', '.join(LAYERS)}")
+
+    gateway = load_gateway()
+    corpus = gateway.generate(GATEWAY_SEED)
+    passes = {side: _gateway_pass(gateway, corpus, tree) for side, tree in trees.items()}
+    if len({repr(corpus_pass()) for corpus_pass in passes.values()}) != 1:
+        print(f"gateway outcomes differ for the seed-{GATEWAY_SEED} corpus")
+        return 1
+    print(f"gateway outcomes identical for the seed-{GATEWAY_SEED} corpus")
+    rows["gateway"] = ("pass", 1, passes)
 
     sides = list(trees)
     times = {name: {side: [] for side in sides} for name in rows}
