@@ -274,7 +274,7 @@ LAYERS = {
 
 
 def load_gateway():
-    """This checkout's ``perfbench/gateway.py``, read and left as it is."""
+    """Import the ``perfbench/gateway.py`` of this checkout from its file."""
     spec = importlib.util.spec_from_file_location("gateway", ROOT / "perfbench" / "gateway.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses resolve their annotations through it
