@@ -135,7 +135,7 @@ class ConditionReport:
     inflation_selected_pct: float
     d_vs_blind: float
     p_vs_blind: float
-    std_defined: bool = True
+    std_defined: bool
 
 
 @dataclass(frozen=True)
@@ -195,10 +195,8 @@ def _per_size(n: int) -> tuple:
     """What every simulated pool of ``n`` shares, built once per size: the
     ``{delegate_id: q_true}`` map of ``_layout(n)``, read and never written; a record
     per delegate with its attested claim alone; and ``select``'s attested route over
-    those records. No pool has fewer than 2 delegates, so a smaller size holds Nones.
+    those records.
     """
-    if n < 2:
-        return None, None, None
     attested = tuple(DelegateRecord(d, (_attested_claim(q),)) for d, q in _layout(n))
     return dict(_layout(n)), attested, select(attested, CONDITIONS["attested"], None)
 
@@ -462,7 +460,8 @@ def run_overhead(iterations: int) -> OverheadReport:
     contract. Timings are loop means over a monotonic high-resolution
     clock with at least ten percent warm-up discarded; validation is timed
     on the accepted path (budget and deadline checks plus policy
-    application).
+    application), and serialization on the submit that carries the
+    contract.
     """
     if iterations < 1000:
         raise ValueError("iterations must be >= 1000 for stable means")

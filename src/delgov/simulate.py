@@ -156,7 +156,7 @@ def _layout(n: int) -> tuple[tuple[str, float], ...]:
     return tuple((f"d{i:0{width}d}", lo + i * (hi - lo) / (n - 1)) for i in range(n))
 
 
-@lru_cache(maxsize=64, typed=True)
+@lru_cache(maxsize=64)
 def _plan(n: int, fraction: float, low: float, high: float) -> tuple[tuple, tuple, PoolMetadata]:
     """What a configuration alone fixes, built once per configuration: the draw's
     ``(delegate_id, q_true, honest, designated)`` per ``_layout(n)`` position, the
@@ -168,11 +168,10 @@ def _plan(n: int, fraction: float, low: float, high: float) -> tuple[tuple, tupl
     layout = _layout(n)
     roles = tuple((d, q, i not in dishonest, i == designated) for i, (d, q) in enumerate(layout))
     # the best inflator's lowest claim against the best honest delegate's highest;
-    # q_true rises with position, so each is the last of its kind. float(low), so a
-    # low that the draws cannot take still fails in the first draw, as it always has
+    # q_true rises with position, so each is the last of its kind
     top_q = layout[dishonest[-1]][1] if dishonest else None
     honest_q = next((q for _, q, honest, _ in reversed(roles) if honest), -math.inf)
-    dominance = top_q is not None and min(top_q + float(low), 1.0) > min(honest_q + HONEST_JITTER, 1.0)
+    dominance = top_q is not None and min(top_q + low, 1.0) > min(honest_q + HONEST_JITTER, 1.0)
     metadata = PoolMetadata(
         dishonest_ids=tuple(layout[i][0] for i in dishonest),
         designated_top_id=layout[designated][0] if designated is not None else None,

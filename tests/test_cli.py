@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from delgov import experiments
-from delgov.cli import demo_trace, main
+from delgov.cli import build_parser, demo_trace, main
 from delgov.types import (
     Budget,
     DelegationContract,
@@ -491,3 +491,17 @@ def test_demo_trace_prints_the_lifecycle_as_canonical_wire_documents(capsys):
     assert decode_message(lines[0]) == experiments.canonical_submit(True)
     assert decode_message(lines[1]) == experiments.canonical_result(tokens_used=8200)
     assert lines[-1] == '{"recovery":"escalate"}'
+
+
+@pytest.mark.parametrize(
+    ("argv", "defaults"),
+    [
+        (["e3"], {"seed": 42, "tasks": 100}),
+        (["sensitivity"], {"seeds": [42], "tasks": 100}),
+        (["bench"], {"iterations": 10000}),
+    ],
+    ids=["e3", "sensitivity", "bench"],
+)
+def test_the_experiment_defaults_are_the_ones_the_readme_shows(argv, defaults):
+    args = build_parser().parse_args(argv)
+    assert {name: getattr(args, name) for name in defaults} == defaults

@@ -132,6 +132,20 @@ def test_paradox_flag_is_consistent_with_stored_means():
         assert cell.paradox == (cell.self_claimed_mean < cell.blind_mean)
 
 
+@pytest.mark.parametrize(("self_claimed", "paradox"), [(0.25, True), (0.5, False), (0.75, False)])
+def test_the_paradox_is_a_self_claimed_mean_strictly_below_the_blind_mean(monkeypatch, self_claimed, paradox):
+    means = {"blind": 0.5, "self_claimed": self_claimed, "attested": 0.875}
+
+    def runs(claims, stream_seeds, tasks):
+        return tuple(experiments.ConditionRun(c, (q,), ("d0",)) for c, q in means.items())
+
+    monkeypatch.setattr(experiments, "_run_conditions", runs)
+    cells = experiments.run_sensitivity([1], 1)
+    assert {(cell.self_claimed_mean, cell.blind_mean, cell.paradox) for cell in cells} == {
+        (self_claimed, 0.5, paradox)
+    }
+
+
 def test_csv_columns_and_values():
     data = experiments.csv_bytes(experiments.run_routing_conditions_detailed(1, 10).reports)
     lines = data.decode("utf-8").splitlines()
@@ -150,6 +164,22 @@ def test_overhead_report_shape_and_bounds():
     assert 300 <= delta <= 1100
     assert report.validation_ns_mean < 10_000
     assert report.serialization_ns_mean < 100_000
+
+
+def test_overhead_times_the_serialization_of_the_submit_that_carries_a_contract(monkeypatch):
+    encoded = []
+
+    def spy(message):
+        encoded.append(message)
+        return encode(message)
+
+    encode = experiments.encode_message
+    monkeypatch.setattr(experiments, "encode_message", spy)
+    experiments.run_overhead(10_000)
+    # the two byte sizes, bare then with the contract, and then the warm-up and timed calls
+    assert encoded[:2] == [experiments.canonical_submit(False), experiments.canonical_submit(True)]
+    assert set(encoded[2:]) == {experiments.canonical_submit(True)}
+    assert len(encoded[2:]) >= 11_000  # at least ten percent warm-up
 
 
 def test_overhead_iteration_stability():
@@ -526,6 +556,10 @@ def test_a_second_grid_seed_builds_only_self_reported_claims(monkeypatch):
     assert records == [(d, [ClaimType.SELF_CLAIMED]) for d in holders]
     # some cells tie at the top, so select still breaks ties among the records it is given
     assert 36 < len(holders) < 12 * sum(experiments.GRID_POOL_SIZES)
+
+
+def test_the_per_size_cache_holds_at_most_what_the_module_docstring_states():
+    assert experiments._per_size.cache_info().maxsize == 8
 
 
 @settings(max_examples=200, deadline=None)

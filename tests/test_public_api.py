@@ -172,11 +172,14 @@ def test_every_name_the_benchmark_reads_off_a_module_exists():
 
 def _frozen_values():
     """One value of each type that is shared once built: the eight wire types, the routing
-    policy, the contract outcomes and the simulator's pools, configurations and metadata."""
+    policy, the contract outcomes, the simulator's pools, configurations and metadata, the
+    experiments' reports and runs, and the recovery table's rows."""
     contract = experiments.canonical_contract()
     result = experiments.canonical_result()
     breach = delgov.check_result(contract, experiments.canonical_result(8200), experiments.CANONICAL_RECEIVED_AT)
     pool, metadata = delgov.build_pool_with_metadata(experiments.ROUTING_POOL, Random(0))
+    run = experiments.run_routing_conditions_detailed(0, 3)
+    row = delgov.default_semantics(delgov.ErrorCategory.POLICY)
     return [
         contract.policy.budget,
         contract.policy,
@@ -193,13 +196,22 @@ def _frozen_values():
         experiments.ROUTING_POOL,
         metadata,
         pool[0],
+        run,
+        run.runs[0],
+        run.reports[0],
+        experiments.run_sensitivity([0], 1)[0],
+        experiments.OverheadReport(1, 2, 3.0, 4.0),
+        row,
+        row.action,
     ]
 
 
 def test_the_values_checked_for_freezing_are_one_of_each_type():
     shared = {
         delgov.RoutingPolicy, delgov.Violation, delgov.ValidationOutcome, delgov.Accepted,
-        delgov.PoolConfig, delgov.PoolMetadata, delgov.DelegateProfile,
+        delgov.PoolConfig, delgov.PoolMetadata, delgov.DelegateProfile, experiments.RoutingRun,
+        experiments.ConditionRun, experiments.ConditionReport, experiments.GridCellReport,
+        experiments.OverheadReport, delgov.DefaultSemantics, delgov.RecoveryAction,
     }
     types = [type(value) for value in _frozen_values()]
     assert len(types) == len(set(types))

@@ -237,6 +237,7 @@ def test_a_config_equal_to_a_planned_one_but_of_another_type_fails_as_before(pla
     [
         (PoolConfig(4, 1, (0, 1)), PoolConfig(4, 1.0, (0.0, 1.0))),
         (PoolConfig(10, 0.3, [0.1, 0.2]), PoolConfig(10, 0.3, (0.1, 0.2))),
+        (PoolConfig(10, 0.3, (0, 0.5)), PoolConfig(10, 0.3, (0.0, 0.5))),
     ],
 )
 def test_int_fractions_int_bounds_and_list_ranges_stay_accepted(config, twin):
@@ -416,6 +417,16 @@ def test_a_noise_batch_is_bit_identical_to_per_task_draws(qs, seed):
     assert _bits(expected) == _bits(by_hand)
 
 
+def test_the_caches_hold_at_most_what_the_module_docstring_states():
+    assert simulate._layout.cache_info().maxsize == 8
+    assert simulate._plan.cache_info().maxsize == 64
+
+
+def test_a_task_at_negative_zero_keeps_its_sign():
+    # the docstring's "-0.0 ... included": min(max(-0.0, 0.0), 1.0) is -0.0
+    assert _bits(execute_tasks([-0.0], [-0.0])) == _bits([-0.0])
+
+
 @pytest.mark.parametrize("qs, normals", [([0.5, 0.5], [0.0]), ([0.5], [0.0, 0.0])])
 def test_execute_tasks_refuses_a_length_mismatch(qs, normals):
     with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"):
@@ -445,6 +456,8 @@ def test_best_delegate_argmax_and_ties():
         PoolConfig(3, 0.1967, (0.2522, 0.2716)),
         # grid cell (0.5, medium, 20): 0.9632 at the least, against 0.965 at most
         PoolConfig(20, 0.5, (0.25, 0.35)),
+        # 0.7 + 0.265 and 0.95 + 0.015 are one float: the least inflated claim must exceed it
+        PoolConfig(5, 0.4, (0.265, 0.265)),
     ],
 )
 def test_dominance_is_not_guaranteed_when_an_honest_claim_can_outbid(config):

@@ -117,8 +117,10 @@ def test_cohens_d_degenerate_variance_markers():
 
 
 def test_cohens_d_needs_two_per_side():
-    with pytest.raises(InsufficientData):
-        cohens_d([1], [2, 3])
+    # one short side is enough, and the error names cohens_d, not the summary it calls
+    for a, b in [([1], [2, 3]), ([0.5], [0.1, 0.2]), ([0.1, 0.2], [0.5])]:
+        with pytest.raises(InsufficientData, match="^cohens_d needs at least 2 samples per side$"):
+            cohens_d(a, b)
 
 
 # ---------------------------------------------------------------------------
