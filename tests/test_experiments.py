@@ -167,13 +167,12 @@ def test_overhead_report_shape_and_bounds():
 
 
 def test_overhead_times_the_serialization_of_the_submit_that_carries_a_contract(monkeypatch):
-    encoded = []
+    encoded, encode = [], experiments.encode_message
 
     def spy(message):
         encoded.append(message)
         return encode(message)
 
-    encode = experiments.encode_message
     monkeypatch.setattr(experiments, "encode_message", spy)
     experiments.run_overhead(10_000)
     # the two byte sizes, bare then with the contract, and then the warm-up and timed calls

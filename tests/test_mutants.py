@@ -64,12 +64,13 @@ def test_an_unmutated_checkout_that_fails_is_not_swept(tmp_path):
     root = tmp_path / "checkout"
     shutil.copytree(_FIXTURE, root)
     (root / "checks_subset.py").write_text("def test_fails():\n    assert False\n", encoding="utf-8")
+    subsets = {"src/sample.py": ("checks_subset.py",)}
     with pytest.raises(RuntimeError, match="^the unmutated checkout fails checks_subset.py$"):
-        dict(mutants.sweep(root, {"src/sample.py": ("checks_subset.py",)}, ("checks_subset.py", "checks_more.py")))
+        dict(mutants.sweep(root, subsets, ("checks_subset.py", "checks_more.py")))
 
 
 def test_a_module_without_a_test_subset_is_refused(capsys):
-    with pytest.raises(SystemExit) as exit:
+    with pytest.raises(SystemExit) as refused:
         mutants.main(["routing"])
-    assert exit.value.code == 2
+    assert refused.value.code == 2
     assert "no test subset for routing" in capsys.readouterr().err

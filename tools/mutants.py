@@ -56,7 +56,9 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 # each module of src/delgov the sweep covers, in sweep order, and the tests that run its mutants
 SUBSETS = {
     "cli": ("tests/test_cli.py", "tests/test_seeded_digests.py"),
-    "experiments": ("tests/test_experiments.py", "tests/test_bench_digests.py", "tests/test_seeded_digests.py"),
+    "experiments": (
+        "tests/test_experiments.py", "tests/test_bench_digests.py", "tests/test_seeded_digests.py",
+    ),
     "simulate": ("tests/test_simulate.py",),
     "stats": ("tests/test_stats.py",),
     "errors": ("tests/test_error_model.py",),
@@ -69,6 +71,7 @@ _COMPARISONS = {
     ast.IsNot: ("is not", "is"), ast.In: ("in", "not in"), ast.NotIn: ("not in", "in"),
 }
 _BOOLEANS = {ast.And: ("and", "or"), ast.Or: ("or", "and")}
+_NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
     tokenize.ENCODING, tokenize.ENDMARKER,
@@ -166,10 +169,6 @@ def mutants(source: str) -> list[Mutant]:
     return result
 
 
-def _ignore(directory: str, names: list[str]) -> set[str]:
-    return {n for n in names if n in (".git", "__pycache__", ".hypothesis", ".pytest_cache")}
-
-
 def _passes(tree: Path, tests: Sequence[str], limits: dict[tuple[str, ...], float]) -> bool:
     """Whether pytest exits 0 over ``tests`` in ``tree`` within the limit in ``limits``,
     which the first run of each test list sets."""
@@ -197,7 +196,7 @@ def _passes(tree: Path, tests: Sequence[str], limits: dict[tuple[str, ...], floa
 def sweep(
     root: Path,
     subsets: Mapping[str, Sequence[str]],
-    full: Sequence[str] = TIER_1,
+    full: Sequence[str],
     jobs: int = 1,
 ) -> Iterator[tuple[str, list[tuple[Mutant, str]]]]:
     """Per module of ``subsets`` (a path under ``root``), in order, each of its mutants
@@ -210,7 +209,7 @@ def sweep(
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         trees = [Path(scratch) / str(i) for i in range(jobs)]
         for tree in trees:
-            shutil.copytree(root, tree, ignore=_ignore)
+            shutil.copytree(root, tree, ignore=_NOT_COPIED)
         sources = {module: (trees[0] / module).read_text(encoding="utf-8") for module in subsets}
         limits: dict[tuple[str, ...], float] = {}
         for tests in dict.fromkeys(map(tuple, [*subsets.values(), full])):
